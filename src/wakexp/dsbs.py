@@ -31,9 +31,10 @@ from .simplex_optim import (
     Box,
     SearchDomain,
     SolverConfig,
-    compass_refine,
+    best_of,
+    compass_batch,
     grid_search,
-    multistart_search,
+    random_starts,
 )
 
 # per-axis lattice denominators: fast tier for sweeps, oracle tier for checks
@@ -200,7 +201,7 @@ def dsbs_exponent(
     """
     if not 0.0 < p < 0.5:
         raise DomainError("crossover probability must be strictly inside (0, 1/2)")
-    if r1 < 0.0 or r2 < 0.0:
+    if not (r1 >= 0.0 and r2 >= 0.0):
         raise DomainError("rates must be nonnegative")
     config = DSBS_FAST_CONFIG if config is None else config
     dims = 2 if markov_constrained else 3
@@ -235,19 +236,10 @@ def dsbs_exponent(
     starts.extend(inner[:1])
     starts.extend(zero_pts)
     starts.extend(np.asarray(tuple(w)[:dims], dtype=np.float64) for w in warm_candidates)
-    for s in starts:
-        runs.append(
-            compass_refine(domain, start=s, config=config, batch_evaluate=batch_evaluate)
-        )
-    runs.append(multistart_search(domain, config=config, batch_evaluate=batch_evaluate))
-    best = None
-    for r in runs:
-        if not r.infeasible and (best is None or r.value < best.value):
-            best = r
-    for s in inner:
-        obj, viol = batch_evaluate(s[None, :])
-        if viol[0] <= 1e-12 and obj[0] < best.value:
-            best = SearchResult(np.asarray(s, dtype=np.float64), float(obj[0]), 1, True)
+    # the multistart's own best comes first among its starts, so one
+    # reduction over every run picks the same winner
+    starts += random_starts(domain, config)
+    best = best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
     # h(0) = 0 <= r1 makes (beta, q0) = (0, 1) always feasible, so best exists
     vec = best.argmin
     if markov_constrained:
@@ -294,7 +286,7 @@ def figure2_sweep(
     r1s = [float(v) for v in r1_grid]
     if any(b < a for a, b in zip(r1s, r1s[1:])):
         raise DomainError("r1 grid must be ascending")
-    if any(v < 0.0 or v > 1.0 for v in r1s):
+    if not all(0.0 <= v <= 1.0 for v in r1s):
         raise DomainError("r1 grid must lie within [0, 1]")
     config = DSBS_FAST_CONFIG if config is None else config
     raw = parallel_map(_sweep_point, [(p, r2, r1, config) for r1 in r1s], workers=workers)

@@ -30,6 +30,8 @@ class DomainError(ValueError):
 
 def _validated(probs, shape) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite")
     if np.any(arr < 0.0):
         raise ValueError("probabilities must be nonnegative")
     total = float(arr.sum())
@@ -265,7 +267,8 @@ def joint_to_dict(j: JointPmf2) -> dict:
 
 
 def joint_from_dict(d: dict) -> JointPmf2:
-    """Parse the row-major wire form, rejecting negatives and bad totals.
+    """Parse the row-major wire form, rejecting non-finite or negative
+    entries and bad totals.
 
     The accepted total-mass tolerance is 1e-9; inputs that pass it but
     drift beyond the construction tolerance 1e-12 are rescaled exactly
@@ -278,6 +281,8 @@ def joint_from_dict(d: dict) -> JointPmf2:
         raise ValueError(f"malformed joint pmf object: {exc}") from exc
     if nx < 1 or ny < 1 or flat.ndim != 1 or flat.size != nx * ny:
         raise ValueError("joint pmf needs nx*ny probabilities in row-major order")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("joint pmf entries must be finite")
     if np.any(flat < 0.0):
         raise ValueError("joint pmf entries must be nonnegative")
     total = float(flat.sum())

@@ -21,10 +21,11 @@ from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
-    compass_refine,
+    best_of,
+    compass_batch,
     grid_search,
     maximize_1d,
-    multistart_search,
+    random_starts,
 )
 
 THETA_FLOOR = -1e4
@@ -103,29 +104,18 @@ def _simplex_min(k, batch_objective, config, candidates, use_grid=True):
     then multistart; returns (value, argmin, evaluations)."""
     domain = SearchDomain([Simplex(k)])
     runs = []
+    candidates = list(candidates)
     if use_grid:
         res = _capped_resolution(k, config.grid_resolution)
         g = grid_search(domain, resolution=res, batch_objective=batch_objective)
         runs.append(g)
         if not g.infeasible:
-            candidates = list(candidates) + [g.argmin]
-    for c in candidates:
-        runs.append(
-            compass_refine(
-                domain,
-                start=np.asarray(c, dtype=np.float64),
-                config=config,
-                batch_objective=batch_objective,
-            )
-        )
-    runs.append(multistart_search(domain, config=config, batch_objective=batch_objective))
-    best = None
-    evaluations = 0
-    for r in runs:
-        evaluations += r.evaluations
-        if not r.infeasible and (best is None or r.value < best.value):
-            best = r
-    return best.value, best.argmin, evaluations
+            candidates.append(g.argmin)
+    # the multistart's own best comes first among its starts, so one
+    # reduction over every run picks the same winner
+    starts = candidates + random_starts(domain, config)
+    best = best_of(runs + compass_batch(domain, starts, config, batch_objective=batch_objective))
+    return best.value, best.argmin, best.evaluations
 
 
 def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -> float:
@@ -134,7 +124,7 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
     Minimum over joints m of D(m || src) + max(H(X|Y under m) - r1, 0);
     zero exactly when r1 >= H(X|Y).
     """
-    if r1 < 0.0:
+    if not r1 >= 0.0:
         raise DomainError("r1 must be nonnegative")
     config = NE_DEFAULT if config is None else config
     k = src.nx * src.ny
@@ -222,7 +212,7 @@ def _entropy_matched_tilts(probs: np.ndarray, r1: float) -> list:
 
 def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None) -> float:
     """Single-user exponent: min over q of D(q || p) + max(H(q) - r1, 0)."""
-    if r1 < 0.0:
+    if not r1 >= 0.0:
         raise DomainError("r1 must be nonnegative")
     config = SINGLE_DEFAULT if config is None else config
     k = p.alphabet_size
@@ -266,7 +256,7 @@ def exponent_single_parametric(p: Pmf, r1: float, grid: ThetaGrid | None = None)
     truncation; for low rates the supremum is approached only as the tilt
     goes to -infinity.
     """
-    if r1 < 0.0:
+    if not r1 >= 0.0:
         raise DomainError("r1 must be nonnegative")
     grid = DEFAULT_THETA_GRID if grid is None else grid
     _, value = _parametric_max(p, r1, grid.abscissae, 1.0)
@@ -275,7 +265,7 @@ def exponent_single_parametric(p: Pmf, r1: float, grid: ThetaGrid | None = None)
 
 def oohama_single(p: Pmf, r1: float, grid=None) -> float:
     """Parametric comparison bound max_{theta in [-1,0]} (-s+theta*r1)/(2-theta)."""
-    if r1 < 0.0:
+    if not r1 >= 0.0:
         raise DomainError("r1 must be nonnegative")
     thetas = DEFAULT_THETA_GRID.restricted_to_unit() if grid is None else tuple(grid)
     if any(t < -1.0 or t > 0.0 for t in thetas):
@@ -314,7 +304,7 @@ def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
     Requires r1 < H(p); the tight form strictly exceeds the comparison
     bound there.
     """
-    if r1 < 0.0:
+    if not r1 >= 0.0:
         raise DomainError("r1 must be nonnegative")
     if r1 >= entropy_bits(p.probs):
         raise DomainError("gap_check requires r1 < H(p)")
@@ -457,15 +447,7 @@ class OohamaEvaluator:
         ]
         if not runs[0].infeasible:
             candidates.append(runs[0].argmin)
-        for c in candidates:
-            runs.append(
-                compass_refine(
-                    self.domain,
-                    start=np.asarray(c, dtype=np.float64),
-                    config=self.config,
-                    batch_objective=batch_objective,
-                )
-            )
+        runs += compass_batch(self.domain, candidates, self.config, batch_objective=batch_objective)
         best = min(r.value for r in runs if not r.infeasible)
         self._omega_cache[key] = float(best)
         return float(best)
@@ -476,7 +458,7 @@ class OohamaEvaluator:
         The sup includes the (0, 0) corner, whose value is exactly zero, so
         the result is clamped to be nonnegative.
         """
-        if r1 < 0.0 or r2 < 0.0:
+        if not (r1 >= 0.0 and r2 >= 0.0):
             raise DomainError("rates must be nonnegative")
 
         def f(mu, alpha):

@@ -2,8 +2,10 @@
 
 Two tiers are provided.  ``grid_search`` enumerates every lattice point with
 a common denominator and is the ground-truth oracle for small problems.
-``multistart_search`` runs seeded random restarts of a compass (coordinate
-mass-transfer) descent and handles the larger parametrizations.  Hard
+``compass_batch`` runs independent compass (coordinate mass-transfer)
+descents from many starts in lockstep, with one batched evaluation per
+iteration, and ``multistart_search`` is the best of them over seeded random
+starts; these handle the larger parametrizations.  Hard
 constraints are handled by exact rejection of infeasible incumbents plus a
 linear penalty on constraint violation while probing, so kinky objectives
 (positive parts, entropy caps) do not stall the search.
@@ -252,6 +254,7 @@ def grid_search(
     *,
     batch_objective=None,
     batch_feasible=None,
+    batch_evaluate=None,
 ) -> SearchResult:
     """Exact minimum over every lattice point with the given denominator.
 
@@ -259,11 +262,16 @@ def grid_search(
     the lexicographically smallest point because enumeration is lex ordered
     and only strict improvements replace the incumbent.  Returns the
     infeasible marker result when no lattice point is feasible.
+
+    ``batch_evaluate(points) -> (values, violations)`` computes both maps in
+    one pass and takes precedence over the separate callables; a point is
+    feasible when its violation is at most the feasibility tolerance, and
+    only feasible points count as evaluations.
     """
     if resolution is None:
         raise ValueError("grid_search needs an explicit resolution")
     obj = _as_batch(objective, batch_objective)
-    if obj is None:
+    if obj is None and batch_evaluate is None:
         raise ValueError("grid_search needs an objective")
     feas = _as_batch_mask(feasible, batch_feasible)
 
@@ -271,14 +279,21 @@ def grid_search(
     best_pt = None
     evaluations = 0
     for chunk in _grid_chunks(domain.grid_arrays(resolution)):
-        if feas is not None:
+        if batch_evaluate is not None:
+            vals, violations = batch_evaluate(chunk)
+            mask = np.asarray(violations, dtype=np.float64) <= _FEAS_TOL
+            if not mask.any():
+                continue
+            pts, vals = chunk[mask], np.asarray(vals, dtype=np.float64)[mask]
+        elif feas is not None:
             mask = np.asarray(feas(chunk), dtype=bool)
             if not mask.any():
                 continue
             pts = chunk[mask]
+            vals = np.asarray(obj(pts), dtype=np.float64)
         else:
             pts = chunk
-        vals = np.asarray(obj(pts), dtype=np.float64)
+            vals = np.asarray(obj(pts), dtype=np.float64)
         evaluations += len(vals)
         vals = np.where(np.isnan(vals), math.inf, vals)
         i = int(np.argmin(vals))
@@ -294,44 +309,242 @@ def grid_search(
 # compass descent
 # ---------------------------------------------------------------------------
 
-def _probe_points(domain, slices, x, step):
-    probes = []
-    for block, sl in zip(domain.blocks, slices):
+@dataclass(frozen=True, eq=False)
+class _ProbePlan:
+    """Every candidate move of one compass iteration, in probe order.
+
+    A simplex candidate moves ``min(step, x[take])`` of mass from ``take``
+    to ``give`` (source coordinate outer, target inner).  The candidates at
+    ``box_cols`` instead step the box scalar ``x[take]`` (``give == take``)
+    by ``step * box_width`` (plus before minus) and clip it to the bounds.
+    """
+
+    take: np.ndarray
+    give: np.ndarray
+    box_cols: np.ndarray
+    box_width: np.ndarray
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    simplex_slices: tuple
+
+
+@lru_cache(maxsize=64)
+def _probe_plan(domain: SearchDomain) -> _ProbePlan:
+    take, give, box_cols, box_width, box_lower, box_upper = [], [], [], [], [], []
+    simplex_slices = []
+    for block, sl in zip(domain.blocks, domain.slices()):
         if isinstance(block, Simplex):
-            seg = x[sl]
-            d = block.dim
-            for j in range(d):
-                avail = seg[j]
-                if avail <= 0.0:
-                    continue
-                delta = min(step, avail)
-                for i in range(d):
-                    if i == j:
-                        continue
-                    y = x.copy()
-                    y[sl.start + j] -= delta
-                    y[sl.start + i] += delta
-                    probes.append(y)
+            simplex_slices.append(sl)
+            for j in range(block.dim):
+                for i in range(block.dim):
+                    if i != j:
+                        take.append(sl.start + j)
+                        give.append(sl.start + i)
         else:
             width = block.upper - block.lower
             if width <= 0.0:
                 continue
-            v = x[sl.start]
-            for delta in (step * width, -step * width):
-                nv = min(max(v + delta, block.lower), block.upper)
-                if nv != v:
-                    y = x.copy()
-                    y[sl.start] = nv
-                    probes.append(y)
-    return probes
+            for signed in (width, -width):
+                box_cols.append(len(take))
+                take.append(sl.start)
+                give.append(sl.start)
+                box_width.append(signed)
+                box_lower.append(block.lower)
+                box_upper.append(block.upper)
+    return _ProbePlan(
+        take=np.array(take, dtype=np.intp),
+        give=np.array(give, dtype=np.intp),
+        box_cols=np.array(box_cols, dtype=np.intp),
+        box_width=np.array(box_width, dtype=np.float64),
+        box_lower=np.array(box_lower, dtype=np.float64),
+        box_upper=np.array(box_upper, dtype=np.float64),
+        simplex_slices=tuple(simplex_slices),
+    )
 
 
-def _renormalize_simplexes(domain, slices, x):
-    for block, sl in zip(domain.blocks, slices):
-        if isinstance(block, Simplex):
-            s = x[sl].sum()
-            if abs(s - 1.0) > _DRIFT_TOL and s > 0.0:
-                x[sl] /= s
+def _candidate_moves(plan: _ProbePlan, x: np.ndarray, step: np.ndarray):
+    """Validity and the values written at ``take`` and ``give`` of every
+    candidate, per row of ``x``.
+
+    A simplex move out of an empty coordinate and a box step that the
+    clipping cancels are invalid: they are never built nor evaluated.
+    """
+    cur = x[:, plan.take]
+    if len(plan.box_cols) == cur.shape[1]:
+        return _box_moves(plan, cur, step)
+    delta = np.minimum(step[:, None], cur)
+    valid, taken, given = cur > 0.0, cur - delta, x[:, plan.give] + delta
+    if len(plan.box_cols):
+        cols = plan.box_cols
+        valid[:, cols], taken[:, cols], given[:, cols] = _box_moves(plan, cur[:, cols], step)
+    return valid, taken, given
+
+
+def _box_moves(plan: _ProbePlan, v: np.ndarray, step: np.ndarray):
+    moved = v + step[:, None] * plan.box_width
+    # min(max(moved, lower), upper), keeping Python's tie order
+    moved = np.where(plan.box_lower > moved, plan.box_lower, moved)
+    moved = np.where(plan.box_upper < moved, plan.box_upper, moved)
+    return moved != v, moved, moved
+
+
+def _segment_argmin(values, counts):
+    """First index of the minimum within each of the consecutive runs of
+    ``counts[d]`` entries of ``values``.
+
+    The same index ``np.argmin`` gives on each run alone; ``values`` holds
+    no NaN.
+    """
+    if len(counts) == 1:
+        return np.argmin(values, keepdims=True)
+    starts = np.cumsum(counts) - counts
+    mins = np.minimum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(mins, counts))
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _renormalize_simplexes(plan, x, rows):
+    """Rescale each simplex block of ``x[rows]`` whose sum drifted from 1."""
+    picked = x[rows] if plan.simplex_slices else None
+    for sl in plan.simplex_slices:
+        s = picked[:, sl].sum(axis=1)
+        fix = (np.abs(s - 1.0) > _DRIFT_TOL) & (s > 0.0)
+        if fix.any():
+            x[rows[fix], sl] /= s[fix, None]
+
+
+def compass_batch(
+    domain: SearchDomain,
+    starts,
+    config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    batch_objective=None,
+    batch_evaluate=None,
+) -> list[SearchResult]:
+    """Independent compass descents from every start, advanced in lockstep.
+
+    Probes transfer mass between simplex coordinates (or step box scalars,
+    clipped to the bounds), so every evaluated point stays inside the
+    domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
+    constraint violation; only feasible points can become a descent's
+    incumbent.  Each iteration evaluates the probes of all still-running
+    descents in one call, and each descent keeps its own point, step,
+    score and incumbent, so ``results[k]`` is the descent from
+    ``starts[k]`` run alone, provided the objective evaluates each row
+    independently of the rest of its batch.
+
+    ``batch_evaluate(points) -> (values, violations)`` takes precedence
+    over ``batch_objective(points) -> values`` (no constraint).  A start
+    with a non-finite coordinate yields the infeasible marker after zero
+    evaluations.
+    """
+    if batch_objective is None and batch_evaluate is None:
+        raise ValueError("compass_batch needs an objective")
+    starts = [np.array(s, dtype=np.float64) for s in starts]
+    results = [SearchResult(None, math.inf, 0, False)] * len(starts)
+    ids = np.array([k for k, s in enumerate(starts) if np.all(np.isfinite(s))], dtype=np.intp)
+    if not ids.size:
+        return results
+
+    def score_of(pts):
+        if batch_evaluate is not None:
+            raw_vals, raw_viol = batch_evaluate(pts)
+            vals = np.asarray(raw_vals, dtype=np.float64)
+            violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
+        else:
+            vals = np.asarray(batch_objective(pts), dtype=np.float64)
+            violations = np.zeros(len(pts))
+        vals = np.where(np.isnan(vals), math.inf, vals)
+        with np.errstate(invalid="ignore"):
+            scores = vals + config.penalty_weight * violations
+        scores = np.where(np.isnan(scores), math.inf, scores)
+        return vals, violations, scores
+
+    plan = _probe_plan(domain)
+    x = np.stack([starts[k] for k in ids])
+    vals, violations, cur_score = score_of(x)
+    evaluations = np.zeros(len(starts), dtype=np.int64)
+    evaluations[ids] = 1
+    converged = np.zeros(len(starts), dtype=bool)
+    best_val = np.full(len(starts), math.inf)
+    best_pt = np.zeros((len(starts), x.shape[1]))
+    first = (violations <= _FEAS_TOL) & (vals < math.inf)
+    best_val[ids[first]] = vals[first]
+    best_pt[ids[first]] = x[first]
+    step = np.full(len(ids), 0.25)
+
+    for _ in range(config.max_iterations):
+        if not len(plan.take):
+            converged[ids] = True
+            break
+        valid, taken, given = _candidate_moves(plan, x, step)
+        counts = np.count_nonzero(valid, axis=1)
+        done = (step < config.step_tolerance) | (counts == 0)
+        if done.any():
+            converged[ids[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            ids, x, step, cur_score = ids[keep], x[keep], step[keep], cur_score[keep]
+            valid, taken, given, counts = valid[keep], taken[keep], given[keep], counts[keep]
+        evaluations[ids] += counts
+        cols = np.nonzero(valid)[1]
+        probes = np.repeat(x, counts, axis=0)
+        at = np.arange(len(cols))
+        probes[at, plan.take[cols]] = taken[valid]
+        if given is not taken:                  # box-only moves write one coordinate
+            probes[at, plan.give[cols]] = given[valid]
+        vals, violations, scores = score_of(probes)
+
+        feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
+        j = _segment_argmin(feasible_vals, counts)
+        better = feasible_vals[j] < best_val[ids]
+        if better.any():
+            best_val[ids[better]] = feasible_vals[j[better]]
+            best_pt[ids[better]] = probes[j[better]]
+
+        k = _segment_argmin(scores, counts)
+        accept = scores[k] < cur_score - 1e-15
+        if accept.any():
+            moved = np.flatnonzero(accept)
+            x[moved] = probes[k[moved]]
+            cur_score[moved] = scores[k[moved]]
+            _renormalize_simplexes(plan, x, moved)
+        step = np.where(accept, step, 0.5 * step)
+
+    for k in range(len(starts)):
+        if not evaluations[k]:
+            continue
+        found = best_val[k] < math.inf
+        results[k] = SearchResult(
+            best_pt[k].copy() if found else None,
+            float(best_val[k]),
+            int(evaluations[k]),
+            bool(converged[k]),
+        )
+    return results
+
+
+def _batch_forms(objective, feasible, violation, batch_objective, batch_violation, batch_evaluate):
+    """The keyword arguments of :func:`compass_batch` for the point-wise and
+    separate-callable forms; an infeasible point under ``feasible`` counts
+    as infinitely violated."""
+    if batch_evaluate is not None:
+        return {"batch_evaluate": batch_evaluate}
+    obj = _as_batch(objective, batch_objective)
+    if obj is None:
+        raise ValueError("compass descent needs an objective")
+    viol = _as_batch(violation, batch_violation)
+    feas = _as_batch_mask(feasible, None)
+    if viol is None and feas is None:
+        return {"batch_objective": obj}
+
+    def evaluate(pts):
+        if viol is not None:
+            return obj(pts), viol(pts)
+        return obj(pts), np.where(np.asarray(feas(pts), bool), 0.0, math.inf)
+
+    return {"batch_evaluate": evaluate}
 
 
 def compass_refine(
@@ -346,82 +559,39 @@ def compass_refine(
     batch_violation=None,
     batch_evaluate=None,
 ) -> SearchResult:
-    """Local compass descent from one start point.
-
-    Probes transfer mass between simplex coordinates (or step box scalars,
-    clipped to the bounds), so every evaluated point stays inside the
-    domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
-    constraint violation; only feasible points can become the incumbent.
+    """Local compass descent from one start point; see :func:`compass_batch`.
 
     ``batch_evaluate(points) -> (values, violations)`` computes both maps
     in one pass and takes precedence over the separate callables.
     """
-    obj = _as_batch(objective, batch_objective)
-    if (obj is None and batch_evaluate is None) or start is None:
+    if start is None:
         raise ValueError("compass_refine needs an objective and a start point")
-    viol = _as_batch(violation, batch_violation)
-    feas_mask = _as_batch_mask(feasible, None) if feasible is not None else None
-    slices = domain.slices()
+    forms = _batch_forms(
+        objective, feasible, violation, batch_objective, batch_violation, batch_evaluate
+    )
+    return compass_batch(domain, [start], config, **forms)[0]
 
-    def score_of(points):
-        pts = np.asarray(points, dtype=np.float64)
-        if batch_evaluate is not None:
-            raw_vals, raw_viol = batch_evaluate(pts)
-            vals = np.asarray(raw_vals, dtype=np.float64)
-            violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
-        else:
-            vals = np.asarray(obj(pts), dtype=np.float64)
-            if viol is not None:
-                violations = np.maximum(np.asarray(viol(pts), float), 0.0)
-            elif feas_mask is not None:
-                violations = np.where(np.asarray(feas_mask(pts), bool), 0.0, math.inf)
-            else:
-                violations = np.zeros(len(pts))
-        vals = np.where(np.isnan(vals), math.inf, vals)
-        with np.errstate(invalid="ignore"):
-            scores = vals + config.penalty_weight * violations
-        scores = np.where(np.isnan(scores), math.inf, scores)
-        return vals, violations, scores
 
-    x = np.array(start, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        return SearchResult(None, math.inf, 0, False)
-    vals, violations, scores = score_of(x[None, :])
-    evaluations = 1
-    cur_score = scores[0]
-    best_pt, best_val = None, math.inf
-    if violations[0] <= _FEAS_TOL and vals[0] < best_val:
-        best_pt, best_val = x.copy(), float(vals[0])
+def random_starts(domain: SearchDomain, config: SolverConfig) -> list:
+    """The ``config.starts`` multistart points, drawn up front from ``config.seed``."""
+    rng = np.random.default_rng(config.seed)
+    return [domain.sample(rng) for _ in range(config.starts)]
 
-    step = 0.25
-    converged = False
-    for _ in range(config.max_iterations):
-        if step < config.step_tolerance:
-            converged = True
-            break
-        probes = _probe_points(domain, slices, x, step)
-        if not probes:
-            converged = True
-            break
-        pts = np.asarray(probes)
-        vals, violations, scores = score_of(pts)
-        evaluations += len(pts)
-        feasible_here = violations <= _FEAS_TOL
-        if feasible_here.any():
-            vf = np.where(feasible_here, vals, math.inf)
-            j = int(np.argmin(vf))
-            if vf[j] < best_val:
-                best_pt, best_val = pts[j].copy(), float(vf[j])
-        k = int(np.argmin(scores))
-        if scores[k] < cur_score - 1e-15:
-            x = pts[k].copy()
-            _renormalize_simplexes(domain, slices, x)
-            cur_score = scores[k]
-        else:
-            step *= 0.5
-    if best_pt is None:
-        return SearchResult(None, math.inf, evaluations, converged)
-    return SearchResult(best_pt, best_val, evaluations, converged)
+
+def best_of(results) -> SearchResult:
+    """First strictly lowest feasible result, carrying the total evaluations.
+
+    Returns the infeasible marker when no result is feasible.
+    """
+    best = None
+    evaluations = 0
+    for res in results:
+        evaluations += res.evaluations
+        if not res.infeasible and (best is None or res.value < best.value):
+            best = res
+    if best is None:
+        return SearchResult(None, math.inf, evaluations, False)
+    return SearchResult(best.argmin, best.value, evaluations, best.converged)
 
 
 def multistart_search(
@@ -443,28 +613,10 @@ def multistart_search(
     value seen from any single start.  Returns the infeasible marker when
     no start produces a feasible point.
     """
-    rng = np.random.default_rng(config.seed)
-    starts = [domain.sample(rng) for _ in range(config.starts)]
-    best = None
-    evaluations = 0
-    for s in starts:
-        res = compass_refine(
-            domain,
-            objective,
-            s,
-            config,
-            feasible=feasible,
-            violation=violation,
-            batch_objective=batch_objective,
-            batch_violation=batch_violation,
-            batch_evaluate=batch_evaluate,
-        )
-        evaluations += res.evaluations
-        if not res.infeasible and (best is None or res.value < best.value):
-            best = res
-    if best is None:
-        return SearchResult(None, math.inf, evaluations, False)
-    return SearchResult(best.argmin, best.value, evaluations, best.converged)
+    forms = _batch_forms(
+        objective, feasible, violation, batch_objective, batch_violation, batch_evaluate
+    )
+    return best_of(compass_batch(domain, random_starts(domain, config), config, **forms))
 
 
 # ---------------------------------------------------------------------------

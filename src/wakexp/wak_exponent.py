@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +43,11 @@ from .simplex_optim import (
     SearchResult,
     Simplex,
     SolverConfig,
+    best_of,
+    compass_batch,
     compass_refine,
     grid_search,
-    multistart_search,
+    random_starts,
 )
 
 REGION_TOL = 1e-6          # rate-region membership tolerance, bits
@@ -176,7 +178,7 @@ def soft_markov_decompose(a: AuxJointPmf, src: JointPmf2) -> tuple[float, float]
 
 def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
     """Divergence term plus the rate-2 penalty max(I(U;Y) - r2, 0)."""
-    if r2 < 0.0:
+    if not r2 >= 0.0:
         raise DomainError("r2 must be nonnegative")
     div = wak_divergence_term(a, src)
     if math.isinf(div):
@@ -368,13 +370,10 @@ class _ExponentSearch:
             h_x = _batch_entropy(m.reshape(-1, nx, ny).sum(axis=2))
             return kl, h_xy, h_y, h_x
 
-        local = SolverConfig(
-            grid_resolution=config.grid_resolution,
+        local = replace(
+            config,
             starts=max(4, min(config.starts, 8)),
             max_iterations=min(config.max_iterations, 2000),
-            step_tolerance=config.step_tolerance,
-            seed=config.seed,
-            penalty_weight=config.penalty_weight,
         )
         base = [self.src_flat.copy()]
         for i in range(k):
@@ -394,10 +393,8 @@ class _ExponentSearch:
             while res > 2 and math.comb(res + k - 1, k - 1) > 200_000:
                 res -= 1
             winners = [grid_search(domain, resolution=res, batch_objective=x_copy_objective)]
-            for s in base + [w.argmin for w in winners if not w.infeasible]:
-                winners.append(
-                    compass_refine(domain, start=s, config=local, batch_objective=x_copy_objective)
-                )
+            refine = base + [w.argmin for w in winners if not w.infeasible]
+            winners += compass_batch(domain, refine, local, batch_objective=x_copy_objective)
             best = min((w for w in winners if not w.infeasible), key=lambda w: w.value)
             out.append(self.candidate_copy_x(best.argmin))
 
@@ -412,12 +409,8 @@ class _ExponentSearch:
                     obj, viol_raw = y_copy_evaluate(pts)
                     return obj + lam * viol_raw
 
-                winner = None
-                for s in base + extra:
-                    r = compass_refine(domain, start=s, config=local, batch_objective=objective)
-                    if not r.infeasible and (winner is None or r.value < winner.value):
-                        winner = r
-                return winner.argmin
+                runs = compass_batch(domain, base + extra, local, batch_objective=objective)
+                return best_of(runs).argmin
 
             best_m, best_val = None, math.inf
 
@@ -582,13 +575,10 @@ def _region_argmin(
         rows[:, 0] = 1.0
         return entropy_bits(src.probs.sum(axis=1)), rows.T, src.ny
     prob = _RegionSearch(src, r2, nu)
-    local = SolverConfig(
-        grid_resolution=config.grid_resolution,
+    local = replace(
+        config,
         starts=max(4, min(config.starts, 12)),
         max_iterations=min(config.max_iterations, 2000),
-        step_tolerance=config.step_tolerance,
-        seed=config.seed,
-        penalty_weight=config.penalty_weight,
     )
     base_starts = list(prob.candidates())
     if warm_channel is not None and warm_channel.shape == (nu, src.ny):
@@ -609,12 +599,10 @@ def _region_argmin(
     def solve_scalarized(lam, extra):
         nonlocal evaluations
         objective = prob.scalarized(lam)
-        winner = None
-        for s in base_starts + extra:
-            r = compass_refine(prob.domain, start=s, config=local, batch_objective=objective)
-            evaluations += r.evaluations
-            if not r.infeasible and (winner is None or r.value < winner.value):
-                winner = r
+        winner = best_of(
+            compass_batch(prob.domain, base_starts + extra, local, batch_objective=objective)
+        )
+        evaluations += winner.evaluations
         return winner.argmin
 
     pt0 = solve_scalarized(0.0, [])
@@ -643,10 +631,7 @@ def _region_argmin(
     grid_points = math.comb(config.grid_resolution + nu - 1, nu - 1) ** src.ny
     if grid_points <= 120_000:
         g = grid_search(
-            prob.domain,
-            resolution=config.grid_resolution,
-            batch_objective=lambda pts: prob.evaluate(pts)[0],
-            batch_feasible=lambda pts: prob.evaluate(pts)[1] <= 1e-12,
+            prob.domain, resolution=config.grid_resolution, batch_evaluate=prob.evaluate
         )
         evaluations += g.evaluations
         if not g.infeasible:
@@ -654,15 +639,16 @@ def _region_argmin(
     polish_starts = list(base_starts)
     if best_pt is not None:
         polish_starts.append(best_pt)
-    for s in polish_starts:
-        r = compass_refine(prob.domain, start=s, config=local, batch_evaluate=prob.evaluate)
+    runs = compass_batch(
+        prob.domain,
+        polish_starts + random_starts(prob.domain, local),
+        local,
+        batch_evaluate=prob.evaluate,
+    )
+    for r in runs[: len(polish_starts)] + [best_of(runs[len(polish_starts) :])]:
         evaluations += r.evaluations
         if not r.infeasible:
             consider(r.argmin)
-    ms = multistart_search(prob.domain, config=local, batch_evaluate=prob.evaluate)
-    evaluations += ms.evaluations
-    if not ms.infeasible:
-        consider(ms.argmin)
     channel = best_pt.reshape(src.ny, nu).T
     return best_val, channel, evaluations
 
@@ -673,7 +659,7 @@ def region_min_r1(src: JointPmf2, r2: float, config: SolverConfig = DEFAULT_CONF
     Equals H(X) at r2 = 0 and H(X|Y) once r2 >= H(Y); non-increasing in
     between.
     """
-    if r2 < 0.0:
+    if not r2 >= 0.0:
         raise DomainError("r2 must be nonnegative")
     value, _, _ = _region_argmin(src, r2, config)
     return value
@@ -786,12 +772,13 @@ def wak_exponent(
         padded[: tensor.shape[0]] = tensor
         starts.append(prob.encode(padded.reshape(nu, prob.k)))
 
-    runs = []
-    for s in starts:
-        runs.append(
-            compass_refine(prob.domain, start=s, config=config, batch_evaluate=prob.evaluate)
-        )
-    runs.append(multistart_search(prob.domain, config=config, batch_evaluate=prob.evaluate))
+    runs = compass_batch(
+        prob.domain,
+        starts + random_starts(prob.domain, config),
+        config,
+        batch_evaluate=prob.evaluate,
+    )
+    runs = runs[: len(starts)] + [best_of(runs[len(starts) :])]
 
     best = None
     for r in runs:

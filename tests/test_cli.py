@@ -155,6 +155,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["ne", "--source", spec, "--r1", "0.1"])
         assert code == 2
 
+    def test_nan_probability_rejected(self, capsys):
+        spec = '{"nx": 3, "ny": 1, "probs": [NaN, 0.5, 0.5]}'
+        code, out, err = run_cli(
+            capsys, ["exponent", "--source", spec, "--r1", "0.1", "--r2", "0.1", *FAST]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_nan_rate_is_domain_error(self, capsys):
+        code, out, _ = run_cli(capsys, ["ne", "--source", "dsbs:0.1", "--r1", "nan", *FAST])
+        assert code == 3
+        assert out == ""
+
     def test_domain_error_exit_code(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -155,6 +155,13 @@ class TestSweep:
             figure2_sweep(0.1, R2_STUDY, [0.4, 0.2])
         with pytest.raises(DomainError):
             figure2_sweep(0.1, R2_STUDY, [0.5, 1.5])
+        with pytest.raises(DomainError):
+            figure2_sweep(0.1, R2_STUDY, [0.2, float("nan")])
+
+    def test_nan_rates_rejected(self):
+        for r1, r2 in ((float("nan"), 0.3), (0.3, float("nan"))):
+            with pytest.raises(DomainError):
+                dsbs_exponent(0.1, r1, r2)
 
     def test_point_type_guards_dominance(self):
         with pytest.raises(ValueError):

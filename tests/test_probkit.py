@@ -45,6 +45,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Pmf([0.5, 0.5 + 1e-9])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_types_reject_non_finite(self, bad):
+        # abs(nan - 1) > tol is False, so the total check alone lets NaN in
+        with pytest.raises(ValueError):
+            Pmf([bad, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            JointPmf2([[bad, 0.5], [0.25, 0.25]])
+
     def test_pmf_accepts_tolerance_without_renormalizing(self):
         p = Pmf([0.5, 0.5 + 1e-13])
         assert p.probs[1] == 0.5 + 1e-13
@@ -273,6 +281,10 @@ class TestJointJson:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             joint_from_dict({"nx": 2, "ny": 1, "probs": [0.6, 0.5]})
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            joint_from_dict(json.loads('{"nx": 3, "ny": 1, "probs": [NaN, 0.5, 0.5]}'))
 
     def test_rescales_small_drift(self):
         j = joint_from_dict({"nx": 2, "ny": 1, "probs": [0.5, 0.5 + 3e-10]})

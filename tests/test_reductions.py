@@ -130,6 +130,22 @@ class TestSingleUserForms:
         with pytest.raises(DomainError):
             exponent_single_direct(Pmf([0.5, 0.5]), -0.1)
 
+    def test_nan_rate_rejected_by_every_entry_point(self):
+        p = Pmf([0.9, 0.1])
+        src = JointPmf2([[0.45, 0.05], [0.05, 0.45]])
+        calls = [
+            lambda: exponent_ne(src, math.nan),
+            lambda: exponent_single_direct(p, math.nan),
+            lambda: exponent_single_parametric(p, math.nan),
+            lambda: oohama_single(p, math.nan),
+            lambda: gap_check(p, math.nan),
+            lambda: OohamaEvaluator(src).bound(math.nan, 0.1),
+            lambda: OohamaEvaluator(src).bound(0.1, math.nan),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
 
 class TestOohamaSingle:
     def test_zero_at_entropy_rate(self):

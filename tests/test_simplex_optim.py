@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from wakexp.dsbs import dsbs_source
+from wakexp.probkit import JointPmf2
+from wakexp.reductions import OohamaEvaluator
 from wakexp.simplex_optim import (
     Box,
     SearchDomain,
     Simplex,
     SolverConfig,
+    compass_batch,
     compass_refine,
     grid_search,
     maximize_1d,
     multistart_search,
     simplex_grid,
 )
+from wakexp.wak_exponent import _ExponentSearch, _RegionSearch
 
 
 class TestSimplexGrid:
@@ -71,6 +76,25 @@ class TestGridSearch:
         )
         assert res.infeasible
         assert res.value == math.inf
+
+    def test_batch_evaluate_counts_only_feasible_rows(self):
+        dom = SearchDomain([Simplex(3)])
+
+        def evaluate(pts):
+            return pts[:, 0] + 2.0 * pts[:, 2], np.maximum(0.4 - pts[:, 1], 0.0)
+
+        fused = grid_search(dom, resolution=10, batch_evaluate=evaluate)
+        split = grid_search(
+            dom,
+            resolution=10,
+            batch_objective=lambda p: evaluate(p)[0],
+            batch_feasible=lambda p: evaluate(p)[1] <= 1e-12,
+        )
+        assert fused.argmin.tobytes() == split.argmin.tobytes()
+        assert (fused.value, fused.evaluations) == (split.value, split.evaluations)
+        assert fused.evaluations == sum(range(1, 8))    # lattice points with p1 >= 0.4
+        none = grid_search(dom, resolution=4, batch_evaluate=lambda p: (p[:, 0], np.ones(len(p))))
+        assert none.infeasible and none.evaluations == 0
 
     def test_value_matches_objective_at_argmin(self):
         def f(p):
@@ -194,3 +218,271 @@ class TestMaximize1d:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             maximize_1d(lambda t: t, [0.0, 1.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# lockstep descent against the one-start-at-a-time loop
+# ---------------------------------------------------------------------------
+
+def _reference_probe_points(domain, slices, x, step):
+    probes = []
+    for block, sl in zip(domain.blocks, slices):
+        if isinstance(block, Simplex):
+            seg = x[sl]
+            d = block.dim
+            for j in range(d):
+                avail = seg[j]
+                if avail <= 0.0:
+                    continue
+                delta = min(step, avail)
+                for i in range(d):
+                    if i == j:
+                        continue
+                    y = x.copy()
+                    y[sl.start + j] -= delta
+                    y[sl.start + i] += delta
+                    probes.append(y)
+        else:
+            width = block.upper - block.lower
+            if width <= 0.0:
+                continue
+            v = x[sl.start]
+            for delta in (step * width, -step * width):
+                nv = min(max(v + delta, block.lower), block.upper)
+                if nv != v:
+                    y = x.copy()
+                    y[sl.start] = nv
+                    probes.append(y)
+    return probes
+
+
+def _reference_compass(domain, start, config, batch_objective=None, batch_evaluate=None):
+    """The per-start descent loop that ``compass_batch`` must reproduce."""
+    slices = domain.slices()
+
+    def score_of(points):
+        pts = np.asarray(points, dtype=np.float64)
+        if batch_evaluate is not None:
+            raw_vals, raw_viol = batch_evaluate(pts)
+            vals = np.asarray(raw_vals, dtype=np.float64)
+            violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
+        else:
+            vals = np.asarray(batch_objective(pts), dtype=np.float64)
+            violations = np.zeros(len(pts))
+        vals = np.where(np.isnan(vals), math.inf, vals)
+        with np.errstate(invalid="ignore"):
+            scores = vals + config.penalty_weight * violations
+        scores = np.where(np.isnan(scores), math.inf, scores)
+        return vals, violations, scores
+
+    x = np.array(start, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        return None, math.inf, 0, False
+    vals, violations, scores = score_of(x[None, :])
+    evaluations = 1
+    cur_score = scores[0]
+    best_pt, best_val = None, math.inf
+    if violations[0] <= 1e-12 and vals[0] < best_val:
+        best_pt, best_val = x.copy(), float(vals[0])
+    step = 0.25
+    converged = False
+    for _ in range(config.max_iterations):
+        if step < config.step_tolerance:
+            converged = True
+            break
+        probes = _reference_probe_points(domain, slices, x, step)
+        if not probes:
+            converged = True
+            break
+        pts = np.asarray(probes)
+        vals, violations, scores = score_of(pts)
+        evaluations += len(pts)
+        feasible_here = violations <= 1e-12
+        if feasible_here.any():
+            vf = np.where(feasible_here, vals, math.inf)
+            j = int(np.argmin(vf))
+            if vf[j] < best_val:
+                best_pt, best_val = pts[j].copy(), float(vf[j])
+        k = int(np.argmin(scores))
+        if scores[k] < cur_score - 1e-15:
+            x = pts[k].copy()
+            for block, sl in zip(domain.blocks, slices):
+                if isinstance(block, Simplex):
+                    s = x[sl].sum()
+                    if abs(s - 1.0) > 2.5e-13 and s > 0.0:
+                        x[sl] /= s
+            cur_score = scores[k]
+        else:
+            step *= 0.5
+    if best_pt is None:
+        return None, math.inf, evaluations, converged
+    return best_pt, best_val, evaluations, converged
+
+
+def _assert_same_descents(domain, starts, config, **forms):
+    batch = compass_batch(domain, starts, config, **forms)
+    assert len(batch) == len(starts)
+    for s, got in zip(starts, batch):
+        arg, val, evals, conv = _reference_compass(domain, s, config, **forms)
+        assert (got.argmin is None) == (arg is None)
+        if arg is not None:
+            assert got.argmin.tobytes() == arg.tobytes()
+        assert got.value == val or (math.isnan(got.value) and math.isnan(val))
+        assert got.evaluations == evals
+        assert got.converged == conv
+    single = compass_refine(domain, start=starts[0], config=config, **forms)
+    assert single.evaluations == batch[0].evaluations
+    assert single.value == batch[0].value or single.infeasible
+
+
+class TestCompassBatchMatchesReference:
+    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
+
+    def test_mixed_blocks_box_first(self):
+        dom = SearchDomain([Box(-1.0, 2.0), Simplex(3), Box(0.0, 0.5), Simplex(2)])
+        rng = np.random.default_rng(3)
+        starts = [dom.sample(rng) for _ in range(6)]
+        starts.append(np.array([2.0, 1.0, 0.0, 0.0, 0.5, 0.0, 1.0]))   # on the bounds
+
+        def f(pts):
+            return np.cos(3 * pts[:, 0]) + pts[:, 1] * pts[:, 2] + (pts[:, 4] - 0.3) ** 2 - pts[:, 6] * pts[:, 3]
+
+        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+
+    def test_zero_mass_coordinates_and_zero_width_box(self):
+        dom = SearchDomain([Simplex(4), Box(0.5, 0.5), Simplex(3)])
+        starts = [
+            np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0]),
+            np.array([0.0, 0.5, 0.5, 0.0, 0.5, 0.2, 0.0, 0.8]),
+            np.array([0.25, 0.25, 0.25, 0.25, 0.5, 1 / 3, 1 / 3, 1 / 3]),
+        ]
+        target = np.array([0.1, 0.2, 0.0, 0.7, 0.5, 0.0, 0.6, 0.4])
+
+        def f(pts):
+            return ((pts - target) ** 2).sum(axis=1)
+
+        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+
+    def test_nan_objective_and_penalty_ranked_infeasible_probes(self):
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        rng = np.random.default_rng(11)
+        starts = [dom.sample(rng) for _ in range(8)]
+        starts.append(np.array([0.05, 0.05, 0.9, 0.9]))                  # infeasible start
+
+        def evaluate(pts):
+            vals = (pts[:, 0] - 0.6) ** 2 + pts[:, 3] * pts[:, 1]
+            vals = np.where(pts[:, 2] > 0.8, np.nan, vals)                 # a NaN region
+            return vals, np.maximum(0.3 - pts[:, 0], 0.0) + np.maximum(pts[:, 3] - 0.7, 0.0)
+
+        _assert_same_descents(dom, starts, self.CFG, batch_evaluate=evaluate)
+
+    def test_non_finite_start_and_iteration_cap(self):
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        starts = [
+            np.array([0.2, 0.3, 0.5, 0.4]),
+            np.array([np.nan, 0.5, 0.5, 0.1]),
+            np.array([0.2, 0.3, 0.5, np.inf]),
+            np.array([0.6, 0.2, 0.2, 0.9]),
+        ]
+
+        def f(pts):
+            return np.sin(5 * pts[:, 0]) + pts[:, 3] ** 2
+
+        capped = SolverConfig(max_iterations=7)
+        _assert_same_descents(dom, starts, capped, batch_objective=f)
+        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+        res = compass_batch(dom, starts, capped, batch_objective=f)
+        assert res[1].infeasible and res[1].evaluations == 0 and not res[1].converged
+        assert not res[0].converged
+
+    def test_drifted_start_renormalizes_like_the_loop(self):
+        # dimensions of 8 and more sum pairwise in numpy; the row sums of the
+        # batch must still equal the 1-d sums bit for bit
+        dom = SearchDomain([Simplex(9), Simplex(1), Simplex(2)])
+        rng = np.random.default_rng(5)
+        starts = []
+        for drift in (1e-9, -3e-10, 1e-13):
+            s = dom.sample(rng)
+            s[:9] *= 1.0 + drift
+            starts.append(s)
+        w = rng.normal(size=12)
+
+        def f(pts):
+            return (pts * w).sum(axis=1) + 0.5 * (pts[:, :9] ** 2).sum(axis=1)
+
+        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+
+    def test_batch_is_order_independent(self):
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        rng = np.random.default_rng(2)
+        starts = [dom.sample(rng) for _ in range(5)]
+
+        def f(pts):
+            return np.cos(4 * pts[:, 0] + pts[:, 3]) + pts[:, 1] ** 2
+
+        forward = compass_batch(dom, starts, self.CFG, batch_objective=f)
+        backward = compass_batch(dom, starts[::-1], self.CFG, batch_objective=f)[::-1]
+        for a, b in zip(forward, backward):
+            assert a.argmin.tobytes() == b.argmin.tobytes()
+            assert (a.value, a.evaluations, a.converged) == (b.value, b.evaluations, b.converged)
+
+    def test_needs_an_objective(self):
+        with pytest.raises(ValueError):
+            compass_batch(SearchDomain([Simplex(2)]), [np.array([0.5, 0.5])])
+
+
+# ---------------------------------------------------------------------------
+# row independence of the batched objectives
+# ---------------------------------------------------------------------------
+
+def _sparse_samples(domain, rng, n):
+    pts = []
+    for i in range(n):
+        p = domain.sample(rng)
+        if i % 3 == 0:
+            p[rng.integers(len(p))] = 0.0       # null coordinates hit the log2(0) paths
+        pts.append(p)
+    return np.array(pts)
+
+
+def _assert_rows_independent(fn, pts):
+    together = fn(pts)
+    together = together if isinstance(together, tuple) else (together,)
+    for i in range(len(pts)):
+        alone = fn(pts[i : i + 1])
+        alone = alone if isinstance(alone, tuple) else (alone,)
+        for a, b in zip(together, alone):
+            assert np.asarray(a)[i].tobytes() == np.asarray(b)[0].tobytes()
+    # and inside a batch of another composition
+    mixed = fn(pts[::-1])
+    mixed = mixed if isinstance(mixed, tuple) else (mixed,)
+    for a, b in zip(together, mixed):
+        assert np.asarray(a)[::-1].tobytes() == np.asarray(b).tobytes()
+
+
+class TestBatchComposition:
+    SOURCES = [
+        dsbs_source(0.1),
+        JointPmf2([[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]]),
+        JointPmf2([[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]),
+    ]
+
+    @pytest.mark.parametrize("src", SOURCES)
+    @pytest.mark.parametrize("nu", [2, 4, 8])
+    def test_exponent_rows(self, src, nu):
+        prob = _ExponentSearch(src, 0.4, 0.3, nu)
+        pts = _sparse_samples(prob.domain, np.random.default_rng(nu), 40)
+        _assert_rows_independent(prob.evaluate, pts)
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_region_rows(self, src):
+        prob = _RegionSearch(src, 0.3, src.ny + 1)
+        pts = _sparse_samples(prob.domain, np.random.default_rng(1), 40)
+        _assert_rows_independent(prob.stats, pts)
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_omega_rows(self, src):
+        ev = OohamaEvaluator(src)
+        pts = _sparse_samples(ev.domain, np.random.default_rng(2), 40)
+        for mu, alpha in [(0.0, 0.0), (0.3, 0.7), (1.0, 1.0)]:
+            _assert_rows_independent(lambda p: ev._omega_rows(mu, alpha, p), pts)

@@ -140,6 +140,13 @@ class TestObjective:
         with pytest.raises(DomainError):
             wak_objective(constant_u_aux(src.probs), src, -0.1)
 
+    def test_nan_r2_rejected(self):
+        src = dsbs(0.1)
+        with pytest.raises(DomainError):
+            wak_objective(constant_u_aux(src.probs), src, math.nan)
+        with pytest.raises(DomainError):
+            region_min_r1(src, math.nan)
+
 
 class TestExponent:
     def test_zero_inside_region_top_rate(self):

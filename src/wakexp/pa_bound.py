@@ -11,6 +11,7 @@ zero where any float would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +72,19 @@ def pa_generic_bound(tail_probability: float, tau: float, n: int, r1: float) -> 
     """Tail-plus-hash bound: tail + (1/2) 2^((n r1 - tau) / 2)."""
     if not 0.0 <= tail_probability <= 1.0:
         raise DomainError("tail probability must be in [0, 1]")
-    if tau < 0.0 or n < 0 or r1 < 0.0:
+    if not (tau >= 0.0 and n >= 0 and r1 >= 0.0):
         raise DomainError("tau, n and r1 must be nonnegative")
     return float(tail_probability + 0.5 * np.exp2((n * r1 - tau) / 2.0))
 
 
 def pa_bound_from_exponent(exponent: float, *, r1: float, r2: float, delta: float, n: int) -> PaBoundReport:
     """Assemble the report from an already-known exponent value."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
-    if n < 1:
+    if not n >= 1:
         raise DomainError("blocklength must be at least 1")
+    if math.isnan(exponent):
+        raise DomainError("the exponent must be a number")
     log2_tail = -n * exponent
     log2_hash = -1.0 - n * delta / 2.0
     tail = float(np.exp2(log2_tail))
@@ -117,7 +120,7 @@ def pa_security_bound(
     The exponent is computed once and copied bit-for-bit into the report;
     the total strictly decreases with n whenever the exponent is positive.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
     kwargs = {} if config is None else {"config": config}
     breakdown = wak_exponent(src, RatePair(r1 + delta, r2), nu=nu, **kwargs)
@@ -157,9 +160,9 @@ def pa_rate_tradeoff(
     misses the target are omitted.  No monotonicity across r2 is claimed:
     the exponent depends jointly on both rates.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
-    if n < 1:
+    if not n >= 1:
         raise DomainError("blocklength must be at least 1")
     r1s = [float(v) for v in r1_grid]
     if not r1s:

@@ -142,6 +142,24 @@ def kl_bits(p, q) -> float:
     return float((pm * (np.log2(pm) - np.log2(q[mask]))).sum())
 
 
+def entropy_rows(m: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of each leading-axis row of ``m``, 0*log(0) = 0.
+
+    A NaN term (a null or invalid entry) counts as 0, as under ``nansum``.
+    """
+    flat = m.reshape(m.shape[0], -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = flat * np.log2(flat)
+    return -np.where(np.isnan(t), 0.0, t).sum(axis=1)
+
+
+def kl_rows(m: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
+    """Row-wise sum m*(log2 m - log_ref); +inf rows charge a null ref atom."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = m * (np.log2(m) - log_ref)
+    return np.where(np.isnan(t), 0.0, t).sum(axis=1)
+
+
 def entropy(p: Pmf) -> float:
     """Entropy H in bits; lies in [0, log2 |alphabet|]."""
     return entropy_bits(p.probs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probkit import DomainError, JointPmf2, Pmf, entropy_bits
+from .probkit import DomainError, JointPmf2, Pmf, entropy_bits, entropy_rows, kl_rows
 from .simplex_optim import (
     SearchDomain,
     Simplex,
@@ -24,6 +24,7 @@ from .simplex_optim import (
     best_of,
     compass_batch,
     grid_search,
+    grid_search_batch,
     maximize_1d,
     random_starts,
 )
@@ -39,6 +40,7 @@ OOHAMA_DEFAULT = SolverConfig(
 )
 
 _GRID_POINT_CAP = 1_600_000
+_OMEGA_GRID_CAP = 10_000       # lattice rows of the comparison bound's inner solve
 
 
 def _default_theta_values() -> tuple:
@@ -92,9 +94,14 @@ def s_theta(p: Pmf, theta: float) -> float:
 # divergence-minimization forms
 # ---------------------------------------------------------------------------
 
-def _capped_resolution(k: int, resolution: int) -> int:
+def _capped_resolution(domain: SearchDomain, resolution: int, cap: int) -> int:
+    """Highest resolution, at most ``resolution`` and at least 2, whose
+    lattice over the simplex blocks of ``domain`` has at most ``cap`` rows."""
+    def rows(res):
+        return math.prod(math.comb(res + b.dim - 1, b.dim - 1) for b in domain.blocks)
+
     res = resolution
-    while res > 2 and math.comb(res + k - 1, k - 1) > _GRID_POINT_CAP:
+    while res > 2 and rows(res) > cap:
         res -= 1
     return res
 
@@ -106,7 +113,7 @@ def _simplex_min(k, batch_objective, config, candidates, use_grid=True):
     runs = []
     candidates = list(candidates)
     if use_grid:
-        res = _capped_resolution(k, config.grid_resolution)
+        res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)
         g = grid_search(domain, resolution=res, batch_objective=batch_objective)
         runs.append(g)
         if not g.infeasible:
@@ -134,11 +141,9 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
 
     def batch_objective(pts):
         m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kl = np.nansum(m * (np.log2(m) - log_src), axis=1)
-        h_xy = _entropy_rows(m)
-        h_y = _entropy_rows(m.reshape(-1, src.nx, src.ny).sum(axis=1))
-        return kl + np.maximum(h_xy - h_y - r1, 0.0)
+        h_xy = entropy_rows(m)
+        h_y = entropy_rows(m.reshape(-1, src.nx, src.ny).sum(axis=1))
+        return kl_rows(m, log_src) + np.maximum(h_xy - h_y - r1, 0.0)
 
     candidates = [flat.copy()]
     for i in range(k):
@@ -154,13 +159,6 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
             candidates.append(row.ravel())
     value, _, _ = _simplex_min(k, batch_objective, config, candidates, use_grid=k <= 9)
     return float(value)
-
-
-def _entropy_rows(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(m.shape[0], -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = flat * np.log2(flat)
-    return -np.nansum(t, axis=1)
 
 
 def _entropy_matched_tilts(probs: np.ndarray, r1: float) -> list:
@@ -221,9 +219,7 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
 
     def batch_objective(pts):
         q = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kl = np.nansum(q * (np.log2(q) - log_p), axis=1)
-        return kl + np.maximum(_entropy_rows(q) - r1, 0.0)
+        return kl_rows(q, log_p) + np.maximum(entropy_rows(q) - r1, 0.0)
 
     candidates = [p.probs.copy(), np.full(k, 1.0 / k)]
     for i in range(k):
@@ -324,11 +320,23 @@ def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
 # the general-network comparison bound
 # ---------------------------------------------------------------------------
 
-def _scaled(coef: float, arr: np.ndarray) -> np.ndarray:
-    # 0 * (+-inf) means "term absent", not nan
-    if coef == 0.0:
-        return np.zeros_like(arr)
-    return coef * arr
+def _scaled(coef: np.ndarray, arr: np.ndarray, absent: bool) -> np.ndarray:
+    # 0 * (+-inf) means "term absent", not nan, row by row; ``absent``
+    # says whether any coefficient is 0
+    out = coef * arr
+    return np.where(coef == 0.0, 0.0, out) if absent else out
+
+
+def _tilt_key(mu: float, alpha: float) -> tuple:
+    return (round(float(mu), 12), round(float(alpha), 12))
+
+
+def _tilt_coefficients(tilts) -> np.ndarray:
+    """The weights (1 - alpha, alpha*mu, alpha*(1 - mu)) of the three
+    tilted terms, one row per (mu, alpha)."""
+    t = np.asarray(tilts, dtype=np.float64).reshape(-1, 2)
+    mu, alpha = t[:, 0], t[:, 1]
+    return np.stack([1.0 - alpha, alpha * mu, alpha * (1.0 - mu)], axis=1)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -394,63 +402,94 @@ class OohamaEvaluator:
         self.domain = SearchDomain([Simplex(src.ny)] + [Simplex(nu)] * src.ny)
         self._omega_cache: dict = {}
 
-    def _omega_rows(self, mu: float, alpha: float, pts: np.ndarray) -> np.ndarray:
-        ny, nu, nx = self.src.ny, self.nu, self.src.nx
+    def _row_terms(self, pts: np.ndarray) -> tuple:
+        """The tilt-free terms of the tilted log-sum, per row of ``pts``."""
+        ny, nu = self.src.ny, self.nu
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         pyt = pts[:, :ny]
         w = pts[:, ny:].reshape(-1, ny, nu)
         pt_uy = pyt[:, None, :] * w.transpose(0, 2, 1)          # (B, nu, ny)
-        pt_u = pt_uy.sum(axis=2)
+        weight = pt_uy[:, :, None, :] * self.cond_x_given_y     # (B, nu, nx, ny)
         with np.errstate(divide="ignore", invalid="ignore"):
-            py_given_u = pt_uy / pt_u[:, :, None]
-        px_given_u = np.einsum("buy,xy->bux", np.nan_to_num(py_given_u), self.cond_x_given_y)
+            py_given_u = pt_uy / pt_uy.sum(axis=2)[:, :, None]
+            # only the 0/0 entries of an empty u are NaN; they carry no mass
+            known = np.where(np.isnan(py_given_u), 0.0, py_given_u)
+            px_given_u = np.einsum("buy,xy->bux", known, self.cond_x_given_y)
+            y_term = np.log2(pyt) - self.log_py                   # (B, ny)
+            u_term = np.log2(py_given_u) - self.log_py            # (B, nu, ny)
+            x_term = -np.log2(px_given_u)                         # (B, nu, nx)
+            return y_term, u_term, x_term, weight > 0.0, np.log2(weight)
+
+    def _tilted(self, terms: tuple, coefs: np.ndarray) -> np.ndarray:
+        """-log2 of the tilted sum of each row of ``terms``.
+
+        ``coefs[..., :]`` holds the weights of :func:`_tilt_coefficients`
+        and its leading shape broadcasts against the rows: one tilt per
+        row, or a ``(T, 1)`` block of tilts swept over every row.
+        """
+        y_term, u_term, x_term, positive, log_weight = terms
+        absent = not coefs.all()
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_pyt = np.log2(pyt)
-            log_pygu = np.log2(py_given_u)
-            log_pxgu = np.log2(px_given_u)
             tau = (
-                _scaled(1.0 - alpha, (log_pyt - self.log_py)[:, None, None, :])
-                + _scaled(alpha * mu, (log_pygu - self.log_py[None, None, :])[:, :, None, :])
-                + _scaled(alpha * (1.0 - mu), -log_pxgu[:, :, :, None])
+                _scaled(coefs[..., 0:1], y_term, absent)[..., None, None, :]
+                + _scaled(coefs[..., 1:2, None], u_term, absent)[..., :, None, :]
+                + _scaled(coefs[..., 2:3, None], x_term, absent)[..., :, :, None]
             )
-        weight = pt_uy[:, :, None, :] * self.cond_x_given_y[None, None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exponents = np.where(weight > 0.0, np.log2(weight) - tau, -math.inf)
-        z = np.exp2(exponents).sum(axis=(1, 2, 3))
-        with np.errstate(divide="ignore"):
-            return -np.log2(z)
+            exponents = np.where(positive, log_weight - tau, -math.inf)
+            return -np.log2(np.exp2(exponents).sum(axis=(-3, -2, -1)))
+
+    def _omega_rows(self, pts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """The inner objective at each row of ``pts``, under that row's tilt."""
+        return self._tilted(self._row_terms(pts), coefs)
+
+    def _lattice_sweep(self, pts: np.ndarray):
+        terms = self._row_terms(pts)
+        return lambda coefs: self._tilted(terms, coefs[:, None, :])
+
+    def _solve_tilts(self, tilts) -> None:
+        """Cache the inner minimum of every uncached ``(mu, alpha)``.
+
+        All of them share one lattice pass and one lockstep descent, and
+        each tilt's value is what a solve of that tilt alone gives: the
+        best of its lattice minimum and of the descents from the two fixed
+        candidates and the lattice argmin.
+        """
+        todo = {}
+        for mu, alpha in tilts:
+            key = _tilt_key(mu, alpha)
+            if key not in self._omega_cache:
+                todo.setdefault(key, (mu, alpha))
+        if not todo:
+            return
+        coefs = _tilt_coefficients(list(todo.values()))
+        ny, nu = self.src.ny, self.nu
+        fixed = [np.concatenate([self.py, np.full(ny * nu, 1.0 / nu)])]
+        if nu >= 2:
+            rows = np.zeros((ny, nu))
+            rows[np.arange(ny), np.arange(ny) % nu] = 1.0
+            fixed.append(np.concatenate([self.py, rows.ravel()]))
+        res = _capped_resolution(self.domain, self.config.grid_resolution, _OMEGA_GRID_CAP)
+        lattice = grid_search_batch(self.domain, res, coefs, self._lattice_sweep)
+        starts, owner = [], []
+        for t, g in enumerate(lattice):
+            own = fixed if g.infeasible else fixed + [g.argmin]
+            starts += own
+            owner += [t] * len(own)
+        runs = compass_batch(
+            self.domain, starts, self.config, batch_objective=self._omega_rows, params=coefs[owner]
+        )
+        per_tilt = [[g] for g in lattice]
+        for t, r in zip(owner, runs):
+            per_tilt[t].append(r)
+        for key, tilt_runs in zip(todo, per_tilt):
+            self._omega_cache[key] = float(min(r.value for r in tilt_runs if not r.infeasible))
 
     def omega(self, mu: float, alpha: float) -> float:
         """Inner minimum of the tilted log-sum at one (mu, alpha)."""
-        key = (round(float(mu), 12), round(float(alpha), 12))
-        hit = self._omega_cache.get(key)
-        if hit is not None:
-            return hit
-
-        def batch_objective(pts):
-            return self._omega_rows(mu, alpha, pts)
-
-        candidates = []
-        base = np.concatenate([self.py, np.full(self.src.ny * self.nu, 1.0 / self.nu)])
-        candidates.append(base)
-        if self.nu >= 2:
-            rows = np.zeros((self.src.ny, self.nu))
-            for y in range(self.src.ny):
-                rows[y, y % self.nu] = 1.0
-            candidates.append(np.concatenate([self.py, rows.ravel()]))
-        runs = [
-            grid_search(
-                self.domain,
-                resolution=self.config.grid_resolution,
-                batch_objective=batch_objective,
-            )
-        ]
-        if not runs[0].infeasible:
-            candidates.append(runs[0].argmin)
-        runs += compass_batch(self.domain, candidates, self.config, batch_objective=batch_objective)
-        best = min(r.value for r in runs if not r.infeasible)
-        self._omega_cache[key] = float(best)
-        return float(best)
+        key = _tilt_key(mu, alpha)
+        if key not in self._omega_cache:
+            self._solve_tilts([(mu, alpha)])
+        return self._omega_cache[key]
 
     def bound(self, r1: float, r2: float) -> float:
         """sup over tilts of the normalized comparison exponent.
@@ -467,6 +506,7 @@ class OohamaEvaluator:
             )
 
         axis = np.linspace(0.0, 1.0, MU_ALPHA_GRID)
+        self._solve_tilts([(mu, alpha) for mu in axis for alpha in axis])
         best_val = -math.inf
         best_ij = (0, 0)
         for i, mu in enumerate(axis):

@@ -1,11 +1,13 @@
 """Derivative-free minimization over products of probability simplices and intervals.
 
 Two tiers are provided.  ``grid_search`` enumerates every lattice point with
-a common denominator and is the ground-truth oracle for small problems.
-``compass_batch`` runs independent compass (coordinate mass-transfer)
-descents from many starts in lockstep, with one batched evaluation per
-iteration, and ``multistart_search`` is the best of them over seeded random
-starts; these handle the larger parametrizations.  Hard
+a common denominator and is the ground-truth oracle for small problems;
+``grid_search_batch`` does so for many objectives that differ by a
+parameter row, in one pass.  ``compass_batch`` runs independent compass
+(coordinate mass-transfer) descents from many starts in lockstep, with
+batched evaluations of bounded size per iteration, and
+``multistart_search`` is the best of them over seeded random starts; these
+handle the larger parametrizations.  Hard
 constraints are handled by exact rejection of infeasible incumbents plus a
 linear penalty on constraint violation while probing, so kinky objectives
 (positive parts, entropy caps) do not stall the search.
@@ -27,6 +29,7 @@ import numpy as np
 
 _FEAS_TOL = 1e-12          # violation below this counts as feasible
 _DRIFT_TOL = 2.5e-13       # simplex sum drift that triggers exact rescaling
+_CALL_ROWS = 1 << 11       # rows per objective call of compass_batch and grid_search_batch
 
 
 @dataclass(frozen=True)
@@ -275,9 +278,7 @@ def grid_search(
         raise ValueError("grid_search needs an objective")
     feas = _as_batch_mask(feasible, batch_feasible)
 
-    best_val = math.inf
-    best_pt = None
-    evaluations = 0
+    minima = _LatticeMinima(1, domain.n_params)
     for chunk in _grid_chunks(domain.grid_arrays(resolution)):
         if batch_evaluate is not None:
             vals, violations = batch_evaluate(chunk)
@@ -294,15 +295,65 @@ def grid_search(
         else:
             pts = chunk
             vals = np.asarray(obj(pts), dtype=np.float64)
-        evaluations += len(vals)
+        minima.fold(slice(None), pts, vals[None, :])
+    return minima.results()[0]
+
+
+def grid_search_batch(
+    domain: SearchDomain, resolution: int, params, batch_sweep
+) -> list[SearchResult]:
+    """:func:`grid_search` of many objectives that differ only by a parameter row.
+
+    ``batch_sweep(points)`` returns a callable that maps a block of rows of
+    ``params`` to one row of values per parameter row, over every point, so
+    the objective can compute its parameter-free terms once per lattice
+    chunk.  ``results[k]`` is what ``grid_search`` returns for the objective
+    of ``params[k]``, ties and NaN included.  Each sweep call covers at most
+    ``_CALL_ROWS`` (parameter row, point) pairs, or one parameter row.
+    """
+    params = np.asarray(params)
+    minima = _LatticeMinima(len(params), domain.n_params)
+    for chunk in _grid_chunks(domain.grid_arrays(resolution)):
+        sweep = batch_sweep(chunk)
+        group = max(1, _CALL_ROWS // len(chunk))
+        for at in range(0, len(params), group):
+            rows = slice(at, at + group)
+            minima.fold(rows, chunk, np.asarray(sweep(params[rows]), dtype=np.float64))
+    return minima.results()
+
+
+class _LatticeMinima:
+    """Running lattice minima of several objectives, under one rule.
+
+    NaN counts as +inf, the first minimum of a chunk wins, and only a strict
+    improvement replaces an incumbent, so with lex-ordered chunks the
+    lexicographically smallest minimizer is kept.  A minimum that stays
+    non-finite marks the objective infeasible.
+    """
+
+    def __init__(self, n: int, dim: int):
+        self.value = np.full(n, math.inf)
+        self.point = np.zeros((n, dim))
+        self.evaluations = np.zeros(n, dtype=np.int64)
+
+    def fold(self, rows, pts, vals):
+        """Fold ``vals[i, j]``, objective ``rows``'s i-th at ``pts[j]``, into the minima."""
+        self.evaluations[rows] += vals.shape[1]
         vals = np.where(np.isnan(vals), math.inf, vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_pt = pts[i].copy()
-    if best_pt is None or not math.isfinite(best_val):
-        return SearchResult(None, math.inf, evaluations, False)
-    return SearchResult(best_pt, best_val, evaluations, True)
+        i = np.argmin(vals, axis=1)
+        v = vals[np.arange(len(vals)), i]
+        value, point = self.value[rows], self.point[rows]
+        better = v < value
+        value[better] = v[better]
+        point[better] = pts[i[better]]
+
+    def results(self) -> list[SearchResult]:
+        return [
+            SearchResult(self.point[k].copy(), float(v), int(e), True)
+            if math.isfinite(v)
+            else SearchResult(None, math.inf, int(e), False)
+            for k, (v, e) in enumerate(zip(self.value, self.evaluations))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +471,7 @@ def compass_batch(
     *,
     batch_objective=None,
     batch_evaluate=None,
+    params=None,
 ) -> list[SearchResult]:
     """Independent compass descents from every start, advanced in lockstep.
 
@@ -428,31 +480,40 @@ def compass_batch(
     domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
     constraint violation; only feasible points can become a descent's
     incumbent.  Each iteration evaluates the probes of all still-running
-    descents in one call, and each descent keeps its own point, step,
-    score and incumbent, so ``results[k]`` is the descent from
-    ``starts[k]`` run alone, provided the objective evaluates each row
-    independently of the rest of its batch.
+    descents in batched calls of at most ``_CALL_ROWS`` rows (or of one
+    descent's probes), and each descent keeps its own point, step, score
+    and incumbent, so ``results[k]`` is the descent from ``starts[k]`` run
+    alone, provided the objective evaluates each row independently of the
+    rest of its batch.
 
     ``batch_evaluate(points) -> (values, violations)`` takes precedence
-    over ``batch_objective(points) -> values`` (no constraint).  A start
-    with a non-finite coordinate yields the infeasible marker after zero
+    over ``batch_objective(points) -> values`` (no constraint).  With
+    ``params``, one row per start, each descent has its own objective:
+    the callable is handed ``(points, rows)``, where ``rows[i]`` is the
+    ``params`` row of the descent that owns ``points[i]``.  A start with a
+    non-finite coordinate yields the infeasible marker after zero
     evaluations.
     """
     if batch_objective is None and batch_evaluate is None:
         raise ValueError("compass_batch needs an objective")
-    starts = [np.array(s, dtype=np.float64) for s in starts]
+    starts = [np.asarray(s, dtype=np.float64) for s in starts]
+    if params is not None:
+        params = np.asarray(params)
+        if len(params) != len(starts):
+            raise ValueError("compass_batch needs one params row per start")
     results = [SearchResult(None, math.inf, 0, False)] * len(starts)
     ids = np.array([k for k, s in enumerate(starts) if np.all(np.isfinite(s))], dtype=np.intp)
     if not ids.size:
         return results
 
-    def score_of(pts):
+    def score_of(pts, owners):
+        args = (pts,) if params is None else (pts, params[owners])
         if batch_evaluate is not None:
-            raw_vals, raw_viol = batch_evaluate(pts)
+            raw_vals, raw_viol = batch_evaluate(*args)
             vals = np.asarray(raw_vals, dtype=np.float64)
             violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
         else:
-            vals = np.asarray(batch_objective(pts), dtype=np.float64)
+            vals = np.asarray(batch_objective(*args), dtype=np.float64)
             violations = np.zeros(len(pts))
         vals = np.where(np.isnan(vals), math.inf, vals)
         with np.errstate(invalid="ignore"):
@@ -462,7 +523,11 @@ def compass_batch(
 
     plan = _probe_plan(domain)
     x = np.stack([starts[k] for k in ids])
-    vals, violations, cur_score = score_of(x)
+    scored = [
+        score_of(x[lo : lo + _CALL_ROWS], ids[lo : lo + _CALL_ROWS])
+        for lo in range(0, len(ids), _CALL_ROWS)
+    ]
+    vals, violations, cur_score = (np.concatenate(parts) for parts in zip(*scored))
     evaluations = np.zeros(len(starts), dtype=np.int64)
     evaluations[ids] = 1
     converged = np.zeros(len(starts), dtype=bool)
@@ -473,35 +538,35 @@ def compass_batch(
     best_pt[ids[first]] = x[first]
     step = np.full(len(ids), 0.25)
 
-    for _ in range(config.max_iterations):
-        if not len(plan.take):
-            converged[ids] = True
-            break
+    def advance(x, step, cur_score, own):
+        """One iteration of the descents ``own``; returns the state of
+        those still running."""
         valid, taken, given = _candidate_moves(plan, x, step)
         counts = np.count_nonzero(valid, axis=1)
         done = (step < config.step_tolerance) | (counts == 0)
         if done.any():
-            converged[ids[done]] = True
+            converged[own[done]] = True
             keep = ~done
-            if not keep.any():
-                break
-            ids, x, step, cur_score = ids[keep], x[keep], step[keep], cur_score[keep]
+            own, x, step, cur_score = own[keep], x[keep], step[keep], cur_score[keep]
+            if not len(own):
+                return x, step, cur_score, own
             valid, taken, given, counts = valid[keep], taken[keep], given[keep], counts[keep]
-        evaluations[ids] += counts
+        evaluations[own] += counts
         cols = np.nonzero(valid)[1]
         probes = np.repeat(x, counts, axis=0)
         at = np.arange(len(cols))
         probes[at, plan.take[cols]] = taken[valid]
         if given is not taken:                  # box-only moves write one coordinate
             probes[at, plan.give[cols]] = given[valid]
-        vals, violations, scores = score_of(probes)
+        owners = None if params is None else np.repeat(own, counts)
+        vals, violations, scores = score_of(probes, owners)
 
         feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
         j = _segment_argmin(feasible_vals, counts)
-        better = feasible_vals[j] < best_val[ids]
+        better = feasible_vals[j] < best_val[own]
         if better.any():
-            best_val[ids[better]] = feasible_vals[j[better]]
-            best_pt[ids[better]] = probes[j[better]]
+            best_val[own[better]] = feasible_vals[j[better]]
+            best_pt[own[better]] = probes[j[better]]
 
         k = _segment_argmin(scores, counts)
         accept = scores[k] < cur_score - 1e-15
@@ -510,7 +575,23 @@ def compass_batch(
             x[moved] = probes[k[moved]]
             cur_score[moved] = scores[k[moved]]
             _renormalize_simplexes(plan, x, moved)
-        step = np.where(accept, step, 0.5 * step)
+        return x, np.where(accept, step, 0.5 * step), cur_score, own
+
+    # running descents advance in blocks whose probes fill at most one
+    # objective call of _CALL_ROWS rows
+    per_block = max(1, _CALL_ROWS // max(1, len(plan.take)))
+    for _ in range(config.max_iterations):
+        if not len(plan.take):
+            converged[ids] = True
+            break
+        if len(ids) <= per_block:
+            x, step, cur_score, ids = advance(x, step, cur_score, ids)
+        else:
+            blocks = [slice(lo, lo + per_block) for lo in range(0, len(ids), per_block)]
+            parts = [advance(x[b], step[b], cur_score[b], ids[b]) for b in blocks]
+            x, step, cur_score, ids = (np.concatenate(p) for p in zip(*parts))
+        if not len(ids):
+            break
 
     for k in range(len(starts)):
         if not evaluations[k]:

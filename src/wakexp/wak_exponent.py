@@ -35,7 +35,9 @@ from .probkit import (
     JointPmf2,
     aux_measures,
     entropy_bits,
+    entropy_rows,
     kl_bits,
+    kl_rows,
 )
 from .simplex_optim import (
     DEFAULT_CONFIG,
@@ -190,20 +192,6 @@ def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
 # batched search problem
 # ---------------------------------------------------------------------------
 
-def _batch_entropy(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(m.shape[0], -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = flat * np.log2(flat)
-    return -np.nansum(t, axis=1)
-
-
-def _batch_kl(m: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
-    """Row-wise sum m*(log2 m - log_ref); +inf rows charge a null ref atom."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = m * (np.log2(m) - log_ref)
-    return np.nansum(t, axis=1)
-
-
 class _ExponentSearch:
     """Vectorized objective/violation for the mixture parametrization.
 
@@ -237,13 +225,13 @@ class _ExponentSearch:
         txy = t.sum(axis=1)
         t4 = t.reshape(-1, self.nu, self.nx, self.ny)
         ty = txy.reshape(-1, self.nx, self.ny).sum(axis=1)
-        h_u = _batch_entropy(pu)
-        h_uxy = _batch_entropy(t)
-        h_xy = _batch_entropy(txy)
-        h_y = _batch_entropy(ty)
-        h_uy = _batch_entropy(t4.sum(axis=2))
-        h_ux = _batch_entropy(t4.sum(axis=3))
-        kl = _batch_kl(txy, self.log_src)
+        h_u = entropy_rows(pu)
+        h_uxy = entropy_rows(t)
+        h_xy = entropy_rows(txy)
+        h_y = entropy_rows(ty)
+        h_uy = entropy_rows(t4.sum(axis=2))
+        h_ux = entropy_rows(t4.sum(axis=3))
+        kl = kl_rows(txy, self.log_src)
         cond_mi = (h_xy - h_y) - (h_uxy - h_uy)
         rate2 = np.maximum((h_u + h_y - h_uy) - self.r2, 0.0)
         with np.errstate(invalid="ignore"):
@@ -364,10 +352,10 @@ class _ExponentSearch:
 
         def table_stats(pts):
             m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-            kl = _batch_kl(m, log_src)
-            h_xy = _batch_entropy(m)
-            h_y = _batch_entropy(m.reshape(-1, nx, ny).sum(axis=1))
-            h_x = _batch_entropy(m.reshape(-1, nx, ny).sum(axis=2))
+            kl = kl_rows(m, log_src)
+            h_xy = entropy_rows(m)
+            h_y = entropy_rows(m.reshape(-1, nx, ny).sum(axis=1))
+            h_x = entropy_rows(m.reshape(-1, nx, ny).sum(axis=2))
             return kl, h_xy, h_y, h_x
 
         local = replace(
@@ -521,9 +509,9 @@ class _RegionSearch:
         puy = w.transpose(0, 2, 1) * self.py[None, None, :]
         pu = puy.sum(axis=2)
         pux = np.einsum("byu,xy->bux", w, self.src.probs)
-        h_u = _batch_entropy(pu)
-        h_x_given_u = _batch_entropy(pux) - h_u
-        mi = h_u + self.hy - _batch_entropy(puy)
+        h_u = entropy_rows(pu)
+        h_x_given_u = entropy_rows(pux) - h_u
+        mi = h_u + self.hy - entropy_rows(puy)
         return h_x_given_u, mi
 
     def evaluate(self, pts: np.ndarray):

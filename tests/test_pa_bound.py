@@ -45,6 +45,13 @@ class TestGenericBound:
         with pytest.raises(DomainError):
             pa_generic_bound(0.5, tau=-1.0, n=1, r1=0.0)
 
+    def test_nan_inputs_rejected(self):
+        for kwargs in ({"tau": math.nan, "n": 10, "r1": 0.1}, {"tau": 1.0, "n": 10, "r1": math.nan}):
+            with pytest.raises(DomainError):
+                pa_generic_bound(0.1, **kwargs)
+        with pytest.raises(DomainError):
+            pa_generic_bound(math.nan, tau=1.0, n=10, r1=0.1)
+
 
 class TestReportArithmetic:
     def test_exact_reference_point(self):
@@ -105,6 +112,17 @@ class TestReportArithmetic:
         with pytest.raises(DomainError):
             pa_bound_from_exponent(0.1, r1=0.1, r2=0.1, delta=0.1, n=0)
 
+    def test_nan_delta_and_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            pa_bound_from_exponent(0.1, r1=0.1, r2=0.1, delta=math.nan, n=10)
+        with pytest.raises(DomainError):
+            pa_bound_from_exponent(math.nan, r1=0.1, r2=0.1, delta=0.1, n=10)
+
+    def test_rounding_negative_zero_exponent_accepted(self):
+        # solvers report a zero exponent as about -1e-16; it stays a valid input
+        rep = pa_bound_from_exponent(-2e-16, r1=0.1, r2=0.1, delta=0.1, n=10)
+        assert rep.vacuous
+
     def test_total_guard(self):
         with pytest.raises(ValueError):
             PaBoundReport(
@@ -137,6 +155,8 @@ class TestSecurityBound:
     def test_delta_validation(self):
         with pytest.raises(DomainError):
             pa_security_bound(dsbs(0.1), 0.2, 0.3, -0.01, 100, config=CFG)
+        with pytest.raises(DomainError):
+            pa_security_bound(dsbs(0.1), 0.2, 0.3, math.nan, 100, config=CFG)
 
 
 class TestRateTradeoff:

@@ -7,10 +7,15 @@ import pytest
 
 from wakexp.probkit import DomainError, JointPmf2, Pmf, conditional_entropy, entropy
 from wakexp.reductions import (
+    _OMEGA_GRID_CAP,
     DEFAULT_THETA_GRID,
+    MU_ALPHA_GRID,
     GapReport,
     OohamaEvaluator,
     ThetaGrid,
+    _capped_resolution,
+    _tilt_coefficients,
+    _tilt_key,
     exponent_ne,
     exponent_single_direct,
     exponent_single_parametric,
@@ -19,7 +24,7 @@ from wakexp.reductions import (
     oohama_wak_bound,
     s_theta,
 )
-from wakexp.simplex_optim import SolverConfig
+from wakexp.simplex_optim import SolverConfig, compass_batch, grid_search
 
 
 def dsbs(p):
@@ -233,3 +238,126 @@ class TestOohamaWakBound:
     def test_nonnegative(self):
         src = dsbs(0.3)
         assert oohama_wak_bound(src, (0.0, 0.0)) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched inner solve against the one-tilt-at-a-time solve
+# ---------------------------------------------------------------------------
+
+def _reference_omega_rows(ev, mu, alpha, pts):
+    """The inner objective at one scalar tilt, computed in one pass."""
+
+    def scaled(coef, arr):
+        return np.zeros_like(arr) if coef == 0.0 else coef * arr
+
+    ny, nu = ev.src.ny, ev.nu
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    pyt = pts[:, :ny]
+    w = pts[:, ny:].reshape(-1, ny, nu)
+    pt_uy = pyt[:, None, :] * w.transpose(0, 2, 1)
+    pt_u = pt_uy.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        py_given_u = pt_uy / pt_u[:, :, None]
+    px_given_u = np.einsum("buy,xy->bux", np.nan_to_num(py_given_u), ev.cond_x_given_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (
+            scaled(1.0 - alpha, (np.log2(pyt) - ev.log_py)[:, None, None, :])
+            + scaled(alpha * mu, (np.log2(py_given_u) - ev.log_py[None, None, :])[:, :, None, :])
+            + scaled(alpha * (1.0 - mu), -np.log2(px_given_u)[:, :, :, None])
+        )
+    weight = pt_uy[:, :, None, :] * ev.cond_x_given_y[None, None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponents = np.where(weight > 0.0, np.log2(weight) - tau, -math.inf)
+    z = np.exp2(exponents).sum(axis=(1, 2, 3))
+    with np.errstate(divide="ignore"):
+        return -np.log2(z)
+
+
+def _reference_omega(ev, mu, alpha):
+    """One tilt alone: its own lattice pass, then descents from its starts."""
+
+    def batch_objective(pts):
+        return _reference_omega_rows(ev, mu, alpha, pts)
+
+    candidates = [np.concatenate([ev.py, np.full(ev.src.ny * ev.nu, 1.0 / ev.nu)])]
+    if ev.nu >= 2:
+        rows = np.zeros((ev.src.ny, ev.nu))
+        for y in range(ev.src.ny):
+            rows[y, y % ev.nu] = 1.0
+        candidates.append(np.concatenate([ev.py, rows.ravel()]))
+    runs = [grid_search(ev.domain, resolution=ev.config.grid_resolution, batch_objective=batch_objective)]
+    if not runs[0].infeasible:
+        candidates.append(runs[0].argmin)
+    runs += compass_batch(ev.domain, candidates, ev.config, batch_objective=batch_objective)
+    return float(min(r.value for r in runs if not r.infeasible))
+
+
+_AXIS = np.linspace(0.0, 1.0, MU_ALPHA_GRID)
+_TILTS = [(mu, alpha) for mu in _AXIS[::8] for alpha in _AXIS[::8]] + [
+    (0.4123, 0.777),
+    (0.05, 0.3),
+    (0.3, 1.0),
+]
+
+
+class TestBatchedInnerSolve:
+    CASES = {
+        "dsbs": (dsbs(0.1), None),
+        "3x2": (JointPmf2([[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]), None),
+        "single-output": (JointPmf2([[0.3], [0.7]]), None),
+        "dsbs-nu1": (dsbs(0.1), 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_matches_per_tilt_reference(self, case):
+        src, nu = self.CASES[case]
+        ev = OohamaEvaluator(src, nu=nu)
+        ev._solve_tilts(_TILTS)
+        assert len(ev._omega_cache) == len(_TILTS)
+        for mu, alpha in _TILTS:
+            got = ev._omega_cache[_tilt_key(mu, alpha)]
+            assert got.hex() == _reference_omega(ev, mu, alpha).hex(), (mu, alpha)
+            assert ev.omega(mu, alpha) is got
+
+    def test_single_tilt_omega_is_the_batch_of_one(self):
+        src, _ = self.CASES["dsbs"]
+        batch = OohamaEvaluator(src)
+        batch._solve_tilts(_TILTS)
+        for mu, alpha in _TILTS[::5]:
+            alone = OohamaEvaluator(src).omega(mu, alpha)
+            assert alone.hex() == batch.omega(mu, alpha).hex()
+
+    def test_comparison_pairs_keep_their_recorded_values(self):
+        # the five rate pairs of the comparison benchmark on dsbs:0.1 and the
+        # bounds recorded for them, computed tilt by tilt before batching
+        pairs = [
+            (0.7743311158139575, 0.7315084672188445, 0.0),
+            (0.026956300413916945, 0.4360506751232537, 0.14715148280579043),
+            (0.096492197022501, 0.044503635821253495, 0.19249654436839492),
+            (0.33340071980445596, 0.6915632531904445, 0.037295501838920234),
+            (0.1734610958455215, 0.8359783837121457, 0.0557834335495673),
+        ]
+        ev = OohamaEvaluator(dsbs(0.1))
+        assert [ev.bound(r1, r2) for r1, r2, _ in pairs] == [v for _, _, v in pairs]
+
+    def test_three_output_lattice_is_capped(self):
+        src = JointPmf2([[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]])
+        ev = OohamaEvaluator(src)
+        res = _capped_resolution(ev.domain, ev.config.grid_resolution, _OMEGA_GRID_CAP)
+        rows = math.comb(res + 2, 2) ** 4
+        assert 2 < res < ev.config.grid_resolution and rows <= _OMEGA_GRID_CAP
+        assert math.isfinite(ev.omega(0.4, 0.5))
+
+    def test_zero_weight_drops_an_infinite_term(self):
+        ev = OohamaEvaluator(dsbs(0.1))
+        y_term, *rest = ev._row_terms(np.array([[0.5, 0.5, 1.0, 0.0, 0.0, 1.0]]))
+        y_term = np.array([[-math.inf, y_term[0, 1]]])
+        coefs = _tilt_coefficients([(0.5, 1.0), (0.5, 0.5)])     # 1 - alpha = 0, then 0.5
+        swept = ev._tilted((y_term, *rest), coefs[:, None, :])[:, 0]
+        rows = ev._tilted((np.repeat(y_term, 2, axis=0), *(np.repeat(r, 2, axis=0) for r in rest)), coefs)
+        for vals in (swept, rows):
+            assert math.isfinite(vals[0]) and vals[1] == -math.inf
+
+    def test_binary_output_lattice_keeps_full_resolution(self):
+        ev = OohamaEvaluator(dsbs(0.1))
+        assert _capped_resolution(ev.domain, 12, _OMEGA_GRID_CAP) == 12

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from wakexp import simplex_optim
 from wakexp.dsbs import dsbs_source
 from wakexp.probkit import JointPmf2
-from wakexp.reductions import OohamaEvaluator
+from wakexp.reductions import OohamaEvaluator, _tilt_coefficients
 from wakexp.simplex_optim import (
     Box,
     SearchDomain,
@@ -16,6 +17,7 @@ from wakexp.simplex_optim import (
     compass_batch,
     compass_refine,
     grid_search,
+    grid_search_batch,
     maximize_1d,
     multistart_search,
     simplex_grid,
@@ -319,6 +321,13 @@ def _reference_compass(domain, start, config, batch_objective=None, batch_evalua
     return best_pt, best_val, evaluations, converged
 
 
+def _assert_same_result(a, b):
+    assert (a.argmin is None) == (b.argmin is None)
+    if a.argmin is not None:
+        assert a.argmin.tobytes() == b.argmin.tobytes()
+    assert (a.value, a.evaluations, a.converged) == (b.value, b.evaluations, b.converged)
+
+
 def _assert_same_descents(domain, starts, config, **forms):
     batch = compass_batch(domain, starts, config, **forms)
     assert len(batch) == len(starts)
@@ -430,6 +439,126 @@ class TestCompassBatchMatchesReference:
         with pytest.raises(ValueError):
             compass_batch(SearchDomain([Simplex(2)]), [np.array([0.5, 0.5])])
 
+    def test_blocks_of_running_descents_match_one_block(self, monkeypatch):
+        # a small row bound splits the starts and each iteration into blocks
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        rng = np.random.default_rng(4)
+        starts = [dom.sample(rng) for _ in range(11)]
+
+        def f(pts):
+            return np.sin(3 * pts[:, 0]) * pts[:, 3] + (pts[:, 1] - 0.4) ** 2
+
+        whole = compass_batch(dom, starts, self.CFG, batch_objective=f)
+        for rows in (3, 20):
+            monkeypatch.setattr(simplex_optim, "_CALL_ROWS", rows)
+            calls = []
+
+            def counted(pts):
+                calls.append(len(pts))
+                return f(pts)
+
+            split = compass_batch(dom, starts, self.CFG, batch_objective=counted)
+            assert max(calls) <= max(rows, 8)          # 8 moves: one descent per block at 3
+            for a, b in zip(whole, split):
+                _assert_same_result(a, b)
+
+
+# ---------------------------------------------------------------------------
+# objectives that differ by a parameter row
+# ---------------------------------------------------------------------------
+
+def _tilted_quadratic(pts, rows):
+    """A parameter row (target, weight) per point; NaN where x[3] > 0.9."""
+    vals = ((pts[:, :3] - rows[:, :3]) ** 2).sum(axis=1) + np.cos(3 * rows[:, 3] * pts[:, 3])
+    return np.where(pts[:, 3] > 0.9, np.nan, vals)
+
+
+class TestPerStartParams:
+    DOM = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
+
+    def _params(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return [self.DOM.sample(rng) for _ in range(n)], rng.random((n, 4))
+
+    def test_batch_equals_separate_runs(self):
+        starts, params = self._params(9, 8)
+        forms = {"batch_objective": _tilted_quadratic}
+        batch = compass_batch(self.DOM, starts, self.CFG, params=params, **forms)
+        for s, p, got in zip(starts, params, batch):
+            _assert_same_result(got, compass_batch(self.DOM, [s], self.CFG, params=[p], **forms)[0])
+
+            def fixed(pts, p=p):
+                return _tilted_quadratic(pts, np.broadcast_to(p, (len(pts), 4)))
+
+            arg, val, evals, conv = _reference_compass(self.DOM, s, self.CFG, batch_objective=fixed)
+            assert got.argmin.tobytes() == arg.tobytes()
+            assert (got.value, got.evaluations, got.converged) == (val, evals, conv)
+
+    def test_params_reach_batch_evaluate_in_blocks(self, monkeypatch):
+        starts, params = self._params(7, 9)
+
+        def evaluate(pts, rows):
+            return _tilted_quadratic(pts, rows), np.maximum(pts[:, 0] - rows[:, 0], 0.0)
+
+        whole = compass_batch(self.DOM, starts, self.CFG, batch_evaluate=evaluate, params=params)
+        monkeypatch.setattr(simplex_optim, "_CALL_ROWS", 10)
+        split = compass_batch(self.DOM, starts, self.CFG, batch_evaluate=evaluate, params=params)
+        for k, (a, b) in enumerate(zip(whole, split)):
+            _assert_same_result(a, b)
+            one = params[k : k + 1]
+            _assert_same_result(a, compass_batch(self.DOM, [starts[k]], self.CFG, batch_evaluate=evaluate, params=one)[0])
+
+    def test_params_need_one_row_per_start(self):
+        starts, params = self._params(3, 1)
+        with pytest.raises(ValueError):
+            compass_batch(self.DOM, starts, self.CFG, batch_objective=_tilted_quadratic, params=params[:2])
+
+
+class TestGridSearchBatch:
+    @staticmethod
+    def _check(domain, resolution, params, f):
+        def sweep(pts):
+            return lambda rows: np.stack([f(pts, np.broadcast_to(r, (len(pts), len(r)))) for r in rows])
+
+        batch = grid_search_batch(domain, resolution, params, sweep)
+        assert len(batch) == len(params)
+        for p, got in zip(params, batch):
+            ref = grid_search(
+                domain,
+                resolution=resolution,
+                batch_objective=lambda pts, p=p: f(pts, np.broadcast_to(p, (len(pts), len(p)))),
+            )
+            _assert_same_result(got, ref)
+
+    def test_matches_grid_search_per_row_in_sweep_groups(self, monkeypatch):
+        monkeypatch.setattr(simplex_optim, "_CALL_ROWS", 300)
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        params = np.random.default_rng(3).random((7, 4))
+        params[2] = 0.0                           # ties: the first minimum must win
+        self._check(dom, 8, params, _tilted_quadratic)
+
+    def test_all_nan_row_is_infeasible(self):
+        dom = SearchDomain([Simplex(2)])
+
+        def f(pts, rows):
+            return np.where(rows[:, 0] > 0.5, np.nan, pts[:, 0] * rows[:, 0])
+
+        batch = grid_search_batch(dom, 4, np.array([[0.2], [0.9]]), lambda pts: lambda rows: np.stack(
+            [f(pts, np.broadcast_to(r, (len(pts), 1))) for r in rows]
+        ))
+        assert not batch[0].infeasible and batch[1].infeasible
+        self._check(dom, 4, np.array([[0.2], [0.9]]), f)
+
+    def test_strict_improvement_across_chunks(self):
+        # 65^3 rows are more than one lattice chunk; level sets tie across chunks
+        dom = SearchDomain([Box(0.0, 1.0)] * 3)
+
+        def f(pts, rows):
+            return np.floor(4.0 * np.abs(pts[:, 2] - rows[:, 0])) + np.floor(2.0 * np.abs(pts[:, 0] - rows[:, 1]))
+
+        self._check(dom, 64, np.array([[0.5, 0.3], [0.0, 1.0], [0.9, 0.55]]), f)
+
 
 # ---------------------------------------------------------------------------
 # row independence of the batched objectives
@@ -445,16 +574,18 @@ def _sparse_samples(domain, rng, n):
     return np.array(pts)
 
 
-def _assert_rows_independent(fn, pts):
-    together = fn(pts)
+def _assert_rows_independent(fn, pts, *per_row):
+    """``fn(pts, *per_row)`` gives each row the same bytes alone, together
+    and reordered; ``per_row`` arrays follow their rows."""
+    together = fn(pts, *per_row)
     together = together if isinstance(together, tuple) else (together,)
     for i in range(len(pts)):
-        alone = fn(pts[i : i + 1])
+        alone = fn(pts[i : i + 1], *(a[i : i + 1] for a in per_row))
         alone = alone if isinstance(alone, tuple) else (alone,)
         for a, b in zip(together, alone):
             assert np.asarray(a)[i].tobytes() == np.asarray(b)[0].tobytes()
     # and inside a batch of another composition
-    mixed = fn(pts[::-1])
+    mixed = fn(pts[::-1], *(a[::-1] for a in per_row))
     mixed = mixed if isinstance(mixed, tuple) else (mixed,)
     for a, b in zip(together, mixed):
         assert np.asarray(a)[::-1].tobytes() == np.asarray(b).tobytes()
@@ -480,9 +611,24 @@ class TestBatchComposition:
         pts = _sparse_samples(prob.domain, np.random.default_rng(1), 40)
         _assert_rows_independent(prob.stats, pts)
 
+    TILTS = [(0.0, 0.0), (0.3, 0.7), (1.0, 1.0), (0.0, 1.0), (1.0, 0.25), (0.5, 0.0)]
+
     @pytest.mark.parametrize("src", SOURCES)
     def test_omega_rows(self, src):
         ev = OohamaEvaluator(src)
         pts = _sparse_samples(ev.domain, np.random.default_rng(2), 40)
-        for mu, alpha in [(0.0, 0.0), (0.3, 0.7), (1.0, 1.0)]:
-            _assert_rows_independent(lambda p: ev._omega_rows(mu, alpha, p), pts)
+        mixed = _tilt_coefficients([self.TILTS[i % len(self.TILTS)] for i in range(len(pts))])
+        _assert_rows_independent(ev._omega_rows, pts, mixed)
+        for tilt in self.TILTS:
+            one = np.repeat(_tilt_coefficients([tilt]), len(pts), axis=0)
+            _assert_rows_independent(ev._omega_rows, pts, one)
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_lattice_sweep_matches_rows(self, src):
+        ev = OohamaEvaluator(src)
+        pts = _sparse_samples(ev.domain, np.random.default_rng(3), 40)
+        coefs = _tilt_coefficients(self.TILTS)
+        swept = ev._lattice_sweep(pts)(coefs)
+        for t in range(len(coefs)):
+            rows = ev._omega_rows(pts, np.repeat(coefs[t : t + 1], len(pts), axis=0))
+            assert swept[t].tobytes() == rows.tobytes()

@@ -246,7 +246,11 @@ def _cmd_pa_tradeoff(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-resolution", type=int)
+    common.add_argument(
+        "--grid-resolution",
+        type=int,
+        help="lattice resolution; oohama --source lowers it until its lattice has at most 10,000 rows",
+    )
     common.add_argument("--starts", type=int)
     common.add_argument("--max-iterations", type=int)
     common.add_argument("--step-tolerance", type=float)

@@ -320,11 +320,9 @@ def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
 # the general-network comparison bound
 # ---------------------------------------------------------------------------
 
-def _scaled(coef: np.ndarray, arr: np.ndarray, absent: bool) -> np.ndarray:
-    # 0 * (+-inf) means "term absent", not nan, row by row; ``absent``
-    # says whether any coefficient is 0
-    out = coef * arr
-    return np.where(coef == 0.0, 0.0, out) if absent else out
+def _scaled(coef: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    # 0 * (+-inf) means "term absent", not nan, row by row
+    return np.where(coef == 0.0, 0.0, coef * arr)
 
 
 def _tilt_key(mu: float, alpha: float) -> tuple:
@@ -423,20 +421,18 @@ class OohamaEvaluator:
     def _tilted(self, terms: tuple, coefs: np.ndarray) -> np.ndarray:
         """-log2 of the tilted sum of each row of ``terms``.
 
-        ``coefs[..., :]`` holds the weights of :func:`_tilt_coefficients`
-        and its leading shape broadcasts against the rows: one tilt per
-        row, or a ``(T, 1)`` block of tilts swept over every row.
+        ``coefs`` holds the weights of :func:`_tilt_coefficients`: one row
+        per row of ``terms``, or a single row for all of them.
         """
         y_term, u_term, x_term, positive, log_weight = terms
-        absent = not coefs.all()
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = (
-                _scaled(coefs[..., 0:1], y_term, absent)[..., None, None, :]
-                + _scaled(coefs[..., 1:2, None], u_term, absent)[..., :, None, :]
-                + _scaled(coefs[..., 2:3, None], x_term, absent)[..., :, :, None]
+                _scaled(coefs[..., 0:1], y_term)[:, None, None, :]
+                + _scaled(coefs[..., 1:2, None], u_term)[:, :, None, :]
+                + _scaled(coefs[..., 2:3, None], x_term)[:, :, :, None]
             )
             exponents = np.where(positive, log_weight - tau, -math.inf)
-            return -np.log2(np.exp2(exponents).sum(axis=(-3, -2, -1)))
+            return -np.log2(np.exp2(exponents).sum(axis=(1, 2, 3)))
 
     def _omega_rows(self, pts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
         """The inner objective at each row of ``pts``, under that row's tilt."""
@@ -444,7 +440,7 @@ class OohamaEvaluator:
 
     def _lattice_sweep(self, pts: np.ndarray):
         terms = self._row_terms(pts)
-        return lambda coefs: self._tilted(terms, coefs[:, None, :])
+        return lambda coef: self._tilted(terms, coef)
 
     def _solve_tilts(self, tilts) -> None:
         """Cache the inner minimum of every uncached ``(mu, alpha)``.

@@ -29,7 +29,7 @@ import numpy as np
 
 _FEAS_TOL = 1e-12          # violation below this counts as feasible
 _DRIFT_TOL = 2.5e-13       # simplex sum drift that triggers exact rescaling
-_CALL_ROWS = 1 << 11       # rows per objective call of compass_batch and grid_search_batch
+_CALL_ROWS = 1 << 11       # rows per objective call of compass_batch
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def grid_search(
         else:
             pts = chunk
             vals = np.asarray(obj(pts), dtype=np.float64)
-        minima.fold(slice(None), pts, vals[None, :])
+        minima.fold(0, pts, vals)
     return minima.results()[0]
 
 
@@ -304,21 +304,18 @@ def grid_search_batch(
 ) -> list[SearchResult]:
     """:func:`grid_search` of many objectives that differ only by a parameter row.
 
-    ``batch_sweep(points)`` returns a callable that maps a block of rows of
-    ``params`` to one row of values per parameter row, over every point, so
-    the objective can compute its parameter-free terms once per lattice
-    chunk.  ``results[k]`` is what ``grid_search`` returns for the objective
-    of ``params[k]``, ties and NaN included.  Each sweep call covers at most
-    ``_CALL_ROWS`` (parameter row, point) pairs, or one parameter row.
+    ``batch_sweep(points)`` returns a callable that maps one row of
+    ``params`` to the values of its objective at every point, so the
+    objective can compute its parameter-free terms once per lattice chunk.
+    ``results[k]`` is what ``grid_search`` returns for the objective of
+    ``params[k]``, ties and NaN included.
     """
     params = np.asarray(params)
     minima = _LatticeMinima(len(params), domain.n_params)
     for chunk in _grid_chunks(domain.grid_arrays(resolution)):
         sweep = batch_sweep(chunk)
-        group = max(1, _CALL_ROWS // len(chunk))
-        for at in range(0, len(params), group):
-            rows = slice(at, at + group)
-            minima.fold(rows, chunk, np.asarray(sweep(params[rows]), dtype=np.float64))
+        for k in range(len(params)):
+            minima.fold(k, chunk, np.asarray(sweep(params[k]), dtype=np.float64))
     return minima.results()
 
 
@@ -336,16 +333,14 @@ class _LatticeMinima:
         self.point = np.zeros((n, dim))
         self.evaluations = np.zeros(n, dtype=np.int64)
 
-    def fold(self, rows, pts, vals):
-        """Fold ``vals[i, j]``, objective ``rows``'s i-th at ``pts[j]``, into the minima."""
-        self.evaluations[rows] += vals.shape[1]
+    def fold(self, k, pts, vals):
+        """Fold ``vals[j]``, objective ``k``'s value at ``pts[j]``, into the minima."""
+        self.evaluations[k] += len(vals)
         vals = np.where(np.isnan(vals), math.inf, vals)
-        i = np.argmin(vals, axis=1)
-        v = vals[np.arange(len(vals)), i]
-        value, point = self.value[rows], self.point[rows]
-        better = v < value
-        value[better] = v[better]
-        point[better] = pts[i[better]]
+        i = np.argmin(vals)
+        if vals[i] < self.value[k]:
+            self.value[k] = vals[i]
+            self.point[k] = pts[i]
 
     def results(self) -> list[SearchResult]:
         return [
@@ -480,9 +475,9 @@ def compass_batch(
     domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
     constraint violation; only feasible points can become a descent's
     incumbent.  Each iteration evaluates the probes of all still-running
-    descents in batched calls of at most ``_CALL_ROWS`` rows (or of one
-    descent's probes), and each descent keeps its own point, step, score
-    and incumbent, so ``results[k]`` is the descent from ``starts[k]`` run
+    descents in batched calls of at most ``_CALL_ROWS`` rows, one call per
+    block of as many descents as fill it.  Each descent keeps its own
+    point, step, score and incumbent, so ``results[k]`` is the descent from ``starts[k]`` run
     alone, provided the objective evaluates each row independently of the
     rest of its batch.
 
@@ -507,14 +502,18 @@ def compass_batch(
         return results
 
     def score_of(pts, owners):
-        args = (pts,) if params is None else (pts, params[owners])
-        if batch_evaluate is not None:
-            raw_vals, raw_viol = batch_evaluate(*args)
-            vals = np.asarray(raw_vals, dtype=np.float64)
-            violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
-        else:
-            vals = np.asarray(batch_objective(*args), dtype=np.float64)
-            violations = np.zeros(len(pts))
+        """Values, violations and penalized scores of ``pts``, from objective
+        calls of at most ``_CALL_ROWS`` rows each."""
+        vals, violations = np.empty(len(pts)), np.zeros(len(pts))
+        for lo in range(0, len(pts), _CALL_ROWS):
+            rows = slice(lo, lo + _CALL_ROWS)
+            args = (pts[rows],) if params is None else (pts[rows], params[owners[rows]])
+            if batch_evaluate is not None:
+                raw_vals, raw_viol = batch_evaluate(*args)
+                vals[rows] = raw_vals
+                violations[rows] = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
+            else:
+                vals[rows] = batch_objective(*args)
         vals = np.where(np.isnan(vals), math.inf, vals)
         with np.errstate(invalid="ignore"):
             scores = vals + config.penalty_weight * violations
@@ -523,11 +522,7 @@ def compass_batch(
 
     plan = _probe_plan(domain)
     x = np.stack([starts[k] for k in ids])
-    scored = [
-        score_of(x[lo : lo + _CALL_ROWS], ids[lo : lo + _CALL_ROWS])
-        for lo in range(0, len(ids), _CALL_ROWS)
-    ]
-    vals, violations, cur_score = (np.concatenate(parts) for parts in zip(*scored))
+    vals, violations, cur_score = score_of(x, ids)
     evaluations = np.zeros(len(starts), dtype=np.int64)
     evaluations[ids] = 1
     converged = np.zeros(len(starts), dtype=bool)
@@ -577,21 +572,25 @@ def compass_batch(
             _renormalize_simplexes(plan, x, moved)
         return x, np.where(accept, step, 0.5 * step), cur_score, own
 
-    # running descents advance in blocks whose probes fill at most one
-    # objective call of _CALL_ROWS rows
+    # the descents advance in blocks whose probes fill at most one
+    # objective call, which bounds the probe arrays too; a block shrinks as
+    # its descents stop, and the blocks are repacked once that frees one
     per_block = max(1, _CALL_ROWS // max(1, len(plan.take)))
+
+    def blocks_of(state):
+        return [tuple(a[lo : lo + per_block] for a in state) for lo in range(0, len(state[3]), per_block)]
+
+    blocks = blocks_of((x, step, cur_score, ids))
     for _ in range(config.max_iterations):
         if not len(plan.take):
             converged[ids] = True
             break
-        if len(ids) <= per_block:
-            x, step, cur_score, ids = advance(x, step, cur_score, ids)
-        else:
-            blocks = [slice(lo, lo + per_block) for lo in range(0, len(ids), per_block)]
-            parts = [advance(x[b], step[b], cur_score[b], ids[b]) for b in blocks]
-            x, step, cur_score, ids = (np.concatenate(p) for p in zip(*parts))
-        if not len(ids):
+        blocks = [state for state in (advance(*s) for s in blocks) if len(state[3])]
+        running = sum(len(state[3]) for state in blocks)
+        if not running:
             break
+        if len(blocks) > -(-running // per_block):
+            blocks = blocks_of([np.concatenate(a) for a in zip(*blocks)])
 
     for k in range(len(starts)):
         if not evaluations[k]:

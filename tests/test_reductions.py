@@ -1,5 +1,6 @@
 """Unit tests for the special-case exponents and the comparison bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from wakexp.reductions import (
     oohama_wak_bound,
     s_theta,
 )
-from wakexp.simplex_optim import SolverConfig, compass_batch, grid_search
+from wakexp import reductions
+from wakexp.simplex_optim import SolverConfig, compass_batch, grid_search, random_starts
 
 
 def dsbs(p):
@@ -348,12 +350,28 @@ class TestBatchedInnerSolve:
         assert 2 < res < ev.config.grid_resolution and rows <= _OMEGA_GRID_CAP
         assert math.isfinite(ev.omega(0.4, 0.5))
 
+    def test_capped_lattice_keeps_the_inner_minimum(self, monkeypatch):
+        # the capped resolution-3 lattice against an uncapped resolution-4
+        # lattice and a 48-start multistart, on the 2x3 source
+        src = JointPmf2([[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]])
+        tilts = [(0.4, 0.5), (0.0, 1.0), (0.25, 0.75), (0.7, 0.3), (0.1, 0.9)]
+        ev = OohamaEvaluator(src)
+        capped = [ev.omega(mu, alpha) for mu, alpha in tilts]
+        monkeypatch.setattr(reductions, "_OMEGA_GRID_CAP", 10**6)
+        finer = OohamaEvaluator(src, config=dataclasses.replace(ev.config, grid_resolution=4))
+        draws = random_starts(ev.domain, dataclasses.replace(ev.config, starts=48, seed=3))
+        for (mu, alpha), got in zip(tilts, capped):
+            coefs = np.repeat(_tilt_coefficients([(mu, alpha)]), len(draws), axis=0)
+            runs = compass_batch(ev.domain, draws, ev.config, batch_objective=ev._omega_rows, params=coefs)
+            assert got <= finer.omega(mu, alpha) + 1e-9, (mu, alpha)
+            assert got <= min(r.value for r in runs) + 1e-9, (mu, alpha)
+
     def test_zero_weight_drops_an_infinite_term(self):
         ev = OohamaEvaluator(dsbs(0.1))
         y_term, *rest = ev._row_terms(np.array([[0.5, 0.5, 1.0, 0.0, 0.0, 1.0]]))
         y_term = np.array([[-math.inf, y_term[0, 1]]])
         coefs = _tilt_coefficients([(0.5, 1.0), (0.5, 0.5)])     # 1 - alpha = 0, then 0.5
-        swept = ev._tilted((y_term, *rest), coefs[:, None, :])[:, 0]
+        swept = np.array([ev._tilted((y_term, *rest), c)[0] for c in coefs])
         rows = ev._tilted((np.repeat(y_term, 2, axis=0), *(np.repeat(r, 2, axis=0) for r in rest)), coefs)
         for vals in (swept, rows):
             assert math.isfinite(vals[0]) and vals[1] == -math.inf

@@ -439,8 +439,8 @@ class TestCompassBatchMatchesReference:
         with pytest.raises(ValueError):
             compass_batch(SearchDomain([Simplex(2)]), [np.array([0.5, 0.5])])
 
-    def test_blocks_of_running_descents_match_one_block(self, monkeypatch):
-        # a small row bound splits the starts and each iteration into blocks
+    def test_row_bound_splits_calls_without_changing_results(self, monkeypatch):
+        # a small row bound splits the starts and each iteration's probes
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
         rng = np.random.default_rng(4)
         starts = [dom.sample(rng) for _ in range(11)]
@@ -458,7 +458,7 @@ class TestCompassBatchMatchesReference:
                 return f(pts)
 
             split = compass_batch(dom, starts, self.CFG, batch_objective=counted)
-            assert max(calls) <= max(rows, 8)          # 8 moves: one descent per block at 3
+            assert max(calls) <= rows
             for a, b in zip(whole, split):
                 _assert_same_result(a, b)
 
@@ -519,7 +519,7 @@ class TestGridSearchBatch:
     @staticmethod
     def _check(domain, resolution, params, f):
         def sweep(pts):
-            return lambda rows: np.stack([f(pts, np.broadcast_to(r, (len(pts), len(r)))) for r in rows])
+            return lambda r: f(pts, np.broadcast_to(r, (len(pts), len(r))))
 
         batch = grid_search_batch(domain, resolution, params, sweep)
         assert len(batch) == len(params)
@@ -531,8 +531,7 @@ class TestGridSearchBatch:
             )
             _assert_same_result(got, ref)
 
-    def test_matches_grid_search_per_row_in_sweep_groups(self, monkeypatch):
-        monkeypatch.setattr(simplex_optim, "_CALL_ROWS", 300)
+    def test_matches_grid_search_per_row(self):
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
         params = np.random.default_rng(3).random((7, 4))
         params[2] = 0.0                           # ties: the first minimum must win
@@ -544,9 +543,9 @@ class TestGridSearchBatch:
         def f(pts, rows):
             return np.where(rows[:, 0] > 0.5, np.nan, pts[:, 0] * rows[:, 0])
 
-        batch = grid_search_batch(dom, 4, np.array([[0.2], [0.9]]), lambda pts: lambda rows: np.stack(
-            [f(pts, np.broadcast_to(r, (len(pts), 1))) for r in rows]
-        ))
+        batch = grid_search_batch(
+            dom, 4, np.array([[0.2], [0.9]]), lambda pts: lambda r: f(pts, np.broadcast_to(r, (len(pts), 1)))
+        )
         assert not batch[0].infeasible and batch[1].infeasible
         self._check(dom, 4, np.array([[0.2], [0.9]]), f)
 
@@ -628,7 +627,7 @@ class TestBatchComposition:
         ev = OohamaEvaluator(src)
         pts = _sparse_samples(ev.domain, np.random.default_rng(3), 40)
         coefs = _tilt_coefficients(self.TILTS)
-        swept = ev._lattice_sweep(pts)(coefs)
+        sweep = ev._lattice_sweep(pts)
         for t in range(len(coefs)):
             rows = ev._omega_rows(pts, np.repeat(coefs[t : t + 1], len(pts), axis=0))
-            assert swept[t].tobytes() == rows.tobytes()
+            assert sweep(coefs[t]).tobytes() == rows.tobytes()

@@ -21,6 +21,7 @@ from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
+    _INVPHI,
     best_of,
     compass_batch,
     grid_search,
@@ -320,11 +321,6 @@ def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
 # the general-network comparison bound
 # ---------------------------------------------------------------------------
 
-def _scaled(coef: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    # 0 * (+-inf) means "term absent", not nan, row by row
-    return np.where(coef == 0.0, 0.0, coef * arr)
-
-
 def _tilt_key(mu: float, alpha: float) -> tuple:
     return (round(float(mu), 12), round(float(alpha), 12))
 
@@ -337,38 +333,67 @@ def _tilt_coefficients(tilts) -> np.ndarray:
     return np.stack([1.0 - alpha, alpha * mu, alpha * (1.0 - mu)], axis=1)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_LOOKAHEAD = 4      # golden-section shrinks whose probes are solved as one batch
 
 
-def _golden_max(f, a: float, b: float, iters: int = 24):
+def _golden_shrink(a: float, b: float, c: float, d: float, left: bool) -> tuple:
+    """One golden-section shrink of ``a < c < d < b``: keep ``[a, d]`` if
+    ``left``, else ``[c, b]``.  Returns the new ``(a, b, c, d)`` and the one
+    new interior point, which is the next probe."""
+    if left:
+        b, d = d, c
+        c = b - _INVPHI * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + _INVPHI * (b - a)
+    return a, b, c, d, d
+
+
+def _golden_probes(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list:
+    """Every probe of the next ``depth`` shrinks, the first going ``left``
+    and each later one either way: 1 + 2 + ... + 2**(depth - 1) abscissae."""
+    a, b, c, d, x = _golden_shrink(a, b, c, d, left)
+    if depth == 1:
+        return [x]
+    return [x] + [p for side in (True, False) for p in _golden_probes(a, b, c, d, side, depth - 1)]
+
+
+def _golden_max(f, a: float, b: float, prefetch, iters: int = 24):
     """Iteration-capped golden-section maximization on [a, b].
 
     The refinement of the tilt grid calls this with an expensive inner
     minimization behind ``f``, so the full-precision 1-d routine would be
     wasteful; two dozen shrinks already beat the grid spacing by 1e4.
+
+    Each shrink keeps one side, chosen by comparing two known values, so
+    once shrink ``t`` has its direction, the probes that shrinks ``t`` to
+    ``t + L - 1`` can make are known (``L = _GOLDEN_LOOKAHEAD``; at most
+    ``2**L - 1`` points).  ``prefetch(xs)`` receives every such set, and
+    first the initial ``[a, b, c, d]``, before ``f`` is called at any of
+    them, so a caller can evaluate each set as one batch and let ``f`` read
+    the results.  The ``f`` calls and the result are those of the loop
+    without lookahead.
     """
     if not a < b:
+        prefetch([a])
         return a, f(a)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    prefetch([a, b, c, d])
     best_x, best_v = a, f(a)
     fb = f(b)
     if fb > best_v:
         best_x, best_v = b, fb
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            probe_x, probe_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            probe_x, probe_v = d, fd
-        if probe_v > best_v:
-            best_x, best_v = probe_x, probe_v
+    for t in range(iters):
+        left = fc >= fd
+        if t % _GOLDEN_LOOKAHEAD == 0:
+            prefetch(_golden_probes(a, b, c, d, left, min(_GOLDEN_LOOKAHEAD, iters - t)))
+        a, b, c, d, x = _golden_shrink(a, b, c, d, left)
+        v = f(x)
+        fc, fd = (v, fc) if left else (fd, v)
+        if v > best_v:
+            best_x, best_v = x, v
     return float(best_x), float(best_v)
 
 
@@ -425,11 +450,13 @@ class OohamaEvaluator:
         per row of ``terms``, or a single row for all of them.
         """
         y_term, u_term, x_term, positive, log_weight = terms
+        # the terms are finite wherever the weight is positive; a 0 * inf
+        # nan elsewhere is dropped with the entry by the mask
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = (
-                _scaled(coefs[..., 0:1], y_term)[:, None, None, :]
-                + _scaled(coefs[..., 1:2, None], u_term)[:, :, None, :]
-                + _scaled(coefs[..., 2:3, None], x_term)[:, :, :, None]
+                (coefs[..., 0:1] * y_term)[:, None, None, :]
+                + (coefs[..., 1:2, None] * u_term)[:, :, None, :]
+                + (coefs[..., 2:3, None] * x_term)[:, :, :, None]
             )
             exponents = np.where(positive, log_weight - tau, -math.inf)
             return -np.log2(np.exp2(exponents).sum(axis=(1, 2, 3)))
@@ -514,13 +541,19 @@ class OohamaEvaluator:
         i, j = best_ij
         mu_lo = axis[max(i - 1, 0)]
         mu_hi = axis[min(i + 1, MU_ALPHA_GRID - 1)]
-        mu_star, v1 = _golden_max(lambda m: f(m, axis[j]), mu_lo, mu_hi)
+        mu_star, v1 = _golden_max(
+            lambda m: f(m, axis[j]), mu_lo, mu_hi,
+            lambda ms: self._solve_tilts([(m, axis[j]) for m in ms]),
+        )
         if v1 < best_val:
             mu_star = axis[i]
         best_val = max(best_val, v1)
         a_lo = axis[max(j - 1, 0)]
         a_hi = axis[min(j + 1, MU_ALPHA_GRID - 1)]
-        _, v2 = _golden_max(lambda a: f(mu_star, a), a_lo, a_hi)
+        _, v2 = _golden_max(
+            lambda a: f(mu_star, a), a_lo, a_hi,
+            lambda alphas: self._solve_tilts([(mu_star, a) for a in alphas]),
+        )
         best_val = max(best_val, v2)
         return max(float(best_val), 0.0)
 

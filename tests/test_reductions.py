@@ -26,7 +26,13 @@ from wakexp.reductions import (
     s_theta,
 )
 from wakexp import reductions
-from wakexp.simplex_optim import SolverConfig, compass_batch, grid_search, random_starts
+from wakexp.simplex_optim import (
+    SolverConfig,
+    _cartesian_rows,
+    compass_batch,
+    grid_search,
+    random_starts,
+)
 
 
 def dsbs(p):
@@ -366,16 +372,154 @@ class TestBatchedInnerSolve:
             assert got <= finer.omega(mu, alpha) + 1e-9, (mu, alpha)
             assert got <= min(r.value for r in runs) + 1e-9, (mu, alpha)
 
-    def test_zero_weight_drops_an_infinite_term(self):
-        ev = OohamaEvaluator(dsbs(0.1))
-        y_term, *rest = ev._row_terms(np.array([[0.5, 0.5, 1.0, 0.0, 0.0, 1.0]]))
-        y_term = np.array([[-math.inf, y_term[0, 1]]])
-        coefs = _tilt_coefficients([(0.5, 1.0), (0.5, 0.5)])     # 1 - alpha = 0, then 0.5
-        swept = np.array([ev._tilted((y_term, *rest), c)[0] for c in coefs])
-        rows = ev._tilted((np.repeat(y_term, 2, axis=0), *(np.repeat(r, 2, axis=0) for r in rest)), coefs)
-        for vals in (swept, rows):
-            assert math.isfinite(vals[0]) and vals[1] == -math.inf
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]],
+            [[0.4, 0.0, 0.1], [0.2, 0.0, 0.3]],
+            [[0.45, 0.05], [0.05, 0.45]],                  # only the empty u
+        ],
+        ids=["zero-entry", "zero-py-column", "empty-u"],
+    )
+    def test_row_terms_are_finite_at_every_positive_weight(self, probs):
+        # the kernel multiplies the terms by the tilt weights as they are,
+        # so a weight of zero must never meet an infinite term that counts
+        ev = OohamaEvaluator(JointPmf2(probs))
+        empty_u = np.concatenate([ev.py, np.tile(np.eye(ev.nu)[0], ev.src.ny)])
+        pts = np.vstack([_cartesian_rows(ev.domain.grid_arrays(3)), empty_u])
+        y_term, u_term, x_term, positive, log_weight = ev._row_terms(pts)
+        shape = positive.shape
+        terms = [
+            np.broadcast_to(y_term[:, None, None, :], shape),
+            np.broadcast_to(u_term[:, :, None, :], shape),
+            np.broadcast_to(x_term[:, :, :, None], shape),
+            log_weight,
+        ]
+        assert np.isnan(u_term[-1, 1:]).all()                  # u = 1.. are empty
+        assert not all(np.isfinite(t).all() for t in terms)
+        for t in terms:
+            assert np.isfinite(t[positive]).all()
+
+    @pytest.mark.parametrize("case", ["dsbs", "3x2"])
+    def test_grid_tilts_match_the_reference(self, case):
+        # the kernel takes 0 * term as it comes; the reference drops a term
+        # with a zero weight.  Only the edge tilts of the grid have a zero
+        # weight: all of them are checked, and every 13th grid tilt
+        src, nu = self.CASES[case]
+        ev = OohamaEvaluator(src, nu=nu)
+        grid = [(mu, alpha) for mu in _AXIS for alpha in _AXIS]
+        ev._solve_tilts(grid)
+        edge = [t for t in grid if (_tilt_coefficients([t]) == 0.0).any()]
+        assert len(edge) == 4 * (MU_ALPHA_GRID - 1)
+        lattice = _cartesian_rows(ev.domain.grid_arrays(ev.config.grid_resolution))
+        for mu, alpha in edge:
+            got = ev._omega_rows(lattice, _tilt_coefficients([(mu, alpha)]))
+            assert got.tobytes() == _reference_omega_rows(ev, mu, alpha, lattice).tobytes(), (mu, alpha)
+        for mu, alpha in edge + grid[::13]:
+            want = _reference_omega(ev, mu, alpha)
+            assert ev._omega_cache[_tilt_key(mu, alpha)].hex() == want.hex(), (mu, alpha)
 
     def test_binary_output_lattice_keeps_full_resolution(self):
         ev = OohamaEvaluator(dsbs(0.1))
         assert _capped_resolution(ev.domain, 12, _OMEGA_GRID_CAP) == 12
+
+
+# ---------------------------------------------------------------------------
+# the golden-section refinement with its probes solved ahead in batches
+# ---------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_golden_max(f, a, b, iters=24):
+    """The golden-section loop with one probe at a time and no lookahead."""
+    if not a < b:
+        return a, f(a)
+    best_x, best_v = a, f(a)
+    fb = f(b)
+    if fb > best_v:
+        best_x, best_v = b, fb
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            probe_x, probe_v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            probe_x, probe_v = d, fd
+        if probe_v > best_v:
+            best_x, best_v = probe_x, probe_v
+    return float(best_x), float(best_v)
+
+
+class TestGoldenLookahead:
+    CASES = {
+        "unimodal": (lambda x: -((x - 0.37) ** 2), 0.0, 1.0, 24),
+        "multimodal": (lambda x: math.sin(17.0 * x) + 0.3 * math.cos(41.0 * x), 0.0, 1.0, 24),
+        "constant": (lambda x: 1.0, 0.2, 0.7, 24),                # fc == fd at every step
+        "degenerate": (lambda x: x * x, 0.4, 0.4, 24),
+        "ten-shrinks": (lambda x: -abs(x - 0.61), 0.55, 0.65, 10),
+        "three-shrinks": (lambda x: math.cos(9.0 * x), 0.0, 1.0, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lookahead_keeps_the_plain_loop(self, case):
+        g, a, b, iters = self.CASES[case]
+        plain = []
+        want = _reference_golden_max(lambda x: plain.append(x) or g(x), a, b, iters)
+        fetched, batches, calls = set(), [], []
+
+        def f(x):
+            assert x in fetched, x
+            calls.append(x)
+            return g(x)
+
+        def prefetch(xs):
+            batches.append(len(xs))
+            fetched.update(xs)
+
+        got = reductions._golden_max(f, a, b, prefetch, iters)
+        assert got == want
+        assert calls == plain
+        lookahead = reductions._GOLDEN_LOOKAHEAD
+        assert len(batches) == (1 if a == b else 1 + -(-iters // lookahead))
+        assert max(batches) <= 2**lookahead - 1
+
+    def test_warm_bound_solves_in_few_batches(self, monkeypatch):
+        ev = OohamaEvaluator(dsbs(0.1))
+        ev.bound(0.3, 0.7)
+        before = set(ev._omega_cache)
+        solve, omega = ev._solve_tilts, ev.omega
+        batches, read = [], set()
+
+        def counting_solve(tilts):
+            batches.append(list(tilts))
+            solve(tilts)
+
+        def reading_omega(mu, alpha):
+            read.add(_tilt_key(mu, alpha))
+            return omega(mu, alpha)
+
+        monkeypatch.setattr(ev, "_solve_tilts", counting_solve)
+        monkeypatch.setattr(ev, "omega", reading_omega)
+        ev.bound(0.026956300413916945, 0.4360506751232537)
+        assert len(batches) <= 15
+        # speculated tilts the loop never read sit in the cache with the
+        # value a fresh evaluator gives them
+        unread = {}
+        for mu, alpha in (t for batch in batches for t in batch):
+            key = _tilt_key(mu, alpha)
+            if key not in before and key not in read:
+                unread.setdefault(key, (mu, alpha))
+        spread = list(unread.values())
+        assert len(spread) >= 8
+        for mu, alpha in spread[:: len(spread) // 8][:8]:
+            assert mu not in _AXIS or alpha not in _AXIS
+            fresh = OohamaEvaluator(dsbs(0.1)).omega(mu, alpha)
+            assert fresh.hex() == ev._omega_cache[_tilt_key(mu, alpha)].hex(), (mu, alpha)

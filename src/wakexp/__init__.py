@@ -54,10 +54,9 @@ from .simplex_optim import (
     SearchResult,
     Simplex,
     SolverConfig,
-    compass_refine,
+    compass_batch,
     grid_search,
     maximize_1d,
-    multistart_search,
 )
 from .wak_exponent import (
     ExponentBreakdown,

@@ -210,18 +210,7 @@ def dsbs_exponent(
     def batch_evaluate(pts):
         return _evaluate(pts, p, r1, r2, markov_constrained)
 
-    def gated_objective(pts):
-        # one pass per lattice chunk: infeasible points become +inf
-        obj, viol = batch_evaluate(pts)
-        return np.where(viol <= 1e-12, obj, np.inf)
-
-    runs = [
-        grid_search(
-            domain,
-            resolution=config.grid_resolution,
-            batch_objective=gated_objective,
-        )
-    ]
+    runs = [grid_search(domain, resolution=config.grid_resolution, batch_evaluate=batch_evaluate)]
     inner = _inner_solved_candidates(p, r1, r2, markov_constrained, config.grid_resolution)
     zero_pts = [
         np.asarray(c[:dims], dtype=np.float64) for c in _zero_candidates(p, r1, r2)
@@ -306,6 +295,7 @@ def figure2_sweep(
 
 
 def _fmt(v: float) -> str:
+    """Six decimal places, with -0.0 printed as 0.0; shared by the CSV writers."""
     return f"{round(v, 6) + 0.0:.6f}"
 
 

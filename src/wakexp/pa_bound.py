@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
+from .dsbs import _fmt
 from .probkit import DomainError, JointPmf2
 from .simplex_optim import SolverConfig
 from .wak_exponent import RatePair, wak_exponent
@@ -173,10 +174,6 @@ def pa_rate_tradeoff(
     ]
     columns = parallel_map(_tradeoff_column, tasks, workers=workers)
     return [c for c in columns if c is not None]
-
-
-def _fmt(v: float) -> str:
-    return f"{round(v, 6) + 0.0:.6f}"
 
 
 def tradeoff_csv_rows(columns) -> list[str]:

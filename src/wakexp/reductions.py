@@ -21,7 +21,7 @@ from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
-    _INVPHI,
+    _golden_max,
     best_of,
     compass_batch,
     grid_search,
@@ -107,7 +107,7 @@ def _capped_resolution(domain: SearchDomain, resolution: int, cap: int) -> int:
     return res
 
 
-def _simplex_min(k, batch_objective, config, candidates, use_grid=True):
+def _simplex_min(k, batch_evaluate, config, candidates, use_grid=True):
     """Shared driver: lattice oracle (when enumerable), refined candidates,
     then multistart; returns (value, argmin, evaluations)."""
     domain = SearchDomain([Simplex(k)])
@@ -115,14 +115,14 @@ def _simplex_min(k, batch_objective, config, candidates, use_grid=True):
     candidates = list(candidates)
     if use_grid:
         res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)
-        g = grid_search(domain, resolution=res, batch_objective=batch_objective)
+        g = grid_search(domain, resolution=res, batch_evaluate=batch_evaluate)
         runs.append(g)
         if not g.infeasible:
             candidates.append(g.argmin)
     # the multistart's own best comes first among its starts, so one
     # reduction over every run picks the same winner
     starts = candidates + random_starts(domain, config)
-    best = best_of(runs + compass_batch(domain, starts, config, batch_objective=batch_objective))
+    best = best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
     return best.value, best.argmin, best.evaluations
 
 
@@ -140,11 +140,11 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
     with np.errstate(divide="ignore"):
         log_src = np.log2(flat)
 
-    def batch_objective(pts):
+    def batch_evaluate(pts):
         m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         h_xy = entropy_rows(m)
         h_y = entropy_rows(m.reshape(-1, src.nx, src.ny).sum(axis=1))
-        return kl_rows(m, log_src) + np.maximum(h_xy - h_y - r1, 0.0)
+        return kl_rows(m, log_src) + np.maximum(h_xy - h_y - r1, 0.0), 0.0
 
     candidates = [flat.copy()]
     for i in range(k):
@@ -158,7 +158,7 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
             row = np.zeros((src.nx, src.ny))
             row[x] = src.probs[x] / px[x]
             candidates.append(row.ravel())
-    value, _, _ = _simplex_min(k, batch_objective, config, candidates, use_grid=k <= 9)
+    value, _, _ = _simplex_min(k, batch_evaluate, config, candidates, use_grid=k <= 9)
     return float(value)
 
 
@@ -218,9 +218,9 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
     with np.errstate(divide="ignore"):
         log_p = np.log2(p.probs)
 
-    def batch_objective(pts):
+    def batch_evaluate(pts):
         q = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return kl_rows(q, log_p) + np.maximum(entropy_rows(q) - r1, 0.0)
+        return kl_rows(q, log_p) + np.maximum(entropy_rows(q) - r1, 0.0), 0.0
 
     candidates = [p.probs.copy(), np.full(k, 1.0 / k)]
     for i in range(k):
@@ -229,7 +229,7 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
             e[i] = 1.0
             candidates.append(e)
     candidates.extend(_entropy_matched_tilts(p.probs, r1))
-    value, _, _ = _simplex_min(k, batch_objective, config, candidates)
+    value, _, _ = _simplex_min(k, batch_evaluate, config, candidates)
     return float(value)
 
 
@@ -333,70 +333,6 @@ def _tilt_coefficients(tilts) -> np.ndarray:
     return np.stack([1.0 - alpha, alpha * mu, alpha * (1.0 - mu)], axis=1)
 
 
-_GOLDEN_LOOKAHEAD = 4      # golden-section shrinks whose probes are solved as one batch
-
-
-def _golden_shrink(a: float, b: float, c: float, d: float, left: bool) -> tuple:
-    """One golden-section shrink of ``a < c < d < b``: keep ``[a, d]`` if
-    ``left``, else ``[c, b]``.  Returns the new ``(a, b, c, d)`` and the one
-    new interior point, which is the next probe."""
-    if left:
-        b, d = d, c
-        c = b - _INVPHI * (b - a)
-        return a, b, c, d, c
-    a, c = c, d
-    d = a + _INVPHI * (b - a)
-    return a, b, c, d, d
-
-
-def _golden_probes(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list:
-    """Every probe of the next ``depth`` shrinks, the first going ``left``
-    and each later one either way: 1 + 2 + ... + 2**(depth - 1) abscissae."""
-    a, b, c, d, x = _golden_shrink(a, b, c, d, left)
-    if depth == 1:
-        return [x]
-    return [x] + [p for side in (True, False) for p in _golden_probes(a, b, c, d, side, depth - 1)]
-
-
-def _golden_max(f, a: float, b: float, prefetch, iters: int = 24):
-    """Iteration-capped golden-section maximization on [a, b].
-
-    The refinement of the tilt grid calls this with an expensive inner
-    minimization behind ``f``, so the full-precision 1-d routine would be
-    wasteful; two dozen shrinks already beat the grid spacing by 1e4.
-
-    Each shrink keeps one side, chosen by comparing two known values, so
-    once shrink ``t`` has its direction, the probes that shrinks ``t`` to
-    ``t + L - 1`` can make are known (``L = _GOLDEN_LOOKAHEAD``; at most
-    ``2**L - 1`` points).  ``prefetch(xs)`` receives every such set, and
-    first the initial ``[a, b, c, d]``, before ``f`` is called at any of
-    them, so a caller can evaluate each set as one batch and let ``f`` read
-    the results.  The ``f`` calls and the result are those of the loop
-    without lookahead.
-    """
-    if not a < b:
-        prefetch([a])
-        return a, f(a)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    prefetch([a, b, c, d])
-    best_x, best_v = a, f(a)
-    fb = f(b)
-    if fb > best_v:
-        best_x, best_v = b, fb
-    fc, fd = f(c), f(d)
-    for t in range(iters):
-        left = fc >= fd
-        if t % _GOLDEN_LOOKAHEAD == 0:
-            prefetch(_golden_probes(a, b, c, d, left, min(_GOLDEN_LOOKAHEAD, iters - t)))
-        a, b, c, d, x = _golden_shrink(a, b, c, d, left)
-        v = f(x)
-        fc, fd = (v, fc) if left else (fd, v)
-        if v > best_v:
-            best_x, best_v = x, v
-    return float(best_x), float(best_v)
-
-
 class OohamaEvaluator:
     """Computes the general comparison bound for one source.
 
@@ -465,6 +401,10 @@ class OohamaEvaluator:
         """The inner objective at each row of ``pts``, under that row's tilt."""
         return self._tilted(self._row_terms(pts), coefs)
 
+    def _omega_evaluate(self, pts: np.ndarray, coefs: np.ndarray):
+        """:meth:`_omega_rows` under the batch contract: it has no constraint."""
+        return self._omega_rows(pts, coefs), 0.0
+
     def _lattice_sweep(self, pts: np.ndarray):
         terms = self._row_terms(pts)
         return lambda coef: self._tilted(terms, coef)
@@ -499,7 +439,7 @@ class OohamaEvaluator:
             starts += own
             owner += [t] * len(own)
         runs = compass_batch(
-            self.domain, starts, self.config, batch_objective=self._omega_rows, params=coefs[owner]
+            self.domain, starts, self.config, batch_evaluate=self._omega_evaluate, params=coefs[owner]
         )
         per_tilt = [[g] for g in lattice]
         for t, r in zip(owner, runs):
@@ -520,6 +460,8 @@ class OohamaEvaluator:
         The sup includes the (0, 0) corner, whose value is exactly zero, so
         the result is clamped to be nonnegative.
         """
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            raise DomainError("rates must be finite")
         if not (r1 >= 0.0 and r2 >= 0.0):
             raise DomainError("rates must be nonnegative")
 
@@ -541,8 +483,9 @@ class OohamaEvaluator:
         i, j = best_ij
         mu_lo = axis[max(i - 1, 0)]
         mu_hi = axis[min(i + 1, MU_ALPHA_GRID - 1)]
+        # two dozen shrinks already beat the grid spacing by 1e4
         mu_star, v1 = _golden_max(
-            lambda m: f(m, axis[j]), mu_lo, mu_hi,
+            lambda m: f(m, axis[j]), mu_lo, mu_hi, 24,
             lambda ms: self._solve_tilts([(m, axis[j]) for m in ms]),
         )
         if v1 < best_val:
@@ -551,7 +494,7 @@ class OohamaEvaluator:
         a_lo = axis[max(j - 1, 0)]
         a_hi = axis[min(j + 1, MU_ALPHA_GRID - 1)]
         _, v2 = _golden_max(
-            lambda a: f(mu_star, a), a_lo, a_hi,
+            lambda a: f(mu_star, a), a_lo, a_hi, 24,
             lambda alphas: self._solve_tilts([(mu_star, a) for a in alphas]),
         )
         best_val = max(best_val, v2)

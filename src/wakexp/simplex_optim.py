@@ -1,16 +1,21 @@
 """Derivative-free minimization over products of probability simplices and intervals.
 
-Two tiers are provided.  ``grid_search`` enumerates every lattice point with
-a common denominator and is the ground-truth oracle for small problems;
-``grid_search_batch`` does so for many objectives that differ by a
-parameter row, in one pass.  ``compass_batch`` runs independent compass
-(coordinate mass-transfer) descents from many starts in lockstep, with
-batched evaluations of bounded size per iteration, and
-``multistart_search`` is the best of them over seeded random starts; these
-handle the larger parametrizations.  Hard
-constraints are handled by exact rejection of infeasible incumbents plus a
-linear penalty on constraint violation while probing, so kinky objectives
-(positive parts, entropy caps) do not stall the search.
+Every search takes one evaluation contract: ``batch_evaluate(points) ->
+(values, violations)``, one row per point, where a point is feasible when
+its violation is at most ``_FEAS_TOL``.  An unconstrained objective returns
+``(values, 0.0)`` and the scalar broadcasts.
+
+``grid_search`` enumerates every lattice point with a common denominator and
+is the ground-truth oracle for small problems; ``grid_search_batch`` does so
+for many objectives that differ by a parameter row, in one pass.
+``compass_batch`` runs independent compass (coordinate mass-transfer)
+descents from many starts in lockstep, with batched evaluations of bounded
+size per iteration; the best of them over seeded ``random_starts`` is the
+multistart that handles the larger parametrizations.  Hard constraints are
+handled by exact rejection of infeasible incumbents plus a linear penalty on
+constraint violation while probing, so kinky objectives (positive parts,
+entropy caps) do not stall the search.  ``maximize_1d`` and ``_golden_max``
+are the one-dimensional golden-section maximizers.
 
 All searches are deterministic functions of their inputs and the seed:
 evaluation and reduction happen in index order, so a parallel driver that
@@ -121,10 +126,10 @@ class SolverConfig:
             raise ValueError("grid_resolution must be >= 2")
         if self.starts < 1 or self.max_iterations < 1:
             raise ValueError("starts and max_iterations must be positive")
-        if not self.step_tolerance > 0.0:
-            raise ValueError("step_tolerance must be positive")
-        if self.penalty_weight <= 0.0:
-            raise ValueError("penalty_weight must be positive")
+        if not 0.0 < self.step_tolerance < math.inf:
+            raise ValueError("step_tolerance must be positive and finite")
+        if not 0.0 < self.penalty_weight < math.inf:
+            raise ValueError("penalty_weight must be positive and finite")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -156,9 +161,8 @@ def _compositions(total: int, parts: int) -> np.ndarray:
         return np.array([[total]], dtype=np.int64)
     level = {m: np.array([[m]], dtype=np.int64) for m in range(total + 1)}
     for width in range(2, parts + 1):
-        top = total if width < parts else total
         nxt = {}
-        for m in range(top + 1):
+        for m in range(total + 1):
             rows = []
             for first in range(m + 1):
                 sub = level[m - first]
@@ -169,7 +173,6 @@ def _compositions(total: int, parts: int) -> np.ndarray:
         if width == parts:
             return nxt[total]
         level = nxt
-    return level[total]
 
 
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
@@ -218,84 +221,23 @@ def _grid_chunks(block_arrays, target=1 << 18):
 
 
 # ---------------------------------------------------------------------------
-# evaluation adapters
-# ---------------------------------------------------------------------------
-
-def _as_batch(point_fn, batch_fn):
-    if batch_fn is not None:
-        return batch_fn
-    if point_fn is None:
-        return None
-
-    def batched(points):
-        return np.array([point_fn(p) for p in points], dtype=np.float64)
-
-    return batched
-
-
-def _as_batch_mask(point_fn, batch_fn):
-    if batch_fn is not None:
-        return batch_fn
-    if point_fn is None:
-        return None
-
-    def batched(points):
-        return np.array([bool(point_fn(p)) for p in points])
-
-    return batched
-
-
-# ---------------------------------------------------------------------------
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def grid_search(
-    domain: SearchDomain,
-    objective=None,
-    feasible=None,
-    resolution: int | None = None,
-    *,
-    batch_objective=None,
-    batch_feasible=None,
-    batch_evaluate=None,
-) -> SearchResult:
+def grid_search(domain: SearchDomain, resolution: int, batch_evaluate) -> SearchResult:
     """Exact minimum over every lattice point with the given denominator.
 
-    Infeasible points and +inf objective values are skipped.  Ties break to
-    the lexicographically smallest point because enumeration is lex ordered
+    Infeasible points and +inf objective values are skipped, and only
+    feasible points count as evaluations.  Ties break to the
+    lexicographically smallest point because enumeration is lex ordered
     and only strict improvements replace the incumbent.  Returns the
     infeasible marker result when no lattice point is feasible.
-
-    ``batch_evaluate(points) -> (values, violations)`` computes both maps in
-    one pass and takes precedence over the separate callables; a point is
-    feasible when its violation is at most the feasibility tolerance, and
-    only feasible points count as evaluations.
     """
-    if resolution is None:
-        raise ValueError("grid_search needs an explicit resolution")
-    obj = _as_batch(objective, batch_objective)
-    if obj is None and batch_evaluate is None:
-        raise ValueError("grid_search needs an objective")
-    feas = _as_batch_mask(feasible, batch_feasible)
-
     minima = _LatticeMinima(1, domain.n_params)
     for chunk in _grid_chunks(domain.grid_arrays(resolution)):
-        if batch_evaluate is not None:
-            vals, violations = batch_evaluate(chunk)
-            mask = np.asarray(violations, dtype=np.float64) <= _FEAS_TOL
-            if not mask.any():
-                continue
-            pts, vals = chunk[mask], np.asarray(vals, dtype=np.float64)[mask]
-        elif feas is not None:
-            mask = np.asarray(feas(chunk), dtype=bool)
-            if not mask.any():
-                continue
-            pts = chunk[mask]
-            vals = np.asarray(obj(pts), dtype=np.float64)
-        else:
-            pts = chunk
-            vals = np.asarray(obj(pts), dtype=np.float64)
-        minima.fold(0, pts, vals)
+        vals, violations = batch_evaluate(chunk)
+        feasible = np.broadcast_to(np.asarray(violations) <= _FEAS_TOL, len(chunk))
+        minima.fold(0, chunk, np.where(feasible, vals, math.inf), np.count_nonzero(feasible))
     return minima.results()[0]
 
 
@@ -315,7 +257,7 @@ def grid_search_batch(
     for chunk in _grid_chunks(domain.grid_arrays(resolution)):
         sweep = batch_sweep(chunk)
         for k in range(len(params)):
-            minima.fold(k, chunk, np.asarray(sweep(params[k]), dtype=np.float64))
+            minima.fold(k, chunk, np.asarray(sweep(params[k]), dtype=np.float64), len(chunk))
     return minima.results()
 
 
@@ -333,9 +275,10 @@ class _LatticeMinima:
         self.point = np.zeros((n, dim))
         self.evaluations = np.zeros(n, dtype=np.int64)
 
-    def fold(self, k, pts, vals):
-        """Fold ``vals[j]``, objective ``k``'s value at ``pts[j]``, into the minima."""
-        self.evaluations[k] += len(vals)
+    def fold(self, k, pts, vals, evaluations):
+        """Fold ``vals[j]``, objective ``k``'s value at ``pts[j]``, into the
+        minima, counting ``evaluations`` of them."""
+        self.evaluations[k] += evaluations
         vals = np.where(np.isnan(vals), math.inf, vals)
         i = np.argmin(vals)
         if vals[i] < self.value[k]:
@@ -464,8 +407,7 @@ def compass_batch(
     starts,
     config: SolverConfig = DEFAULT_CONFIG,
     *,
-    batch_objective=None,
-    batch_evaluate=None,
+    batch_evaluate,
     params=None,
 ) -> list[SearchResult]:
     """Independent compass descents from every start, advanced in lockstep.
@@ -481,16 +423,12 @@ def compass_batch(
     alone, provided the objective evaluates each row independently of the
     rest of its batch.
 
-    ``batch_evaluate(points) -> (values, violations)`` takes precedence
-    over ``batch_objective(points) -> values`` (no constraint).  With
-    ``params``, one row per start, each descent has its own objective:
-    the callable is handed ``(points, rows)``, where ``rows[i]`` is the
-    ``params`` row of the descent that owns ``points[i]``.  A start with a
-    non-finite coordinate yields the infeasible marker after zero
-    evaluations.
+    With ``params``, one row per start, each descent has its own
+    objective: ``batch_evaluate`` is handed ``(points, rows)``, where
+    ``rows[i]`` is the ``params`` row of the descent that owns
+    ``points[i]``.  A start with a non-finite coordinate yields the
+    infeasible marker after zero evaluations.
     """
-    if batch_objective is None and batch_evaluate is None:
-        raise ValueError("compass_batch needs an objective")
     starts = [np.asarray(s, dtype=np.float64) for s in starts]
     if params is not None:
         params = np.asarray(params)
@@ -508,12 +446,8 @@ def compass_batch(
         for lo in range(0, len(pts), _CALL_ROWS):
             rows = slice(lo, lo + _CALL_ROWS)
             args = (pts[rows],) if params is None else (pts[rows], params[owners[rows]])
-            if batch_evaluate is not None:
-                raw_vals, raw_viol = batch_evaluate(*args)
-                vals[rows] = raw_vals
-                violations[rows] = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
-            else:
-                vals[rows] = batch_objective(*args)
+            vals[rows], raw_viol = batch_evaluate(*args)
+            violations[rows] = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
         vals = np.where(np.isnan(vals), math.inf, vals)
         with np.errstate(invalid="ignore"):
             scores = vals + config.penalty_weight * violations
@@ -605,53 +539,6 @@ def compass_batch(
     return results
 
 
-def _batch_forms(objective, feasible, violation, batch_objective, batch_violation, batch_evaluate):
-    """The keyword arguments of :func:`compass_batch` for the point-wise and
-    separate-callable forms; an infeasible point under ``feasible`` counts
-    as infinitely violated."""
-    if batch_evaluate is not None:
-        return {"batch_evaluate": batch_evaluate}
-    obj = _as_batch(objective, batch_objective)
-    if obj is None:
-        raise ValueError("compass descent needs an objective")
-    viol = _as_batch(violation, batch_violation)
-    feas = _as_batch_mask(feasible, None)
-    if viol is None and feas is None:
-        return {"batch_objective": obj}
-
-    def evaluate(pts):
-        if viol is not None:
-            return obj(pts), viol(pts)
-        return obj(pts), np.where(np.asarray(feas(pts), bool), 0.0, math.inf)
-
-    return {"batch_evaluate": evaluate}
-
-
-def compass_refine(
-    domain: SearchDomain,
-    objective=None,
-    start=None,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    feasible=None,
-    violation=None,
-    batch_objective=None,
-    batch_violation=None,
-    batch_evaluate=None,
-) -> SearchResult:
-    """Local compass descent from one start point; see :func:`compass_batch`.
-
-    ``batch_evaluate(points) -> (values, violations)`` computes both maps
-    in one pass and takes precedence over the separate callables.
-    """
-    if start is None:
-        raise ValueError("compass_refine needs an objective and a start point")
-    forms = _batch_forms(
-        objective, feasible, violation, batch_objective, batch_violation, batch_evaluate
-    )
-    return compass_batch(domain, [start], config, **forms)[0]
-
-
 def random_starts(domain: SearchDomain, config: SolverConfig) -> list:
     """The ``config.starts`` multistart points, drawn up front from ``config.seed``."""
     rng = np.random.default_rng(config.seed)
@@ -674,44 +561,86 @@ def best_of(results) -> SearchResult:
     return SearchResult(best.argmin, best.value, evaluations, best.converged)
 
 
-def multistart_search(
-    domain: SearchDomain,
-    objective=None,
-    feasible=None,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    violation=None,
-    batch_objective=None,
-    batch_violation=None,
-    batch_evaluate=None,
-) -> SearchResult:
-    """Best of ``config.starts`` seeded compass descents.
-
-    Start points are drawn up front from ``config.seed`` (Dirichlet(1) per
-    simplex block, uniform per box), so the result is a deterministic
-    function of the inputs.  The returned value never exceeds the best
-    value seen from any single start.  Returns the infeasible marker when
-    no start produces a feasible point.
-    """
-    forms = _batch_forms(
-        objective, feasible, violation, batch_objective, batch_violation, batch_evaluate
-    )
-    return best_of(compass_batch(domain, random_starts(domain, config), config, **forms))
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional maximization
 # ---------------------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_LOOKAHEAD = 4      # golden-section shrinks whose probes are prefetched as one batch
+
+
+def _golden_shrink(a: float, b: float, c: float, d: float, left: bool) -> tuple:
+    """One golden-section shrink of ``a < c < d < b``: keep ``[a, d]`` if
+    ``left``, else ``[c, b]``.  Returns the new ``(a, b, c, d)`` and the one
+    new interior point, which is the next probe."""
+    if left:
+        b, d = d, c
+        c = b - _INVPHI * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + _INVPHI * (b - a)
+    return a, b, c, d, d
+
+
+def _golden_probes(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list:
+    """Every probe of the next ``depth`` shrinks, the first going ``left``
+    and each later one either way: 1 + 2 + ... + 2**(depth - 1) abscissae."""
+    a, b, c, d, x = _golden_shrink(a, b, c, d, left)
+    if depth == 1:
+        return [x]
+    return [x] + [p for side in (True, False) for p in _golden_probes(a, b, c, d, side, depth - 1)]
+
+
+def _golden_max(f, a: float, b: float, iters: int, prefetch=None):
+    """Golden-section maximization of ``f`` on ``[a, b]``.
+
+    ``f`` is called at ``a`` and ``b``, at the two interior points, then at
+    the one new probe of each of at most ``iters`` shrinks; the loop stops
+    early once the bracket is below 1e-12 relative.  Returns ``(x, f(x))``
+    for the first strictly best of ``a``, ``b`` and the probes.
+
+    Each shrink keeps one side, chosen by comparing two known values, so
+    once shrink ``t`` has its direction, the probes that shrinks ``t`` to
+    ``t + L - 1`` can make are known (``L = _GOLDEN_LOOKAHEAD``; at most
+    ``2**L - 1`` points).  An optional ``prefetch(xs)`` receives every such
+    set, and first the initial ``[a, b, c, d]``, before ``f`` is called at
+    any of them, so a caller with an expensive ``f`` can evaluate each set
+    as one batch and let ``f`` read the results.  The ``f`` calls and the
+    result do not depend on ``prefetch``.
+    """
+    if not a < b:
+        if prefetch is not None:
+            prefetch([a])
+        return a, f(a)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    if prefetch is not None:
+        prefetch([a, b, c, d])
+    best_x, best_v = a, f(a)
+    fb = f(b)
+    if fb > best_v:
+        best_x, best_v = b, fb
+    fc, fd = f(c), f(d)
+    for t in range(iters):
+        left = fc >= fd
+        if prefetch is not None and t % _GOLDEN_LOOKAHEAD == 0:
+            prefetch(_golden_probes(a, b, c, d, left, min(_GOLDEN_LOOKAHEAD, iters - t)))
+        a, b, c, d, x = _golden_shrink(a, b, c, d, left)
+        v = f(x)
+        fc, fd = (v, fc) if left else (fd, v)
+        if v > best_v:
+            best_x, best_v = x, v
+        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
+            break
+    return float(best_x), float(best_v)
 
 
 def maximize_1d(f, grid):
     """Exact maximum over a monotone grid, then golden-section refinement.
 
     The grid winner (leftmost on ties, in ascending orientation) brackets
-    the refinement interval; the grid point is kept unless an interior
-    probe is strictly better.  Returns ``(argmax, value)``.
+    the refinement interval; the grid point is kept unless a probe is
+    strictly better.  Returns ``(argmax, value)``.
     """
     xs = np.asarray(list(grid), dtype=np.float64)
     if xs.size == 0:
@@ -727,23 +656,5 @@ def maximize_1d(f, grid):
     best_x, best_v = float(xs[i]), float(vals[i])
     a = float(xs[i - 1]) if i > 0 else best_x
     b = float(xs[i + 1]) if i + 1 < xs.size else best_x
-    if a < b:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(80):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = f(c)
-                probe_x, probe_v = c, fc
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = f(d)
-                probe_x, probe_v = d, fd
-            if probe_v > best_v:
-                best_x, best_v = float(probe_x), float(probe_v)
-            if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
-                break
-    return best_x, best_v
+    x, v = _golden_max(f, a, b, 80)
+    return (x, v) if v > best_v else (best_x, best_v)

@@ -45,9 +45,9 @@ from .simplex_optim import (
     SearchResult,
     Simplex,
     SolverConfig,
+    _golden_max,
     best_of,
     compass_batch,
-    compass_refine,
     grid_search,
     random_starts,
 )
@@ -186,6 +186,34 @@ def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
     if math.isinf(div):
         return math.inf
     return div + max(aux_measures(a).i_u_y - r2, 0.0)
+
+
+def _bisect_multiplier(solve, feasible, doublings: int, halvings: int) -> None:
+    """Bisect the multiplier of a scalarized solve onto an active constraint.
+
+    ``solve(lam, warm)`` minimizes objective + lam * constraint from the
+    extra starts ``warm`` and returns its argmin; ``feasible(point)`` tests
+    (and may record) it.  After the unpenalized solve, the multiplier
+    doubles from 1 until a solve is feasible, then ``halvings`` bisection
+    steps follow; each solve is warm-started from the previous argmin.
+    """
+    pt = solve(0.0, [])
+    if feasible(pt):
+        return
+    lam_lo, lam_hi = 0.0, 1.0
+    for _ in range(doublings):
+        pt = solve(lam_hi, [pt])
+        if feasible(pt):
+            break
+        lam_lo = lam_hi
+        lam_hi *= 2.0
+    for _ in range(halvings):
+        lam = 0.5 * (lam_lo + lam_hi)
+        pt = solve(lam, [pt])
+        if feasible(pt):
+            lam_hi = lam
+        else:
+            lam_lo = lam
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +400,17 @@ class _ExponentSearch:
 
         out = []
         if self.nu >= self.nx:
-            def x_copy_objective(pts):
+            def x_copy_evaluate(pts):
                 kl, h_xy, h_y, h_x = table_stats(pts)
                 mi = h_x + h_y - h_xy
-                return kl + (h_xy - h_y) + np.maximum(mi - r2, 0.0)
+                return kl + (h_xy - h_y) + np.maximum(mi - r2, 0.0), 0.0
 
             res = 40
             while res > 2 and math.comb(res + k - 1, k - 1) > 200_000:
                 res -= 1
-            winners = [grid_search(domain, resolution=res, batch_objective=x_copy_objective)]
+            winners = [grid_search(domain, resolution=res, batch_evaluate=x_copy_evaluate)]
             refine = base + [w.argmin for w in winners if not w.infeasible]
-            winners += compass_batch(domain, refine, local, batch_objective=x_copy_objective)
+            winners += compass_batch(domain, refine, local, batch_evaluate=x_copy_evaluate)
             best = min((w for w in winners if not w.infeasible), key=lambda w: w.value)
             out.append(self.candidate_copy_x(best.argmin))
 
@@ -395,9 +423,9 @@ class _ExponentSearch:
             def solve(lam, extra):
                 def objective(pts):
                     obj, viol_raw = y_copy_evaluate(pts)
-                    return obj + lam * viol_raw
+                    return obj + lam * viol_raw, 0.0
 
-                runs = compass_batch(domain, base + extra, local, batch_objective=objective)
+                runs = compass_batch(domain, base + extra, local, batch_evaluate=objective)
                 return best_of(runs).argmin
 
             best_m, best_val = None, math.inf
@@ -407,33 +435,11 @@ class _ExponentSearch:
                 obj, viol = y_copy_evaluate(m[None, :])
                 if viol[0] <= 1e-12 and obj[0] < best_val:
                     best_m, best_val = m.copy(), float(obj[0])
-                return float(viol[0])
+                return viol[0] <= 0.0
 
-            m0 = solve(0.0, [])
-            v = consider(m0)
-            if v > 0.0:
-                lam_lo, lam_hi = 0.0, 1.0
-                warm = [m0]
-                for _ in range(30):
-                    m = solve(lam_hi, warm)
-                    warm = [m]
-                    if consider(m) <= 0.0:
-                        break
-                    lam_lo = lam_hi
-                    lam_hi *= 2.0
-                for _ in range(20):
-                    m = solve(0.5 * (lam_lo + lam_hi), warm)
-                    warm = [m]
-                    if consider(m) <= 0.0:
-                        lam_hi = 0.5 * (lam_lo + lam_hi)
-                    else:
-                        lam_lo = 0.5 * (lam_lo + lam_hi)
-            polish = compass_refine(
-                domain,
-                start=best_m if best_m is not None else self.src_flat.copy(),
-                config=local,
-                batch_evaluate=y_copy_evaluate,
-            )
+            _bisect_multiplier(solve, consider, 30, 20)
+            start = best_m if best_m is not None else self.src_flat.copy()
+            polish = compass_batch(domain, [start], local, batch_evaluate=y_copy_evaluate)[0]
             if not polish.infeasible:
                 consider(polish.argmin)
             if best_m is not None:
@@ -448,7 +454,6 @@ class _ExponentSearch:
             return []
         p = self.src.probs.ravel()
         order = [i for i in np.argsort(-p, kind="stable") if p[i] > 0.0]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
         out = []
         for m in range(1, len(order) + 1):
             support = np.array(order[:m])
@@ -472,16 +477,9 @@ class _ExponentSearch:
             cs = np.linspace(0.0, 1.0, 9).tolist() + [2.0, 4.0, 8.0, 16.0, 64.0]
             scored = [score(c) for c in cs]
             i = int(np.argmin(scored))
-            a = cs[max(i - 1, 0)]
-            b = cs[min(i + 1, len(cs) - 1)]
-            for _ in range(40):
-                c1 = b - invphi * (b - a)
-                c2 = a + invphi * (b - a)
-                if score(c1) <= score(c2):
-                    b = c2
-                else:
-                    a = c1
-            out.append(build(0.5 * (a + b)))
+            lo, hi = cs[max(i - 1, 0)], cs[min(i + 1, len(cs) - 1)]
+            best_c, _ = _golden_max(lambda c: -score(c), lo, hi, 40)
+            out.append(build(best_c))
             out.append(build(cs[i]))
         return out
 
@@ -521,7 +519,7 @@ class _RegionSearch:
     def scalarized(self, lam: float):
         def batch(pts):
             h, mi = self.stats(pts)
-            return h + lam * mi
+            return h + lam * mi, 0.0
 
         return batch
 
@@ -582,39 +580,18 @@ def _region_argmin(
         if mi[0] <= r2 + 1e-12 and h[0] < best_val:
             best_val = float(h[0])
             best_pt = pt.copy()
-        return float(h[0]), float(mi[0])
+        return mi[0] <= r2 + 1e-12
 
     def solve_scalarized(lam, extra):
         nonlocal evaluations
         objective = prob.scalarized(lam)
         winner = best_of(
-            compass_batch(prob.domain, base_starts + extra, local, batch_objective=objective)
+            compass_batch(prob.domain, base_starts + extra, local, batch_evaluate=objective)
         )
         evaluations += winner.evaluations
         return winner.argmin
 
-    pt0 = solve_scalarized(0.0, [])
-    _, mi0 = consider(pt0)
-    if mi0 > r2 + 1e-12:
-        lam_lo, lam_hi = 0.0, 1.0
-        warm = [pt0]
-        for _ in range(40):
-            pt = solve_scalarized(lam_hi, warm)
-            warm = [pt]
-            _, mi = consider(pt)
-            if mi <= r2 + 1e-12:
-                break
-            lam_lo = lam_hi
-            lam_hi *= 2.0
-        for _ in range(22):
-            lam = 0.5 * (lam_lo + lam_hi)
-            pt = solve_scalarized(lam, warm)
-            warm = [pt]
-            _, mi = consider(pt)
-            if mi <= r2 + 1e-12:
-                lam_hi = lam
-            else:
-                lam_lo = lam
+    _bisect_multiplier(solve_scalarized, consider, 40, 22)
 
     grid_points = math.comb(config.grid_resolution + nu - 1, nu - 1) ** src.ny
     if grid_points <= 120_000:
@@ -707,10 +684,14 @@ def wak_exponent(
     ``full_cardinality=True`` requests the full bound.
 
     ``warm_candidates`` may hold :class:`AuxJointPmf` values (of auxiliary
-    size <= nu) that are refined alongside the built-in structured starts;
-    they never worsen the result.
+    size <= nu), or (u, x, y) arrays that are validated as one; they are
+    refined alongside the built-in structured starts and never worsen the
+    result.
     """
     rates = rates if isinstance(rates, RatePair) else RatePair(*rates)
+    warm = [w if isinstance(w, AuxJointPmf) else AuxJointPmf(w) for w in warm_candidates]
+    if any((w.nx, w.ny) != (src.nx, src.ny) for w in warm):
+        raise DimensionError("warm candidate on the wrong (x, y) alphabet")
     bound = src.nx * src.ny + 2
     if full_cardinality:
         nu = bound
@@ -750,14 +731,11 @@ def wak_exponent(
     if embed is not None:
         starts.append(embed)
 
-    for w in warm_candidates:
-        tensor = w.probs if isinstance(w, AuxJointPmf) else np.asarray(w, dtype=np.float64)
-        if tensor.shape[1] != src.nx or tensor.shape[2] != src.ny:
-            raise DimensionError("warm candidate on the wrong (x, y) alphabet")
-        if tensor.shape[0] > nu:
+    for w in warm:
+        if w.nu > nu:
             continue
         padded = np.zeros((nu, src.nx, src.ny))
-        padded[: tensor.shape[0]] = tensor
+        padded[: w.nu] = w.probs
         starts.append(prob.encode(padded.reshape(nu, prob.k)))
 
     runs = compass_batch(

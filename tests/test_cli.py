@@ -164,6 +164,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("flag", ["--penalty-weight", "--step-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys,
+            ["exponent", "--source", "dsbs:0.1", "--r1", "0.5", "--r2", "0.2781", *FAST, flag, value],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_nan_rate_is_domain_error(self, capsys):
         code, out, _ = run_cli(capsys, ["ne", "--source", "dsbs:0.1", "--r1", "nan", *FAST])
         assert code == 3

@@ -25,7 +25,7 @@ from wakexp.reductions import (
     oohama_wak_bound,
     s_theta,
 )
-from wakexp import reductions
+from wakexp import reductions, simplex_optim
 from wakexp.simplex_optim import (
     SolverConfig,
     _cartesian_rows,
@@ -247,6 +247,15 @@ class TestOohamaWakBound:
         src = dsbs(0.3)
         assert oohama_wak_bound(src, (0.0, 0.0)) >= 0.0
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rates_rejected(self, bad):
+        # an infinite r2 once made 0 * inf = nan and dropped the mu = 0 column
+        ev = OohamaEvaluator(dsbs(0.1))
+        for rates in ((0.3, bad), (bad, 0.3)):
+            with pytest.raises(DomainError):
+                ev.bound(*rates)
+        assert not ev._omega_cache
+
 
 # ---------------------------------------------------------------------------
 # the batched inner solve against the one-tilt-at-a-time solve
@@ -284,8 +293,8 @@ def _reference_omega_rows(ev, mu, alpha, pts):
 def _reference_omega(ev, mu, alpha):
     """One tilt alone: its own lattice pass, then descents from its starts."""
 
-    def batch_objective(pts):
-        return _reference_omega_rows(ev, mu, alpha, pts)
+    def batch_evaluate(pts):
+        return _reference_omega_rows(ev, mu, alpha, pts), 0.0
 
     candidates = [np.concatenate([ev.py, np.full(ev.src.ny * ev.nu, 1.0 / ev.nu)])]
     if ev.nu >= 2:
@@ -293,10 +302,10 @@ def _reference_omega(ev, mu, alpha):
         for y in range(ev.src.ny):
             rows[y, y % ev.nu] = 1.0
         candidates.append(np.concatenate([ev.py, rows.ravel()]))
-    runs = [grid_search(ev.domain, resolution=ev.config.grid_resolution, batch_objective=batch_objective)]
+    runs = [grid_search(ev.domain, resolution=ev.config.grid_resolution, batch_evaluate=batch_evaluate)]
     if not runs[0].infeasible:
         candidates.append(runs[0].argmin)
-    runs += compass_batch(ev.domain, candidates, ev.config, batch_objective=batch_objective)
+    runs += compass_batch(ev.domain, candidates, ev.config, batch_evaluate=batch_evaluate)
     return float(min(r.value for r in runs if not r.infeasible))
 
 
@@ -368,7 +377,7 @@ class TestBatchedInnerSolve:
         draws = random_starts(ev.domain, dataclasses.replace(ev.config, starts=48, seed=3))
         for (mu, alpha), got in zip(tilts, capped):
             coefs = np.repeat(_tilt_coefficients([(mu, alpha)]), len(draws), axis=0)
-            runs = compass_batch(ev.domain, draws, ev.config, batch_objective=ev._omega_rows, params=coefs)
+            runs = compass_batch(ev.domain, draws, ev.config, batch_evaluate=ev._omega_evaluate, params=coefs)
             assert got <= finer.omega(mu, alpha) + 1e-9, (mu, alpha)
             assert got <= min(r.value for r in runs) + 1e-9, (mu, alpha)
 
@@ -426,6 +435,7 @@ class TestBatchedInnerSolve:
 
 # ---------------------------------------------------------------------------
 # the golden-section refinement with its probes solved ahead in batches
+# (simplex_optim._golden_max, as the comparison bound calls it)
 # ---------------------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -484,10 +494,13 @@ class TestGoldenLookahead:
             batches.append(len(xs))
             fetched.update(xs)
 
-        got = reductions._golden_max(f, a, b, prefetch, iters)
+        got = simplex_optim._golden_max(f, a, b, iters, prefetch)
         assert got == want
         assert calls == plain
-        lookahead = reductions._GOLDEN_LOOKAHEAD
+        unfetched = []
+        assert simplex_optim._golden_max(lambda x: unfetched.append(x) or g(x), a, b, iters) == want
+        assert unfetched == plain
+        lookahead = simplex_optim._GOLDEN_LOOKAHEAD
         assert len(batches) == (1 if a == b else 1 + -(-iters // lookahead))
         assert max(batches) <= 2**lookahead - 1
 

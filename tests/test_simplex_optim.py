@@ -1,4 +1,5 @@
-"""Unit tests for the lattice oracle and the compass multistart solver."""
+"""Unit tests for the lattice oracle, the compass multistart solver and the
+golden-section maximizers."""
 
 import math
 
@@ -14,15 +15,37 @@ from wakexp.simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
+    best_of,
     compass_batch,
-    compass_refine,
     grid_search,
     grid_search_batch,
     maximize_1d,
-    multistart_search,
+    random_starts,
     simplex_grid,
 )
 from wakexp.wak_exponent import _ExponentSearch, _RegionSearch
+
+
+def _pointwise(f, violation=None):
+    """``batch_evaluate`` of a point objective and an optional point violation."""
+
+    def batch_evaluate(points):
+        vals = np.array([f(p) for p in points], dtype=np.float64)
+        if violation is None:
+            return vals, 0.0
+        return vals, np.array([violation(p) for p in points], dtype=np.float64)
+
+    return batch_evaluate
+
+
+def _unconstrained(f):
+    """``batch_evaluate`` of a batch objective with no constraint."""
+    return lambda *args: (f(*args), 0.0)
+
+
+def _multistart(domain, config, batch_evaluate):
+    """Best of the ``config.starts`` seeded compass descents."""
+    return best_of(compass_batch(domain, random_starts(domain, config), config, batch_evaluate=batch_evaluate))
 
 
 class TestSimplexGrid:
@@ -41,14 +64,18 @@ class TestSimplexGrid:
         np.testing.assert_array_equal(g, [[1.0]])
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["penalty_weight", "step_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_and_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: value})
+
+
 class TestGridSearch:
     def test_linear_objective_picks_cheapest_vertex(self):
         c = np.array([0.7, 0.2, 0.9])
-        res = grid_search(
-            SearchDomain([Simplex(3)]),
-            objective=lambda p: float(c @ p),
-            resolution=6,
-        )
+        res = grid_search(SearchDomain([Simplex(3)]), 6, _pointwise(lambda p: float(c @ p)))
         np.testing.assert_array_equal(res.argmin, [0.0, 1.0, 0.0])
         assert res.value == pytest.approx(0.2)
         assert res.converged
@@ -56,26 +83,17 @@ class TestGridSearch:
     def test_interior_target_found_exactly(self):
         target = np.array([0.25, 0.5])
         res = grid_search(
-            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]),
-            objective=lambda p: float(((p - target) ** 2).sum()),
-            resolution=4,
+            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), 4, _pointwise(lambda p: float(((p - target) ** 2).sum()))
         )
         np.testing.assert_array_equal(res.argmin, target)
         assert res.value == 0.0
 
     def test_tie_breaks_to_lexicographically_smallest(self):
-        res = grid_search(
-            SearchDomain([Simplex(2)]), objective=lambda p: 1.0, resolution=4
-        )
+        res = grid_search(SearchDomain([Simplex(2)]), 4, _pointwise(lambda p: 1.0))
         np.testing.assert_array_equal(res.argmin, [0.0, 1.0])
 
     def test_infeasible_marker(self):
-        res = grid_search(
-            SearchDomain([Simplex(2)]),
-            objective=lambda p: 1.0,
-            feasible=lambda p: False,
-            resolution=4,
-        )
+        res = grid_search(SearchDomain([Simplex(2)]), 4, _pointwise(lambda p: 1.0, lambda p: math.inf))
         assert res.infeasible
         assert res.value == math.inf
 
@@ -86,23 +104,29 @@ class TestGridSearch:
             return pts[:, 0] + 2.0 * pts[:, 2], np.maximum(0.4 - pts[:, 1], 0.0)
 
         fused = grid_search(dom, resolution=10, batch_evaluate=evaluate)
-        split = grid_search(
-            dom,
-            resolution=10,
-            batch_objective=lambda p: evaluate(p)[0],
-            batch_feasible=lambda p: evaluate(p)[1] <= 1e-12,
-        )
-        assert fused.argmin.tobytes() == split.argmin.tobytes()
-        assert (fused.value, fused.evaluations) == (split.value, split.evaluations)
-        assert fused.evaluations == sum(range(1, 8))    # lattice points with p1 >= 0.4
+        lattice = simplex_grid(3, 10)
+        vals, violations = evaluate(lattice)
+        feasible = np.flatnonzero(violations <= 1e-12)
+        best = feasible[np.argmin(vals[feasible])]
+        assert fused.argmin.tobytes() == lattice[best].tobytes()
+        assert fused.value == vals[best]
+        assert fused.evaluations == len(feasible) == sum(range(1, 8))    # lattice points with p1 >= 0.4
         none = grid_search(dom, resolution=4, batch_evaluate=lambda p: (p[:, 0], np.ones(len(p))))
         assert none.infeasible and none.evaluations == 0
+
+    def test_scalar_violation_broadcasts(self):
+        dom = SearchDomain([Simplex(3)])
+        free = grid_search(dom, 10, lambda p: (p[:, 0] - p[:, 2], 0.0))
+        np.testing.assert_array_equal(free.argmin, [0.0, 0.0, 1.0])
+        assert free.evaluations == math.comb(12, 2)
+        blocked = grid_search(dom, 10, lambda p: (p[:, 0], 1.0))
+        assert blocked.infeasible and blocked.evaluations == 0
 
     def test_value_matches_objective_at_argmin(self):
         def f(p):
             return float((p[0] - 0.21) ** 2 + p[1])
 
-        res = grid_search(SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), f, resolution=10)
+        res = grid_search(SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), 10, _pointwise(f))
         assert res.value == f(res.argmin)
 
 
@@ -110,10 +134,8 @@ class TestMultistart:
     def test_convex_quadratic_over_box(self):
         cfg = SolverConfig(starts=5, seed=3, step_tolerance=1e-7)
         target = np.array([0.37, 0.81])
-        res = multistart_search(
-            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]),
-            objective=lambda p: float(((p - target) ** 2).sum()),
-            config=cfg,
+        res = _multistart(
+            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), cfg, _pointwise(lambda p: float(((p - target) ** 2).sum()))
         )
         np.testing.assert_allclose(res.argmin, target, atol=1e-5)
         assert res.converged
@@ -125,8 +147,8 @@ class TestMultistart:
         def f(p):
             return float(((p - target) ** 2).sum())
 
-        v1 = multistart_search(dom, f, config=SolverConfig(starts=6, seed=1)).value
-        v2 = multistart_search(dom, f, config=SolverConfig(starts=6, seed=99)).value
+        v1 = _multistart(dom, SolverConfig(starts=6, seed=1), _pointwise(f)).value
+        v2 = _multistart(dom, SolverConfig(starts=6, seed=99), _pointwise(f)).value
         assert abs(v1 - v2) <= 1e-9
 
     def test_bit_identical_determinism(self):
@@ -136,8 +158,8 @@ class TestMultistart:
             return float(np.cos(3 * p[0]) + (p[3] - 0.3) ** 2 + p[1] * p[2])
 
         cfg = SolverConfig(starts=8, seed=42)
-        a = multistart_search(rng_free, f, config=cfg)
-        b = multistart_search(rng_free, f, config=cfg)
+        a = _multistart(rng_free, cfg, _pointwise(f))
+        b = _multistart(rng_free, cfg, _pointwise(f))
         assert a.value == b.value
         assert a.evaluations == b.evaluations
         np.testing.assert_array_equal(a.argmin, b.argmin)
@@ -154,26 +176,24 @@ class TestMultistart:
                 d = p - center
                 return float(d @ q @ d)
 
-            oracle = grid_search(dom, f, resolution=12)
-            ms = multistart_search(dom, f, config=SolverConfig(starts=10, seed=trial))
+            oracle = grid_search(dom, 12, _pointwise(f))
+            ms = _multistart(dom, SolverConfig(starts=10, seed=trial), _pointwise(f))
             assert ms.value <= oracle.value + 1e-9
 
     def test_all_starts_infeasible(self):
-        res = multistart_search(
+        res = _multistart(
             SearchDomain([Simplex(2)]),
-            objective=lambda p: 1.0,
-            feasible=lambda p: False,
-            config=SolverConfig(starts=3, seed=0, max_iterations=50),
+            SolverConfig(starts=3, seed=0, max_iterations=50),
+            _pointwise(lambda p: 1.0, lambda p: math.inf),
         )
         assert res.infeasible
 
     def test_constrained_minimum_on_boundary(self):
         # minimize p0 subject to p0 >= 0.6 on a 2-simplex
-        res = multistart_search(
+        res = _multistart(
             SearchDomain([Simplex(2)]),
-            objective=lambda p: float(p[0]),
-            violation=lambda p: max(0.6 - p[0], 0.0),
-            config=SolverConfig(starts=6, seed=2),
+            SolverConfig(starts=6, seed=2),
+            _pointwise(lambda p: float(p[0]), lambda p: max(0.6 - p[0], 0.0)),
         )
         assert res.value == pytest.approx(0.6, abs=1e-5)
 
@@ -187,7 +207,7 @@ class TestDomainDiscipline:
             return float((p[0] - 0.3) ** 2 + (p[3] - 0.9) ** 2)
 
         dom = SearchDomain([Simplex(3), Box(0.25, 0.75)])
-        multistart_search(dom, f, config=SolverConfig(starts=6, seed=7, max_iterations=300))
+        _multistart(dom, SolverConfig(starts=6, seed=7, max_iterations=300), _pointwise(f))
         assert seen
         for p in seen:
             assert abs(p[:3].sum() - 1.0) <= 1e-12
@@ -220,6 +240,64 @@ class TestMaximize1d:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             maximize_1d(lambda t: t, [0.0, 1.0, 0.5])
+
+    CASES = {
+        "parabola": (lambda t: -((t - 0.3) ** 2), np.linspace(0, 1, 21)),
+        "multimodal": (lambda t: math.sin(17.0 * t) + 0.3 * math.cos(41.0 * t), np.linspace(0, 1, 11)),
+        "constant": (lambda t: 5.0, [0.0, 0.5, 1.0]),
+        "left-edge": (lambda t: -t, np.linspace(-1.0, 0.0, 41)),
+        "right-edge": (lambda t: t * (0.5 - 1.0) / (2.0 - t), np.linspace(0.0, -1.0, 41)),
+        "kink": (lambda t: -abs(t - 0.6180339), np.linspace(0.0, 3.0, 7)),
+        "plateau": (lambda t: min(t, 0.5), np.linspace(0.0, 1.0, 5)),    # a probe ties the grid point
+        "wide": (lambda t: -((t - 1234.5) ** 2), np.linspace(1000.0, 2000.0, 9)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_separate_loop(self, case):
+        # the shared golden-section loop also calls f at the bracket ends
+        f, grid = self.CASES[case]
+        ref_calls, calls = [], []
+        want = _reference_maximize_1d(lambda t: ref_calls.append(t) or f(t), grid)
+        got = maximize_1d(lambda t: calls.append(t) or f(t), grid)
+        assert got == want
+        n = len(grid)
+        assert calls[:n] == ref_calls[:n]
+        assert calls[n + 2 :] == ref_calls[n:]
+        assert len(ref_calls) > n + 2
+
+
+def _reference_maximize_1d(f, grid):
+    """The grid scan and golden-section loop of ``maximize_1d`` before the
+    loop was shared with the other golden-section searches."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    xs = np.asarray(list(grid), dtype=np.float64)
+    if xs.size > 1 and np.all(np.diff(xs) < 0):
+        xs = xs[::-1]
+    vals = np.array([f(x) for x in xs], dtype=np.float64)
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a = float(xs[i - 1]) if i > 0 else best_x
+    b = float(xs[i + 1]) if i + 1 < xs.size else best_x
+    if a < b:
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(80):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+                probe_x, probe_v = c, fc
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+                probe_x, probe_v = d, fd
+            if probe_v > best_v:
+                best_x, best_v = float(probe_x), float(probe_v)
+            if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
+                break
+    return best_x, best_v
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +336,15 @@ def _reference_probe_points(domain, slices, x, step):
     return probes
 
 
-def _reference_compass(domain, start, config, batch_objective=None, batch_evaluate=None):
+def _reference_compass(domain, start, config, batch_evaluate):
     """The per-start descent loop that ``compass_batch`` must reproduce."""
     slices = domain.slices()
 
     def score_of(points):
         pts = np.asarray(points, dtype=np.float64)
-        if batch_evaluate is not None:
-            raw_vals, raw_viol = batch_evaluate(pts)
-            vals = np.asarray(raw_vals, dtype=np.float64)
-            violations = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
-        else:
-            vals = np.asarray(batch_objective(pts), dtype=np.float64)
-            violations = np.zeros(len(pts))
+        raw_vals, raw_viol = batch_evaluate(pts)
+        vals = np.asarray(raw_vals, dtype=np.float64)
+        violations = np.broadcast_to(np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0), vals.shape)
         vals = np.where(np.isnan(vals), math.inf, vals)
         with np.errstate(invalid="ignore"):
             scores = vals + config.penalty_weight * violations
@@ -328,20 +402,18 @@ def _assert_same_result(a, b):
     assert (a.value, a.evaluations, a.converged) == (b.value, b.evaluations, b.converged)
 
 
-def _assert_same_descents(domain, starts, config, **forms):
-    batch = compass_batch(domain, starts, config, **forms)
+def _assert_same_descents(domain, starts, config, batch_evaluate):
+    batch = compass_batch(domain, starts, config, batch_evaluate=batch_evaluate)
     assert len(batch) == len(starts)
     for s, got in zip(starts, batch):
-        arg, val, evals, conv = _reference_compass(domain, s, config, **forms)
+        arg, val, evals, conv = _reference_compass(domain, s, config, batch_evaluate)
         assert (got.argmin is None) == (arg is None)
         if arg is not None:
             assert got.argmin.tobytes() == arg.tobytes()
         assert got.value == val or (math.isnan(got.value) and math.isnan(val))
         assert got.evaluations == evals
         assert got.converged == conv
-    single = compass_refine(domain, start=starts[0], config=config, **forms)
-    assert single.evaluations == batch[0].evaluations
-    assert single.value == batch[0].value or single.infeasible
+    _assert_same_result(compass_batch(domain, starts[:1], config, batch_evaluate=batch_evaluate)[0], batch[0])
 
 
 class TestCompassBatchMatchesReference:
@@ -356,7 +428,7 @@ class TestCompassBatchMatchesReference:
         def f(pts):
             return np.cos(3 * pts[:, 0]) + pts[:, 1] * pts[:, 2] + (pts[:, 4] - 0.3) ** 2 - pts[:, 6] * pts[:, 3]
 
-        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+        _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
     def test_zero_mass_coordinates_and_zero_width_box(self):
         dom = SearchDomain([Simplex(4), Box(0.5, 0.5), Simplex(3)])
@@ -370,7 +442,7 @@ class TestCompassBatchMatchesReference:
         def f(pts):
             return ((pts - target) ** 2).sum(axis=1)
 
-        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+        _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
     def test_nan_objective_and_penalty_ranked_infeasible_probes(self):
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
@@ -383,7 +455,7 @@ class TestCompassBatchMatchesReference:
             vals = np.where(pts[:, 2] > 0.8, np.nan, vals)                 # a NaN region
             return vals, np.maximum(0.3 - pts[:, 0], 0.0) + np.maximum(pts[:, 3] - 0.7, 0.0)
 
-        _assert_same_descents(dom, starts, self.CFG, batch_evaluate=evaluate)
+        _assert_same_descents(dom, starts, self.CFG, evaluate)
 
     def test_non_finite_start_and_iteration_cap(self):
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
@@ -398,9 +470,9 @@ class TestCompassBatchMatchesReference:
             return np.sin(5 * pts[:, 0]) + pts[:, 3] ** 2
 
         capped = SolverConfig(max_iterations=7)
-        _assert_same_descents(dom, starts, capped, batch_objective=f)
-        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
-        res = compass_batch(dom, starts, capped, batch_objective=f)
+        _assert_same_descents(dom, starts, capped, _unconstrained(f))
+        _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
+        res = compass_batch(dom, starts, capped, batch_evaluate=_unconstrained(f))
         assert res[1].infeasible and res[1].evaluations == 0 and not res[1].converged
         assert not res[0].converged
 
@@ -419,7 +491,7 @@ class TestCompassBatchMatchesReference:
         def f(pts):
             return (pts * w).sum(axis=1) + 0.5 * (pts[:, :9] ** 2).sum(axis=1)
 
-        _assert_same_descents(dom, starts, self.CFG, batch_objective=f)
+        _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
     def test_batch_is_order_independent(self):
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
@@ -429,14 +501,15 @@ class TestCompassBatchMatchesReference:
         def f(pts):
             return np.cos(4 * pts[:, 0] + pts[:, 3]) + pts[:, 1] ** 2
 
-        forward = compass_batch(dom, starts, self.CFG, batch_objective=f)
-        backward = compass_batch(dom, starts[::-1], self.CFG, batch_objective=f)[::-1]
+        forward = compass_batch(dom, starts, self.CFG, batch_evaluate=_unconstrained(f))
+        backward = compass_batch(dom, starts[::-1], self.CFG, batch_evaluate=_unconstrained(f))[::-1]
         for a, b in zip(forward, backward):
             assert a.argmin.tobytes() == b.argmin.tobytes()
             assert (a.value, a.evaluations, a.converged) == (b.value, b.evaluations, b.converged)
 
     def test_needs_an_objective(self):
-        with pytest.raises(ValueError):
+        # batch_evaluate is a required keyword
+        with pytest.raises(TypeError):
             compass_batch(SearchDomain([Simplex(2)]), [np.array([0.5, 0.5])])
 
     def test_row_bound_splits_calls_without_changing_results(self, monkeypatch):
@@ -448,16 +521,16 @@ class TestCompassBatchMatchesReference:
         def f(pts):
             return np.sin(3 * pts[:, 0]) * pts[:, 3] + (pts[:, 1] - 0.4) ** 2
 
-        whole = compass_batch(dom, starts, self.CFG, batch_objective=f)
+        whole = compass_batch(dom, starts, self.CFG, batch_evaluate=_unconstrained(f))
         for rows in (3, 20):
             monkeypatch.setattr(simplex_optim, "_CALL_ROWS", rows)
             calls = []
 
             def counted(pts):
                 calls.append(len(pts))
-                return f(pts)
+                return f(pts), 0.0
 
-            split = compass_batch(dom, starts, self.CFG, batch_objective=counted)
+            split = compass_batch(dom, starts, self.CFG, batch_evaluate=counted)
             assert max(calls) <= rows
             for a, b in zip(whole, split):
                 _assert_same_result(a, b)
@@ -483,15 +556,15 @@ class TestPerStartParams:
 
     def test_batch_equals_separate_runs(self):
         starts, params = self._params(9, 8)
-        forms = {"batch_objective": _tilted_quadratic}
-        batch = compass_batch(self.DOM, starts, self.CFG, params=params, **forms)
+        evaluate = _unconstrained(_tilted_quadratic)
+        batch = compass_batch(self.DOM, starts, self.CFG, batch_evaluate=evaluate, params=params)
         for s, p, got in zip(starts, params, batch):
-            _assert_same_result(got, compass_batch(self.DOM, [s], self.CFG, params=[p], **forms)[0])
+            _assert_same_result(got, compass_batch(self.DOM, [s], self.CFG, batch_evaluate=evaluate, params=[p])[0])
 
             def fixed(pts, p=p):
                 return _tilted_quadratic(pts, np.broadcast_to(p, (len(pts), 4)))
 
-            arg, val, evals, conv = _reference_compass(self.DOM, s, self.CFG, batch_objective=fixed)
+            arg, val, evals, conv = _reference_compass(self.DOM, s, self.CFG, _unconstrained(fixed))
             assert got.argmin.tobytes() == arg.tobytes()
             assert (got.value, got.evaluations, got.converged) == (val, evals, conv)
 
@@ -512,7 +585,7 @@ class TestPerStartParams:
     def test_params_need_one_row_per_start(self):
         starts, params = self._params(3, 1)
         with pytest.raises(ValueError):
-            compass_batch(self.DOM, starts, self.CFG, batch_objective=_tilted_quadratic, params=params[:2])
+            compass_batch(self.DOM, starts, self.CFG, batch_evaluate=_unconstrained(_tilted_quadratic), params=params[:2])
 
 
 class TestGridSearchBatch:
@@ -526,8 +599,8 @@ class TestGridSearchBatch:
         for p, got in zip(params, batch):
             ref = grid_search(
                 domain,
-                resolution=resolution,
-                batch_objective=lambda pts, p=p: f(pts, np.broadcast_to(p, (len(pts), len(p)))),
+                resolution,
+                _unconstrained(lambda pts, p=p: f(pts, np.broadcast_to(p, (len(pts), len(p))))),
             )
             _assert_same_result(got, ref)
 

@@ -174,6 +174,25 @@ class TestExponent:
         b = wak_exponent(src, RatePair(0.5, 2.0), CFG)
         assert b.value == pytest.approx(0.5, abs=2e-2)
 
+    def test_warm_candidates_are_validated(self):
+        src = dsbs(0.1)
+        bad = [
+            [[0.45, 0.05], [0.05, 0.45]],                 # 2-d
+            [[[0.6, -0.1], [0.3, 0.2]]],                  # a negative entry
+            [[[0.45, np.nan], [0.05, 0.45]]],
+            [[[0.5, 0.5], [0.5, 0.5]]],                   # sums to 2
+        ]
+        for w in bad:
+            with pytest.raises(ValueError):
+                wak_exponent(src, RatePair(0.3, 0.3), CFG, warm_candidates=[w])
+        with pytest.raises(DimensionError):
+            wak_exponent(src, RatePair(0.3, 0.3), CFG, warm_candidates=[np.full((1, 3, 2), 1 / 6)])
+        fast = SolverConfig(grid_resolution=6, starts=2, max_iterations=200, seed=1)
+        raw = [[[0.45, 0.05], [0.05, 0.45]]]
+        a = wak_exponent(src, RatePair(0.3, 0.3), fast, warm_candidates=[raw])
+        b = wak_exponent(src, RatePair(0.3, 0.3), fast, warm_candidates=[AuxJointPmf(raw)])
+        assert (a.value, a.evaluations) == (b.value, b.evaluations)
+
     def test_rate_pair_validation(self):
         with pytest.raises(DomainError):
             RatePair(-0.1, 0.0)

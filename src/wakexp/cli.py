@@ -182,17 +182,15 @@ def _cmd_gap(args) -> int:
 
 def _cmd_dsbs(args) -> int:
     config = _config_from(args, dsbs_mod.DSBS_FAST_CONFIG)
-    con_val, con = dsbs_mod.dsbs_exponent(args.p, args.r1, args.r2, True, config)
-    unc_val, unc = dsbs_mod.dsbs_exponent(
-        args.p, args.r1, args.r2, False, config,
-        warm_candidates=[(con.beta, con.q0, con.q1)],
-    )
+    pt = dsbs_mod.dsbs_pair(args.p, args.r1, args.r2, config)
+    beta_u, q0_u, q1_u = pt.argmin_unconstrained
+    beta_c, q_c = pt.argmin_constrained
     payload = {
         "p": args.p,
         "r1": args.r1,
         "r2": args.r2,
-        "unconstrained": {"value": unc_val, "beta": unc.beta, "q0": unc.q0, "q1": unc.q1},
-        "constrained": {"value": con_val, "beta": con.beta, "q": con.q0},
+        "unconstrained": {"value": pt.unconstrained, "beta": beta_u, "q0": q0_u, "q1": q1_u},
+        "constrained": {"value": pt.constrained, "beta": beta_c, "q": q_c},
     }
     _emit_json(payload, args.out)
     return EXIT_OK

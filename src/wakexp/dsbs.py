@@ -238,8 +238,9 @@ def dsbs_exponent(
     return float(best.value), params
 
 
-def _sweep_point(args) -> DsbsPoint:
-    p, r2, r1, config = args
+def dsbs_pair(p: float, r1: float, r2: float, config: SolverConfig | None = None) -> DsbsPoint:
+    """Both variants at one rate pair: the Markov solve, then the
+    unrestricted solve warm-started from its argmin."""
     con_val, con_par = dsbs_exponent(p, r1, r2, markov_constrained=True, config=config)
     unc_val, unc_par = dsbs_exponent(
         p,
@@ -256,6 +257,10 @@ def _sweep_point(args) -> DsbsPoint:
         argmin_unconstrained=(unc_par.beta, unc_par.q0, unc_par.q1),
         argmin_constrained=(con_par.beta, con_par.q0),
     )
+
+
+def _sweep_point(args) -> DsbsPoint:
+    return dsbs_pair(*args)
 
 
 def figure2_sweep(
@@ -278,7 +283,7 @@ def figure2_sweep(
     if not all(0.0 <= v <= 1.0 for v in r1s):
         raise DomainError("r1 grid must lie within [0, 1]")
     config = DSBS_FAST_CONFIG if config is None else config
-    raw = parallel_map(_sweep_point, [(p, r2, r1, config) for r1 in r1s], workers=workers)
+    raw = parallel_map(_sweep_point, [(p, r1, r2, config) for r1 in r1s], workers=workers)
     points: list[DsbsPoint] = []
     for k, pt in enumerate(raw):
         if k > 0:

@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .dsbs import _fmt
 from .probkit import DomainError, JointPmf2
-from .simplex_optim import SolverConfig
+from .simplex_optim import DEFAULT_CONFIG, SolverConfig
 from .wak_exponent import RatePair, wak_exponent
 
 CSV_HEADER = "r2,max_r1,total_bound"
@@ -123,18 +123,18 @@ def pa_security_bound(
     """
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
-    kwargs = {} if config is None else {"config": config}
-    breakdown = wak_exponent(src, RatePair(r1 + delta, r2), nu=nu, **kwargs)
+    config = DEFAULT_CONFIG if config is None else config
+    breakdown = wak_exponent(src, RatePair(r1 + delta, r2), config, nu=nu)
     return pa_bound_from_exponent(breakdown.value, r1=r1, r2=r2, delta=delta, n=n)
 
 
 def _tradeoff_column(args):
     src_probs, target, n, delta, r2, r1_grid, config, nu = args
     src = JointPmf2(src_probs)
+    config = DEFAULT_CONFIG if config is None else config
     warm = []
     for r1 in sorted(r1_grid, reverse=True):
-        kwargs = {} if config is None else {"config": config}
-        breakdown = wak_exponent(src, RatePair(r1 + delta, r2), nu=nu, warm_candidates=warm, **kwargs)
+        breakdown = wak_exponent(src, RatePair(r1 + delta, r2), config, nu=nu, warm_candidates=warm)
         warm = [breakdown.argmin]
         report = pa_bound_from_exponent(breakdown.value, r1=r1, r2=r2, delta=delta, n=n)
         if report.total <= target:

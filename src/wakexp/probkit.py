@@ -239,6 +239,49 @@ def binary_entropy_inverse(target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _entropy_matched_tilts(probs: np.ndarray, r1: float) -> list:
+    """Tilted laws q ~ p^c on each top-m support with H(q) = r1.
+
+    The minimizer of D(q||p) + max(H(q) - r1, 0) lies in this family: on
+    the branch H >= r1 the objective is linear in q and touches the
+    entropy boundary, on the other branch it is the divergence projection;
+    both pick a power tilt of p restricted to the largest atoms.
+    """
+    order = np.argsort(-probs, kind="stable")
+    order = [i for i in order if probs[i] > 0.0]
+    out = []
+
+    def tilt(support, c):
+        # log-space so that deep tilts saturate to a point mass, never 0/0
+        logs = np.log(probs[support])
+        q = np.zeros_like(probs)
+        q[support] = np.exp(c * (logs - logs.max()))
+        return q / q[support].sum()
+
+    for m in range(1, len(order) + 1):
+        support = np.array(order[:m])
+        if r1 > math.log2(m) + 1e-12 and m > 1:
+            continue
+        if m == 1:
+            out.append(tilt(support, 1.0))
+            continue
+        lo, hi = 0.0, 1.0
+        while entropy_bits(tilt(support, hi)) > r1 and hi < 1e7:
+            hi *= 2.0
+        if entropy_bits(tilt(support, hi)) > r1:
+            # tied top atoms: the entropy floor of this support sits above r1
+            out.append(tilt(support, hi))
+            continue
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            if entropy_bits(tilt(support, mid)) > r1:
+                lo = mid
+            else:
+                hi = mid
+        out.append(tilt(support, 0.5 * (lo + hi)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # auxiliary-joint measures
 # ---------------------------------------------------------------------------

@@ -16,11 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probkit import DomainError, JointPmf2, Pmf, entropy_bits, entropy_rows, kl_rows
+from .probkit import (
+    DomainError,
+    JointPmf2,
+    Pmf,
+    _entropy_matched_tilts,
+    entropy_bits,
+    entropy_rows,
+    kl_rows,
+)
 from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
+    _capped_resolution,
     _golden_max,
     best_of,
     compass_batch,
@@ -95,18 +104,6 @@ def s_theta(p: Pmf, theta: float) -> float:
 # divergence-minimization forms
 # ---------------------------------------------------------------------------
 
-def _capped_resolution(domain: SearchDomain, resolution: int, cap: int) -> int:
-    """Highest resolution, at most ``resolution`` and at least 2, whose
-    lattice over the simplex blocks of ``domain`` has at most ``cap`` rows."""
-    def rows(res):
-        return math.prod(math.comb(res + b.dim - 1, b.dim - 1) for b in domain.blocks)
-
-    res = resolution
-    while res > 2 and rows(res) > cap:
-        res -= 1
-    return res
-
-
 def _simplex_min(k, batch_evaluate, config, candidates, use_grid=True):
     """Shared driver: lattice oracle (when enumerable), refined candidates,
     then multistart; returns (value, argmin, evaluations)."""
@@ -160,53 +157,6 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
             candidates.append(row.ravel())
     value, _, _ = _simplex_min(k, batch_evaluate, config, candidates, use_grid=k <= 9)
     return float(value)
-
-
-def _entropy_matched_tilts(probs: np.ndarray, r1: float) -> list:
-    """Tilted laws q ~ p^c on each top-m support with H(q) = r1.
-
-    The minimizer of D(q||p) + max(H(q) - r1, 0) lies in this family: on
-    the branch H >= r1 the objective is linear in q and touches the
-    entropy boundary, on the other branch it is the divergence projection;
-    both pick a power tilt of p restricted to the largest atoms.
-    """
-    order = np.argsort(-probs, kind="stable")
-    order = [i for i in order if probs[i] > 0.0]
-    out = []
-
-    def tilt(support, c):
-        # log-space so that deep tilts saturate to a point mass, never 0/0
-        logs = np.log(probs[support])
-        q = np.zeros_like(probs)
-        q[support] = np.exp(c * (logs - logs.max()))
-        return q / q[support].sum()
-
-    def ent(q):
-        qp = q[q > 0.0]
-        return float(-(qp * np.log2(qp)).sum())
-
-    for m in range(1, len(order) + 1):
-        support = np.array(order[:m])
-        if r1 > math.log2(m) + 1e-12 and m > 1:
-            continue
-        if m == 1:
-            out.append(tilt(support, 1.0))
-            continue
-        lo, hi = 0.0, 1.0
-        while ent(tilt(support, hi)) > r1 and hi < 1e7:
-            hi *= 2.0
-        if ent(tilt(support, hi)) > r1:
-            # tied top atoms: the entropy floor of this support sits above r1
-            out.append(tilt(support, hi))
-            continue
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if ent(tilt(support, mid)) > r1:
-                lo = mid
-            else:
-                hi = mid
-        out.append(tilt(support, 0.5 * (lo + hi)))
-    return out
 
 
 def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None) -> float:
@@ -448,7 +398,9 @@ class OohamaEvaluator:
             self._omega_cache[key] = float(min(r.value for r in tilt_runs if not r.infeasible))
 
     def omega(self, mu: float, alpha: float) -> float:
-        """Inner minimum of the tilted log-sum at one (mu, alpha)."""
+        """Inner minimum of the tilted log-sum at one (mu, alpha) in [0, 1]²."""
+        if not (0.0 <= mu <= 1.0 and 0.0 <= alpha <= 1.0):
+            raise DomainError("tilts must be finite and lie in [0, 1]")
         key = _tilt_key(mu, alpha)
         if key not in self._omega_cache:
             self._solve_tilts([(mu, alpha)])

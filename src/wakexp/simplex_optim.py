@@ -224,6 +224,25 @@ def _grid_chunks(block_arrays, target=1 << 18):
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
+def lattice_rows(domain: SearchDomain, resolution: int) -> int:
+    """Number of points in the lattice of ``domain`` with denominator
+    ``resolution``: C(resolution + d - 1, d - 1) per d-simplex block and
+    resolution + 1 per box block, multiplied."""
+    return math.prod(
+        math.comb(resolution + b.dim - 1, b.dim - 1) if isinstance(b, Simplex) else resolution + 1
+        for b in domain.blocks
+    )
+
+
+def _capped_resolution(domain: SearchDomain, resolution: int, cap: int) -> int:
+    """Highest resolution, at most ``resolution`` and at least 2, whose
+    lattice over ``domain`` has at most ``cap`` rows."""
+    res = resolution
+    while res > 2 and lattice_rows(domain, res) > cap:
+        res -= 1
+    return res
+
+
 def grid_search(domain: SearchDomain, resolution: int, batch_evaluate) -> SearchResult:
     """Exact minimum over every lattice point with the given denominator.
 

@@ -11,13 +11,21 @@ form D(P_UXY || P_{U|Y} Pxy); both routes are exposed so they can be checked
 against each other.
 
 The minimization is nonconvex (the conditional mutual information and the
-positive part both kink), so the solver combines seeded multistart compass
-descent with a family of structured feasible starts: the source itself under
-a constant auxiliary, point masses, copy auxiliaries U = X and U = Y,
-entropy-saturating timeshares of those copies, and an embedding of the best
-rate-region test channel.  Every candidate is a valid feasible point, so the
-returned value is always an upper bound that the random restarts can only
-improve.
+positive part both kink), so seeded multistart compass descent runs next
+to structured starts, each a table m(x, y) glued to a test channel:
+
+* m(x, y) W(u|y), Markov U - Y - X under m: constant U, U = Y, its
+  entropy-saturating timeshare, the optimized U = Y copy manifold and the
+  embedded rate-region test channel;
+* m(x, y) W(u|x): the point masses, U = X, its timeshare and the
+  optimized U = X copy manifold.
+
+Without side information (|Y| = 1) the U = X timeshares of the
+entropy-matched power tilts of P_X join them.  Constant U is infeasible
+when R1 < H(X), and U = Y when R1 < H(X|Y); their descents rank probes by a
+penalized score and count only from the first feasible point.  The point
+masses and U = X have H(X|U) = 0, so the returned point is always feasible
+and its value an upper bound that the other starts can only improve.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .probkit import (
     DimensionError,
     DomainError,
     JointPmf2,
+    _entropy_matched_tilts,
     aux_measures,
     entropy_bits,
     entropy_rows,
@@ -45,10 +54,11 @@ from .simplex_optim import (
     SearchResult,
     Simplex,
     SolverConfig,
-    _golden_max,
+    _capped_resolution,
     best_of,
     compass_batch,
     grid_search,
+    lattice_rows,
     random_starts,
 )
 
@@ -220,6 +230,17 @@ def _bisect_multiplier(solve, feasible, doublings: int, halvings: int) -> None:
 # batched search problem
 # ---------------------------------------------------------------------------
 
+def _padded_channel(channel, nu: int) -> np.ndarray | None:
+    """Rows W(u|.) of a channel (or the u-slices of a joint) zero-padded to
+    ``nu`` rows; None when there are more."""
+    w = np.asarray(channel, dtype=np.float64)
+    if w.shape[0] > nu:
+        return None
+    out = np.zeros((nu,) + w.shape[1:])
+    out[: w.shape[0]] = w
+    return out
+
+
 class _ExponentSearch:
     """Vectorized objective/violation for the mixture parametrization.
 
@@ -272,93 +293,64 @@ class _ExponentSearch:
         """Flat domain point reproducing the given (nu, nx, ny) tensor."""
         t = np.asarray(tensor, dtype=np.float64).reshape(self.nu, self.k)
         pu = t.sum(axis=1)
-        blocks = np.empty_like(t)
-        for u in range(self.nu):
-            if pu[u] > 0.0:
-                blocks[u] = t[u] / pu[u]
-            else:
-                blocks[u] = 1.0 / self.k
+        # an empty u gets the uniform block
+        blocks = np.divide(t, pu[:, None], out=np.full_like(t, 1.0 / self.k), where=pu[:, None] > 0.0)
         return np.concatenate([pu, blocks.ravel()])
 
     # -- structured starts ---------------------------------------------
 
-    def _pad_blocks(self, weights, blocks) -> np.ndarray:
-        tensor = np.zeros((self.nu, self.k))
-        for u, (w, b) in enumerate(zip(weights, blocks)):
-            tensor[u] = w * b
-        return self.encode(tensor)
+    def embed(self, channel, on: str, table=None) -> np.ndarray | None:
+        """Domain point of m(x, y) W(u|x) (``on="x"``) or m(x, y) W(u|y) (``on="y"``).
 
-    def candidate_constant_u(self, table=None) -> np.ndarray:
-        table = self.src_flat if table is None else np.asarray(table).ravel()
-        return self._pad_blocks([1.0], [table])
-
-    def candidate_point_masses(self):
-        px = self.src.probs.sum(axis=1)
-        out = []
-        for x in range(self.nx):
-            if px[x] <= 0.0:
-                continue
-            block = np.zeros((self.nx, self.ny))
-            block[x] = self.src.probs[x] / px[x]
-            out.append(self.candidate_constant_u(block))
-        return out
-
-    def candidate_copy_y(self, table=None) -> np.ndarray | None:
-        if self.nu < self.ny:
+        The table m defaults to the source; W's rows are zero-padded to nu,
+        and a channel with more than nu rows gives None.
+        """
+        w = _padded_channel(channel, self.nu)
+        if w is None:
             return None
-        tab = self.src.probs if table is None else np.asarray(table).reshape(self.nx, self.ny)
-        tensor = np.zeros((self.nu, self.nx, self.ny))
-        for y in range(self.ny):
-            tensor[y, :, y] = tab[:, y]
-        return self.encode(tensor.reshape(self.nu, self.k))
+        m = self.src.probs if table is None else np.asarray(table).reshape(self.nx, self.ny)
+        return self.encode(m * (w[:, :, None] if on == "x" else w[:, None, :]))
 
-    def candidate_copy_x(self, table=None) -> np.ndarray | None:
-        if self.nu < self.nx:
-            return None
-        tab = self.src.probs if table is None else np.asarray(table).reshape(self.nx, self.ny)
-        tensor = np.zeros((self.nu, self.nx, self.ny))
-        for x in range(self.nx):
-            tensor[x, x, :] = tab[x, :]
-        return self.encode(tensor.reshape(self.nu, self.k))
+    def split_channel(self, on: str, table) -> np.ndarray:
+        """W that timeshares the copy U = X (``on="x"``) or U = Y of
+        ``table`` with a constant last slot.
 
-    def candidate_split(self, kind: str, table=None) -> np.ndarray | None:
-        """Timeshare a copy auxiliary with a constant slot so that H(X|U)
-        saturates the rate constraint as tightly as the family allows."""
-        tab = self.src.probs if table is None else np.asarray(table).reshape(self.nx, self.ny)
-        if kind == "x":
-            if self.nu < self.nx + 1:
-                return None
-            h_full = entropy_bits(tab.sum(axis=1))
-            gamma = 1.0 if h_full <= 0.0 else min(1.0, self.r1 / h_full)
-            gamma *= 1.0 - 1e-12
-            tensor = np.zeros((self.nu, self.nx, self.ny))
-            for x in range(self.nx):
-                tensor[x, x, :] = (1.0 - gamma) * tab[x, :]
-            tensor[self.nu - 1] = gamma * tab
+        The slot's weight makes H(X|U), which moves from H(X|copy) to H(X)
+        with it, saturate r1 as tightly as the family allows.  W has nu
+        rows, or one more than the copy when nu is smaller than that.
+        """
+        n = table.shape[0 if on == "x" else 1]
+        h_full = entropy_bits(table.sum(axis=1))
+        if on == "x":
+            h_copy, tol = 0.0, 0.0
         else:
-            if self.nu < self.ny + 1:
-                return None
-            h_cond = entropy_bits(tab) - entropy_bits(tab.sum(axis=0))
-            h_full = entropy_bits(tab.sum(axis=1))
-            if h_full - h_cond <= 1e-15:
-                gamma = 1.0
-            else:
-                gamma = (self.r1 - h_cond) / (h_full - h_cond)
-            gamma = min(1.0, max(0.0, gamma)) * (1.0 - 1e-12)
-            tensor = np.zeros((self.nu, self.nx, self.ny))
-            for y in range(self.ny):
-                tensor[y, :, y] = (1.0 - gamma) * tab[:, y]
-            tensor[self.nu - 1] = gamma * tab
-        return self.encode(tensor.reshape(self.nu, self.k))
+            # H(X|Y) is a difference of entropies, so an empty gap shows as rounding
+            h_copy, tol = entropy_bits(table) - entropy_bits(table.sum(axis=0)), 1e-15
+        gap = h_full - h_copy
+        gamma = 1.0 if gap <= tol else min(1.0, max(0.0, (self.r1 - h_copy) / gap))
+        gamma *= 1.0 - 1e-12
+        w = np.zeros((max(self.nu, n + 1), n))
+        w[:n] = (1.0 - gamma) * np.eye(n)
+        w[-1] = gamma
+        return w
 
-    def candidate_channel_embed(self, channel: np.ndarray) -> np.ndarray | None:
-        """Embed a rate-region test channel W(u|y) as P(u,x,y) = Pxy * W."""
-        w = np.asarray(channel, dtype=np.float64)
-        if w.shape[0] > self.nu or w.shape[1] != self.ny:
-            return None
-        tensor = np.zeros((self.nu, self.nx, self.ny))
-        tensor[: w.shape[0]] = self.src.probs[None, :, :] * w[:, None, :]
-        return self.encode(tensor.reshape(self.nu, self.k))
+    def fixed_starts(self) -> list:
+        """The closed-form starts, in a fixed order: constant U, the point
+        masses, U = Y, U = X, the timeshares of U = X and of U = Y, and for
+        sources without side information (|Y| = 1) the U = X timeshare of
+        every entropy-matched power tilt of P_X."""
+        nx, ny, src = self.nx, self.ny, self.src.probs
+        px = src.sum(axis=1)
+        # the point mass at x is P(y|x) under the channel that sends only x to u = 0
+        p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
+        starts = [self.embed(np.ones((1, ny)), "y")]
+        starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
+        starts += [self.embed(np.eye(ny), "y"), self.embed(np.eye(nx), "x")]
+        tables = [("x", src), ("y", src)]
+        if ny == 1:
+            tables += [("x", q[:, None]) for q in _entropy_matched_tilts(src[:, 0], self.r1)]
+        starts += [self.embed(self.split_channel(on, t), on, t) for on, t in tables]
+        return [s for s in starts if s is not None]
 
     def candidates_copy_manifolds(self, config: SolverConfig):
         """Optimize the deformed table of the two copy embeddings.
@@ -391,12 +383,7 @@ class _ExponentSearch:
             starts=max(4, min(config.starts, 8)),
             max_iterations=min(config.max_iterations, 2000),
         )
-        base = [self.src_flat.copy()]
-        for i in range(k):
-            if self.src_flat[i] > 0.0:
-                e = np.zeros(k)
-                e[i] = 1.0
-                base.append(e)
+        base = [self.src_flat.copy()] + list(np.eye(k)[self.src_flat > 0.0])
 
         out = []
         if self.nu >= self.nx:
@@ -405,14 +392,12 @@ class _ExponentSearch:
                 mi = h_x + h_y - h_xy
                 return kl + (h_xy - h_y) + np.maximum(mi - r2, 0.0), 0.0
 
-            res = 40
-            while res > 2 and math.comb(res + k - 1, k - 1) > 200_000:
-                res -= 1
+            res = _capped_resolution(domain, 40, 200_000)
             winners = [grid_search(domain, resolution=res, batch_evaluate=x_copy_evaluate)]
             refine = base + [w.argmin for w in winners if not w.infeasible]
             winners += compass_batch(domain, refine, local, batch_evaluate=x_copy_evaluate)
             best = min((w for w in winners if not w.infeasible), key=lambda w: w.value)
-            out.append(self.candidate_copy_x(best.argmin))
+            out.append(self.embed(np.eye(nx), "x", best.argmin))
 
         if self.nu >= self.ny:
             def y_copy_evaluate(pts):
@@ -443,44 +428,7 @@ class _ExponentSearch:
             if not polish.infeasible:
                 consider(polish.argmin)
             if best_m is not None:
-                out.append(self.candidate_copy_y(best_m))
-        return [c for c in out if c is not None]
-
-    def candidates_tilted_single(self):
-        """For sources without side information (ny == 1): entropy-saturating
-        timeshares of power tilts of the marginal, with a golden scan over
-        the tilt on every top-m support."""
-        if self.ny != 1 or self.nu < self.nx + 1:
-            return []
-        p = self.src.probs.ravel()
-        order = [i for i in np.argsort(-p, kind="stable") if p[i] > 0.0]
-        out = []
-        for m in range(1, len(order) + 1):
-            support = np.array(order[:m])
-            logp = np.log(p[support])
-
-            def tilted(c):
-                w = np.zeros_like(p)
-                w[support] = np.exp(c * (logp - logp.max()))
-                return w / w.sum()
-
-            def build(c):
-                return self.candidate_split("x", tilted(c)[:, None])
-
-            def score(c):
-                obj, viol = self.evaluate(build(c)[None, :])
-                return obj[0] if viol[0] <= 1e-12 else math.inf
-
-            if m == 1:
-                out.append(build(1.0))
-                continue
-            cs = np.linspace(0.0, 1.0, 9).tolist() + [2.0, 4.0, 8.0, 16.0, 64.0]
-            scored = [score(c) for c in cs]
-            i = int(np.argmin(scored))
-            lo, hi = cs[max(i - 1, 0)], cs[min(i + 1, len(cs) - 1)]
-            best_c, _ = _golden_max(lambda c: -score(c), lo, hi, 40)
-            out.append(build(best_c))
-            out.append(build(cs[i]))
+                out.append(self.embed(np.eye(ny), "y", best_m))
         return out
 
 
@@ -527,16 +475,9 @@ class _RegionSearch:
         return np.asarray(rows, dtype=np.float64).reshape(-1)
 
     def candidates(self):
-        out = []
-        rows = np.zeros((self.ny, self.nu))
-        rows[:, 0] = 1.0                       # U independent of Y
-        out.append(self.encode_rows(rows))
-        if self.nu >= self.ny:
-            rows = np.zeros((self.ny, self.nu))
-            for y in range(self.ny):
-                rows[y, y] = 1.0               # U = Y
-            out.append(self.encode_rows(rows))
-        return out
+        """The constant channel and, when nu >= |Y|, the channel U = Y."""
+        channels = (_padded_channel(w, self.nu) for w in (np.ones((1, self.ny)), np.eye(self.ny)))
+        return [self.encode_rows(w.T) for w in channels if w is not None]
 
 
 def _region_argmin(
@@ -557,9 +498,7 @@ def _region_argmin(
     nu = src.ny + 1 if nu_cap is None else max(1, min(nu_cap, src.ny + 1))
     if r2 <= 1e-9:
         # I(U;Y) = 0 forces independence, so H(X|U) = H(X) exactly
-        rows = np.zeros((src.ny, nu))
-        rows[:, 0] = 1.0
-        return entropy_bits(src.probs.sum(axis=1)), rows.T, src.ny
+        return entropy_bits(src.probs.sum(axis=1)), _padded_channel(np.ones((1, src.ny)), nu), src.ny
     prob = _RegionSearch(src, r2, nu)
     local = replace(
         config,
@@ -593,8 +532,7 @@ def _region_argmin(
 
     _bisect_multiplier(solve_scalarized, consider, 40, 22)
 
-    grid_points = math.comb(config.grid_resolution + nu - 1, nu - 1) ** src.ny
-    if grid_points <= 120_000:
+    if lattice_rows(prob.domain, config.grid_resolution) <= 120_000:
         g = grid_search(
             prob.domain, resolution=config.grid_resolution, batch_evaluate=prob.evaluate
         )
@@ -711,32 +649,13 @@ def wak_exponent(
             )
     prob = _ExponentSearch(src, rates.r1, rates.r2, nu)
 
-    starts = [prob.candidate_constant_u()]
-    starts.extend(prob.candidate_point_masses())
-    for cand in (
-        prob.candidate_copy_y(),
-        prob.candidate_copy_x(),
-        prob.candidate_split("x"),
-        prob.candidate_split("y"),
-    ):
-        if cand is not None:
-            starts.append(cand)
-    starts.extend(prob.candidates_tilted_single())
-    starts.extend(prob.candidates_copy_manifolds(config))
+    starts = prob.fixed_starts() + prob.candidates_copy_manifolds(config)
+    # the region channel has at most nu rows, so it always embeds
+    _, channel, evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
+    starts.append(prob.embed(channel, "y"))
 
-    evaluations = 0
-    _, channel, ev = _region_argmin(src, rates.r2, config, nu_cap=nu)
-    evaluations += ev
-    embed = prob.candidate_channel_embed(channel)
-    if embed is not None:
-        starts.append(embed)
-
-    for w in warm:
-        if w.nu > nu:
-            continue
-        padded = np.zeros((nu, src.nx, src.ny))
-        padded[: w.nu] = w.probs
-        starts.append(prob.encode(padded.reshape(nu, prob.k)))
+    padded = (_padded_channel(w.probs, nu) for w in warm)
+    starts += [prob.encode(t) for t in padded if t is not None]
 
     runs = compass_batch(
         prob.domain,

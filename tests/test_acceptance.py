@@ -163,7 +163,7 @@ def test_05_single_user_reduction(capsys):
     report(
         capsys,
         "05 single-user reduction",
-        worst <= 1e-3,
+        worst <= 1e-10,
         f"max |general - single| {worst:.2e} over 40 solves in {time.time()-t0:.1f}s",
     )
 

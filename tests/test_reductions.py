@@ -14,7 +14,6 @@ from wakexp.reductions import (
     GapReport,
     OohamaEvaluator,
     ThetaGrid,
-    _capped_resolution,
     _tilt_coefficients,
     _tilt_key,
     exponent_ne,
@@ -28,6 +27,7 @@ from wakexp.reductions import (
 from wakexp import reductions, simplex_optim
 from wakexp.simplex_optim import (
     SolverConfig,
+    _capped_resolution,
     _cartesian_rows,
     compass_batch,
     grid_search,
@@ -254,6 +254,17 @@ class TestOohamaWakBound:
         for rates in ((0.3, bad), (bad, 0.3)):
             with pytest.raises(DomainError):
                 ev.bound(*rates)
+        assert not ev._omega_cache
+
+    @pytest.mark.parametrize(
+        "tilt", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (2.0, 3.0), (0.5, -0.1), (1.0 + 1e-12, 0.0)]
+    )
+    def test_tilt_outside_the_unit_square_rejected(self, tilt):
+        # nan once failed inside the solve with a bare ValueError, and
+        # (2, 3) returned -146.49 with no error
+        ev = OohamaEvaluator(dsbs(0.1))
+        with pytest.raises(DomainError):
+            ev.omega(*tilt)
         assert not ev._omega_cache
 
 

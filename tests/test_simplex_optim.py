@@ -15,6 +15,7 @@ from wakexp.simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
+    _cartesian_rows,
     best_of,
     compass_batch,
     grid_search,
@@ -62,6 +63,16 @@ class TestSimplexGrid:
     def test_dimension_one(self):
         g = simplex_grid(1, 7)
         np.testing.assert_array_equal(g, [[1.0]])
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[Simplex(3)], [Simplex(1), Simplex(4)], [Box(0.0, 1.0)] * 3, [Simplex(3), Box(-1.0, 2.0)]],
+        ids=["simplex", "two-simplexes", "boxes", "mixed"],
+    )
+    def test_lattice_rows_counts_the_lattice(self, blocks):
+        domain = SearchDomain(blocks)
+        for res in (2, 5):
+            assert simplex_optim.lattice_rows(domain, res) == len(_cartesian_rows(domain.grid_arrays(res)))
 
 
 class TestSolverConfig:

@@ -11,13 +11,19 @@ from wakexp.probkit import (
     DimensionError,
     DomainError,
     JointPmf2,
+    _entropy_matched_tilts,
+    aux_measures,
     binary_entropy,
     conditional_entropy,
+    entropy_bits,
 )
 from wakexp.reductions import exponent_ne
 from wakexp.simplex_optim import SolverConfig
 from wakexp.wak_exponent import (
     RatePair,
+    _ExponentSearch,
+    _region_argmin,
+    _RegionSearch,
     RegionCurve,
     UpperBoundWarning,
     region_contains,
@@ -344,3 +350,204 @@ class TestRegion:
             RegionCurve(((0.5, 0.3), (0.2, 0.4)))
         with pytest.raises(ValueError):
             RegionCurve(((0.1, 0.3), (0.2, 0.4)))
+
+
+# ---------------------------------------------------------------------------
+# structured starts: one embedding against the separate builders it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_pad_blocks(prob, weights, blocks):
+    tensor = np.zeros((prob.nu, prob.k))
+    for u, (w, b) in enumerate(zip(weights, blocks)):
+        tensor[u] = w * b
+    return prob.encode(tensor)
+
+
+def _reference_constant_u(prob, table=None):
+    table = prob.src_flat if table is None else np.asarray(table).ravel()
+    return _reference_pad_blocks(prob, [1.0], [table])
+
+
+def _reference_point_masses(prob):
+    px = prob.src.probs.sum(axis=1)
+    out = []
+    for x in range(prob.nx):
+        if px[x] <= 0.0:
+            continue
+        block = np.zeros((prob.nx, prob.ny))
+        block[x] = prob.src.probs[x] / px[x]
+        out.append(_reference_constant_u(prob, block))
+    return out
+
+
+def _reference_copy_y(prob, table=None):
+    if prob.nu < prob.ny:
+        return None
+    tab = prob.src.probs if table is None else np.asarray(table).reshape(prob.nx, prob.ny)
+    tensor = np.zeros((prob.nu, prob.nx, prob.ny))
+    for y in range(prob.ny):
+        tensor[y, :, y] = tab[:, y]
+    return prob.encode(tensor.reshape(prob.nu, prob.k))
+
+
+def _reference_copy_x(prob, table=None):
+    if prob.nu < prob.nx:
+        return None
+    tab = prob.src.probs if table is None else np.asarray(table).reshape(prob.nx, prob.ny)
+    tensor = np.zeros((prob.nu, prob.nx, prob.ny))
+    for x in range(prob.nx):
+        tensor[x, x, :] = tab[x, :]
+    return prob.encode(tensor.reshape(prob.nu, prob.k))
+
+
+def _reference_split(prob, kind, table=None):
+    tab = prob.src.probs if table is None else np.asarray(table).reshape(prob.nx, prob.ny)
+    if kind == "x":
+        if prob.nu < prob.nx + 1:
+            return None
+        h_full = entropy_bits(tab.sum(axis=1))
+        gamma = 1.0 if h_full <= 0.0 else min(1.0, prob.r1 / h_full)
+        gamma *= 1.0 - 1e-12
+        tensor = np.zeros((prob.nu, prob.nx, prob.ny))
+        for x in range(prob.nx):
+            tensor[x, x, :] = (1.0 - gamma) * tab[x, :]
+        tensor[prob.nu - 1] = gamma * tab
+    else:
+        if prob.nu < prob.ny + 1:
+            return None
+        h_cond = entropy_bits(tab) - entropy_bits(tab.sum(axis=0))
+        h_full = entropy_bits(tab.sum(axis=1))
+        if h_full - h_cond <= 1e-15:
+            gamma = 1.0
+        else:
+            gamma = (prob.r1 - h_cond) / (h_full - h_cond)
+        gamma = min(1.0, max(0.0, gamma)) * (1.0 - 1e-12)
+        tensor = np.zeros((prob.nu, prob.nx, prob.ny))
+        for y in range(prob.ny):
+            tensor[y, :, y] = (1.0 - gamma) * tab[:, y]
+        tensor[prob.nu - 1] = gamma * tab
+    return prob.encode(tensor.reshape(prob.nu, prob.k))
+
+
+def _reference_channel_embed(prob, channel):
+    w = np.asarray(channel, dtype=np.float64)
+    if w.shape[0] > prob.nu or w.shape[1] != prob.ny:
+        return None
+    tensor = np.zeros((prob.nu, prob.nx, prob.ny))
+    tensor[: w.shape[0]] = prob.src.probs[None, :, :] * w[:, None, :]
+    return prob.encode(tensor.reshape(prob.nu, prob.k))
+
+
+def _reference_region_candidates(prob):
+    out = []
+    rows = np.zeros((prob.ny, prob.nu))
+    rows[:, 0] = 1.0
+    out.append(rows.reshape(-1))
+    if prob.nu >= prob.ny:
+        rows = np.zeros((prob.ny, prob.nu))
+        for y in range(prob.ny):
+            rows[y, y] = 1.0
+        out.append(rows.reshape(-1))
+    return out
+
+
+def _same_bytes(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return got.tobytes() == want.tobytes()
+
+
+START_SOURCES = {
+    "2x2": [[0.4, 0.1], [0.15, 0.35]],
+    "3x2": [[0.13, 0.14], [0.28, 0.13], [0.07, 0.25]],
+    "2x3": [[0.15, 0.06, 0.29], [0.36, 0.05, 0.09]],
+    "1x3": [[0.47, 0.34, 0.19]],
+    "3x1": [[0.6], [0.25], [0.15]],
+    "zero-entry": [[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]],
+    "zero-row": [[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]],
+}
+START_NUS = (1, 2, 3, 4, 5)
+
+
+def _random_table(rng, nx, ny):
+    t = rng.exponential(size=(nx, ny))
+    t[rng.random(size=(nx, ny)) < 0.25] = 0.0
+    t.flat[rng.integers(nx * ny)] += 0.1
+    return t / t.sum()
+
+
+class TestStructuredStarts:
+    @pytest.mark.parametrize("name", sorted(START_SOURCES))
+    def test_fixed_starts_match_the_reference_builders(self, name):
+        src = JointPmf2(START_SOURCES[name])
+        for nu in START_NUS:
+            for r1 in (0.0, 0.4, 5.0):
+                prob = _ExponentSearch(src, r1, 0.3, nu)
+                want = [_reference_constant_u(prob)] + _reference_point_masses(prob)
+                want += [
+                    _reference_copy_y(prob),
+                    _reference_copy_x(prob),
+                    _reference_split(prob, "x"),
+                    _reference_split(prob, "y"),
+                ]
+                if src.ny == 1:
+                    tilts = _entropy_matched_tilts(src.probs[:, 0], r1)
+                    want += [_reference_split(prob, "x", q[:, None]) for q in tilts]
+                want = [w for w in want if w is not None]
+                got = prob.fixed_starts()
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (nu, r1)
+
+    @pytest.mark.parametrize("name", sorted(START_SOURCES))
+    def test_table_and_channel_embeds_match_the_reference_builders(self, name):
+        src = JointPmf2(START_SOURCES[name])
+        rng = np.random.default_rng(11)
+        for nu in START_NUS:
+            prob = _ExponentSearch(src, 0.4, 0.3, nu)
+            for _ in range(4):
+                table = _random_table(rng, src.nx, src.ny)
+                assert _same_bytes(prob.embed(np.eye(src.nx), "x", table), _reference_copy_x(prob, table))
+                assert _same_bytes(prob.embed(np.eye(src.ny), "y", table), _reference_copy_y(prob, table))
+                assert _same_bytes(prob.embed(np.ones((1, src.ny)), "y", table), _reference_constant_u(prob, table))
+                w = rng.exponential(size=(int(rng.integers(1, nu + 2)), src.ny))
+                w /= w.sum(axis=0)
+                assert _same_bytes(prob.embed(w, "y"), _reference_channel_embed(prob, w))
+            region = _RegionSearch(src, 0.3, nu)
+            want = _reference_region_candidates(region)
+            assert [c.tobytes() for c in region.candidates()] == [c.tobytes() for c in want]
+        _, channel, _ = _region_argmin(src, 0.0, CFG, nu_cap=3)
+        rows = np.zeros((src.ny, channel.shape[0]))
+        rows[:, 0] = 1.0
+        assert channel.tobytes() == rows.T.tobytes()
+
+    def test_a_channel_longer_than_nu_gives_none(self):
+        # nu = 2 on a 3x2 source: U = Y and its split fit, U = X and its split do not
+        prob = _ExponentSearch(JointPmf2(START_SOURCES["3x2"]), 0.4, 0.3, 2)
+        assert prob.embed(np.eye(3), "x") is None and _reference_copy_x(prob) is None
+        assert prob.embed(np.eye(2), "y") is not None
+        assert prob.embed(prob.split_channel("x", prob.src.probs), "x") is None
+        assert prob.embed(prob.split_channel("y", prob.src.probs), "y") is None
+        assert _reference_split(prob, "y") is None
+
+    @pytest.mark.parametrize("name", sorted(START_SOURCES))
+    def test_channel_shapes_fix_the_markov_term_or_the_equivocation(self, name):
+        # m(x, y) W(u|y) makes U - Y - X Markov under m; U = X leaves no
+        # equivocation H(X|U), and its timeshare stays within r1
+        src = JointPmf2(START_SOURCES[name])
+        rng = np.random.default_rng(12)
+        nu = max(src.nx, src.ny) + 1
+        for r1 in (0.0, 0.4, 5.0):
+            prob = _ExponentSearch(src, r1, 0.3, nu)
+
+            def aux(pt):
+                return AuxJointPmf(prob.tensors(pt)[0].reshape(nu, src.nx, src.ny))
+
+            for table in (src.probs, _random_table(rng, src.nx, src.ny)):
+                w = rng.exponential(size=(nu, src.ny))
+                w /= w.sum(axis=0)
+                for channel in (np.ones((1, src.ny)), np.eye(src.ny), prob.split_channel("y", table), w):
+                    a = aux(prob.embed(channel, "y", table))
+                    assert abs(soft_markov_decompose(a, src)[1]) <= 1e-12
+                    assert abs(aux_measures(a).i_u_x_given_y) <= 1e-12
+                assert abs(aux_measures(aux(prob.embed(np.eye(src.nx), "x", table))).h_x_given_u) <= 1e-12
+                split = aux_measures(aux(prob.embed(prob.split_channel("x", table), "x", table)))
+                assert split.h_x_given_u <= r1 + 1e-12

@@ -8,13 +8,14 @@ platform refuses to spawn workers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def parallel_map(fn, items, workers: int = 1) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: most runs are sequential and never pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             return list(pool.map(fn, items))

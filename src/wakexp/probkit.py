@@ -160,6 +160,118 @@ def kl_rows(m: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(t), 0.0, t).sum(axis=1)
 
 
+def lead_sum(a: np.ndarray, out: np.ndarray | None = None, pairwise: bool = False) -> np.ndarray:
+    """Sum over the leading axis of ``a``, in the order in which numpy sums
+    one axis of a row-major array, bit for bit up to the sign of a zero sum.
+
+    numpy adds along an axis in index order, except along the contiguous
+    one (``pairwise``), which it sums pairwise from 8 entries on: 8
+    running sums over every 8th entry, combined as a balanced tree, then
+    the remainder in order, and halves first above 128 entries.  ``a`` is
+    a feature-major stack, one entry per leading index, so every add runs
+    over whole contiguous rows.
+    """
+    n = len(a)
+    if pairwise and n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(lead_sum(a[:half], pairwise=True), lead_sum(a[half:], pairwise=True), out=out)
+    if pairwise and n >= 8:
+        acc = a[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            acc += a[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        out = np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+        start = n - n % 8
+    elif n == 1:
+        return a[0].copy() if out is None else np.copyto(out, a[0]) or out
+    else:
+        out = np.add(a[0], a[1], out=out)
+        start = 2
+    for i in range(start, n):
+        np.add(out, a[i], out=out)
+    return out
+
+
+BLOCK_POINTS = 2048         # points per pass of a feature-major kernel
+
+
+def in_blocks(kernel, pts):
+    """``kernel(pts)`` over blocks of at most ``BLOCK_POINTS`` points,
+    concatenated.
+
+    ``kernel`` maps a 2-d float array of points (one per row) to a tuple
+    of per-point result arrays, each point's results depending on that
+    point alone; blocks bound the working memory of a large lattice.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    if len(pts) <= BLOCK_POINTS:
+        return kernel(pts)
+    parts = [kernel(pts[lo : lo + BLOCK_POINTS]) for lo in range(0, len(pts), BLOCK_POINTS)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+class Layout:
+    """Feature-major layout of a block of vectors: one row per entry, one
+    column per point.
+
+    Each vector takes the rows ``rows[i]``, right after a zero row at
+    ``pads[i]``.  numpy starts a sum from 0, and ``np.add.reduceat`` starts
+    from the first row of its run, so one ``reduceat`` at the zero rows
+    sums every vector of every point, each bit for bit as numpy sums that
+    vector alone.
+
+    The blocks live in a workspace that the layout keeps for later calls,
+    so a large batch faults in no fresh pages; a kernel on one layout must
+    therefore not run in two threads at once.  :meth:`entropies` returns
+    no view of it.
+    """
+
+    def __init__(self, widths):
+        pads, at = [], 0
+        for w in widths:
+            pads.append(at)
+            at += 1 + w
+        self.pads = np.array(pads, dtype=np.intp)
+        self.rows = tuple(slice(p + 1, p + 1 + w) for p, w in zip(pads, widths))
+        self.height = at
+        self._space = np.empty(0)
+        self._nan = np.empty(0, dtype=bool)
+
+    def block(self, n: int) -> np.ndarray:
+        """A (height, n) block with zero pad rows; the caller fills every
+        vector's rows."""
+        size = self.height * n
+        if self._space.size < 2 * size:
+            self._space = np.empty(2 * size)
+            self._nan = np.empty(size, dtype=bool)
+        m = self._space[:size].reshape(self.height, n)
+        m[self.pads] = 0.0
+        return m
+
+    def entropies(self, m: np.ndarray, log_ref=None) -> np.ndarray:
+        """Entropy (bits) of every vector of each point of the block ``m``,
+        one result row per vector.
+
+        With ``log_ref`` the last vector m gives sum m*(log2 m - log_ref)
+        instead, a divergence.  Each result equals :func:`entropy_rows`
+        (:func:`kl_rows`) of its vector bit for bit, from one log2, one
+        product and one NaN pass over the whole block and one ``reduceat``.
+        """
+        size = m.size
+        terms = self._space[size : 2 * size].reshape(m.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log2(m, out=terms)
+            if log_ref is not None:
+                last = terms[self.rows[-1]]
+                np.subtract(last, log_ref[:, None], out=last)
+            np.multiply(m, terms, out=terms)
+        np.copyto(terms, 0.0, where=np.isnan(terms, out=self._nan[:size].reshape(m.shape)))
+        sums = np.add.reduceat(terms, self.pads, axis=0)
+        k = len(sums) - (log_ref is not None)
+        np.negative(sums[:k], out=sums[:k])
+        return sums
+
+
 def entropy(p: Pmf) -> float:
     """Entropy H in bits; lies in [0, log2 |alphabet|]."""
     return entropy_bits(p.probs)

@@ -24,6 +24,7 @@ from .probkit import (
     entropy_bits,
     entropy_rows,
     kl_rows,
+    lead_sum,
 )
 from .simplex_optim import (
     SearchDomain,
@@ -312,40 +313,63 @@ class OohamaEvaluator:
         self._omega_cache: dict = {}
 
     def _row_terms(self, pts: np.ndarray) -> tuple:
-        """The tilt-free terms of the tilted log-sum, per row of ``pts``."""
-        ny, nu = self.src.ny, self.nu
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        pyt = pts[:, :ny]
-        w = pts[:, ny:].reshape(-1, ny, nu)
-        pt_uy = pyt[:, None, :] * w.transpose(0, 2, 1)          # (B, nu, ny)
-        weight = pt_uy[:, :, None, :] * self.cond_x_given_y     # (B, nu, nx, ny)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            py_given_u = pt_uy / pt_uy.sum(axis=2)[:, :, None]
-            # only the 0/0 entries of an empty u are NaN; they carry no mass
-            known = np.where(np.isnan(py_given_u), 0.0, py_given_u)
-            px_given_u = np.einsum("buy,xy->bux", known, self.cond_x_given_y)
-            y_term = np.log2(pyt) - self.log_py                   # (B, ny)
-            u_term = np.log2(py_given_u) - self.log_py            # (B, nu, ny)
-            x_term = -np.log2(px_given_u)                         # (B, nu, nx)
-            return y_term, u_term, x_term, weight > 0.0, np.log2(weight)
+        """The tilt-free terms of the tilted log-sum, feature-major: one row
+        per entry, one column per row of ``pts``.
 
-    def _tilted(self, terms: tuple, coefs: np.ndarray) -> np.ndarray:
-        """-log2 of the tilted sum of each row of ``terms``.
+        The joint P~(y, u) and the weight P~(u, y) P(x|y) are laid out
+        (x,) y, u, the memory order in which numpy builds them from the
+        stored channel rows W(u|y), so every sum runs in numpy's order.
+        The log-weight is -inf wherever the weight is not positive, and
+        the terms are finite everywhere else; an infinite or NaN term (of
+        an empty y or u) is set to 0, so the tilted exponent is -inf at
+        exactly those entries.
+        """
+        ny, nu, nx = self.src.ny, self.nu, self.src.nx
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64)).T
+        n = pts.shape[1]
+        pt_yu = pts[:ny, None] * pts[ny:].reshape(ny, nu, n)
+        weight = pt_yu * self.cond_x_given_y[:, :, None, None]
+        # P~(y), P~(y|u) and P~(x|u) in one block, then their logs in place
+        terms = np.empty((ny + ny * nu + nu * nx, n))
+        terms[:ny] = pts[:ny]
+        py_given_u = terms[ny : ny + ny * nu].reshape(ny, nu, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(pt_yu, lead_sum(pt_yu, pairwise=nu == 1), out=py_given_u)
+            # only the 0/0 entries of an empty u are NaN; they carry no mass;
+            # the einsum reads them (point, u, y) from y-major memory, as numpy would
+            known = np.where(np.isnan(py_given_u), 0.0, py_given_u).transpose(2, 0, 1).copy()
+            px_given_u = np.einsum("buy,xy->bux", known.transpose(0, 2, 1), self.cond_x_given_y)
+            x_term = terms[ny + ny * nu :].reshape(nu, nx, n)
+            x_term[...] = px_given_u.transpose(1, 2, 0)
+            np.log2(terms, out=terms)
+        log_weight = np.full_like(weight, -math.inf)
+        np.log2(weight, out=log_weight, where=weight > 0.0)
+        y_term = terms[:ny]
+        with np.errstate(invalid="ignore"):
+            np.subtract(y_term, self.log_py[:, None], out=y_term)
+            np.subtract(py_given_u, self.log_py[:, None, None], out=py_given_u)
+        np.negative(x_term, out=x_term)
+        np.copyto(terms, 0.0, where=~np.isfinite(terms))
+        return y_term, py_given_u, x_term, log_weight
+
+    def _tilted(self, terms: tuple, coefs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """-log2 of the tilted sum of each column of ``terms``.
 
         ``coefs`` holds the weights of :func:`_tilt_coefficients`: one row
-        per row of ``terms``, or a single row for all of them.
+        per column of ``terms``, or a single row for all of them.  The
+        exponents go to ``out``, an array shaped like the log-weight, so a
+        sweep over many tilts can reuse one.
         """
-        y_term, u_term, x_term, positive, log_weight = terms
-        # the terms are finite wherever the weight is positive; a 0 * inf
-        # nan elsewhere is dropped with the entry by the mask
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (
-                (coefs[..., 0:1] * y_term)[:, None, None, :]
-                + (coefs[..., 1:2, None] * u_term)[:, :, None, :]
-                + (coefs[..., 2:3, None] * x_term)[:, :, :, None]
-            )
-            exponents = np.where(positive, log_weight - tau, -math.inf)
-            return -np.log2(np.exp2(exponents).sum(axis=(1, 2, 3)))
+        y_term, u_term, x_term, log_weight = terms
+        c_y, c_u, c_x = np.asarray(coefs).T
+        yu = (c_y * y_term)[:, None] + c_u * u_term
+        out = np.empty_like(log_weight) if out is None else out
+        exponents = np.add(yu, (c_x * x_term).transpose(1, 0, 2)[:, None], out=out)
+        np.subtract(log_weight, exponents, out=exponents)
+        np.exp2(exponents, out=exponents)
+        total = lead_sum(exponents.reshape(-1, exponents.shape[-1]), pairwise=True)
+        with np.errstate(divide="ignore"):
+            return -np.log2(total)
 
     def _omega_rows(self, pts: np.ndarray, coefs: np.ndarray) -> np.ndarray:
         """The inner objective at each row of ``pts``, under that row's tilt."""
@@ -357,7 +381,8 @@ class OohamaEvaluator:
 
     def _lattice_sweep(self, pts: np.ndarray):
         terms = self._row_terms(pts)
-        return lambda coef: self._tilted(terms, coef)
+        exponents = np.empty_like(terms[-1])
+        return lambda coef: self._tilted(terms, coef, exponents)
 
     def _solve_tilts(self, tilts) -> None:
         """Cache the inner minimum of every uncached ``(mu, alpha)``.

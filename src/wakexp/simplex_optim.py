@@ -325,6 +325,8 @@ class _ProbePlan:
     to ``give`` (source coordinate outer, target inner).  The candidates at
     ``box_cols`` instead step the box scalar ``x[take]`` (``give == take``)
     by ``step * box_width`` (plus before minus) and clip it to the bounds.
+    ``simplex_runs`` holds ``(start, blocks, dim)`` for each maximal run of
+    adjacent simplex blocks of one dimension.
     """
 
     take: np.ndarray
@@ -333,16 +335,20 @@ class _ProbePlan:
     box_width: np.ndarray
     box_lower: np.ndarray
     box_upper: np.ndarray
-    simplex_slices: tuple
+    simplex_runs: tuple
 
 
 @lru_cache(maxsize=64)
 def _probe_plan(domain: SearchDomain) -> _ProbePlan:
     take, give, box_cols, box_width, box_lower, box_upper = [], [], [], [], [], []
-    simplex_slices = []
+    runs = []
     for block, sl in zip(domain.blocks, domain.slices()):
         if isinstance(block, Simplex):
-            simplex_slices.append(sl)
+            start, count, dim = runs[-1] if runs else (0, 0, 0)
+            if dim == block.dim and start + count * dim == sl.start:
+                runs[-1] = (start, count + 1, dim)
+            else:
+                runs.append((sl.start, 1, block.dim))
             for j in range(block.dim):
                 for i in range(block.dim):
                     if i != j:
@@ -366,7 +372,7 @@ def _probe_plan(domain: SearchDomain) -> _ProbePlan:
         box_width=np.array(box_width, dtype=np.float64),
         box_lower=np.array(box_lower, dtype=np.float64),
         box_upper=np.array(box_upper, dtype=np.float64),
-        simplex_slices=tuple(simplex_slices),
+        simplex_runs=tuple(runs),
     )
 
 
@@ -396,29 +402,45 @@ def _box_moves(plan: _ProbePlan, v: np.ndarray, step: np.ndarray):
     return moved != v, moved, moved
 
 
-def _segment_argmin(values, counts):
+def _segment_argmin(rankings, counts):
     """First index of the minimum within each of the consecutive runs of
-    ``counts[d]`` entries of ``values``.
+    ``counts[d] > 0`` entries, for each of the equal-length ``rankings``.
 
-    The same index ``np.argmin`` gives on each run alone; ``values`` holds
-    no NaN.
+    Entry ``r`` of the result holds the index ``np.argmin`` gives on each
+    run of ``rankings[r]`` alone; no ranking holds NaN.  The rankings are
+    concatenated, so they share one ``reduceat``, one comparison and one
+    ``searchsorted``.
     """
     if len(counts) == 1:
-        return np.argmin(values, keepdims=True)
-    starts = np.cumsum(counts) - counts
-    mins = np.minimum.reduceat(values, starts)
-    hits = np.flatnonzero(values == np.repeat(mins, counts))
-    return hits[np.searchsorted(hits, starts)]
+        return [v.argmin(keepdims=True) for v in rankings]
+    width, runs = len(rankings[0]), len(counts)
+    starts = counts.cumsum() - counts
+    if len(rankings) > 1:
+        values = np.concatenate(rankings)
+        starts = np.concatenate([starts + r * width for r in range(len(rankings))])
+        counts = np.concatenate([counts] * len(rankings))
+    else:
+        values = rankings[0]
+    hits = (values == np.minimum.reduceat(values, starts).repeat(counts)).nonzero()[0]
+    first = hits[hits.searchsorted(starts)]
+    return [first[r * runs : (r + 1) * runs] - r * width for r in range(len(rankings))]
 
 
-def _renormalize_simplexes(plan, x, rows):
-    """Rescale each simplex block of ``x[rows]`` whose sum drifted from 1."""
-    picked = x[rows] if plan.simplex_slices else None
-    for sl in plan.simplex_slices:
-        s = picked[:, sl].sum(axis=1)
-        fix = (np.abs(s - 1.0) > _DRIFT_TOL) & (s > 0.0)
+def _renormalize_simplexes(plan, pts):
+    """Rescale, in place, each simplex block of ``pts`` whose sum drifted
+    from 1.
+
+    Each run of equal simplex blocks is summed as one (points, blocks,
+    dim) array, whose contiguous last axis sums every block as its own
+    1-d sum would.
+    """
+    for start, count, dim in plan.simplex_runs:
+        blocks = pts[:, start : start + count * dim].reshape(len(pts), count, dim)
+        s = blocks.sum(axis=2)
+        fix = np.abs(s - 1.0) > _DRIFT_TOL
         if fix.any():
-            x[rows[fix], sl] /= s[fix, None]
+            fix &= s > 0.0
+            blocks[fix] /= s[fix][:, None]
 
 
 def compass_batch(
@@ -459,19 +481,25 @@ def compass_batch(
         return results
 
     def score_of(pts, owners):
-        """Values, violations and penalized scores of ``pts``, from objective
-        calls of at most ``_CALL_ROWS`` rows each."""
-        vals, violations = np.empty(len(pts)), np.zeros(len(pts))
-        for lo in range(0, len(pts), _CALL_ROWS):
-            rows = slice(lo, lo + _CALL_ROWS)
-            args = (pts[rows],) if params is None else (pts[rows], params[owners[rows]])
-            vals[rows], raw_viol = batch_evaluate(*args)
-            violations[rows] = np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0)
-        vals = np.where(np.isnan(vals), math.inf, vals)
+        """Values (NaN as inf), violations and penalized scores of ``pts``,
+        from objective calls of at most ``_CALL_ROWS`` rows each; an
+        unconstrained objective's scores are its values."""
+        calls = [
+            batch_evaluate(*((pts[lo : lo + _CALL_ROWS],) if params is None else
+                             (pts[lo : lo + _CALL_ROWS], params[owners[lo : lo + _CALL_ROWS]])))
+            for lo in range(0, len(pts), _CALL_ROWS)
+        ]
+        if len(calls) == 1:
+            vals, violations = calls[0]
+        else:
+            vals = np.concatenate([v for v, _ in calls])
+            violations = np.concatenate([np.broadcast_to(c, np.shape(v)) for v, c in calls])
+        vals = np.fmin(vals, math.inf)
+        violations = np.maximum(violations, 0.0)
+        if not np.ndim(violations) and violations == 0.0:
+            return vals, violations, vals
         with np.errstate(invalid="ignore"):
-            scores = vals + config.penalty_weight * violations
-        scores = np.where(np.isnan(scores), math.inf, scores)
-        return vals, violations, scores
+            return vals, violations, np.fmin(vals + config.penalty_weight * violations, math.inf)
 
     plan = _probe_plan(domain)
     x = np.stack([starts[k] for k in ids])
@@ -490,7 +518,7 @@ def compass_batch(
         """One iteration of the descents ``own``; returns the state of
         those still running."""
         valid, taken, given = _candidate_moves(plan, x, step)
-        counts = np.count_nonzero(valid, axis=1)
+        counts = valid.sum(axis=1)
         done = (step < config.step_tolerance) | (counts == 0)
         if done.any():
             converged[own[done]] = True
@@ -506,23 +534,28 @@ def compass_batch(
         probes[at, plan.take[cols]] = taken[valid]
         if given is not taken:                  # box-only moves write one coordinate
             probes[at, plan.give[cols]] = given[valid]
-        owners = None if params is None else np.repeat(own, counts)
-        vals, violations, scores = score_of(probes, owners)
+        vals, violations, scores = score_of(probes, None if params is None else np.repeat(own, counts))
 
-        feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
-        j = _segment_argmin(feasible_vals, counts)
-        better = feasible_vals[j] < best_val[own]
+        if scores is vals:                      # unconstrained: one ranking serves both
+            feasible_vals = vals
+            j = k = _segment_argmin([vals], counts)[0]
+        else:
+            feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
+            j, k = _segment_argmin([feasible_vals, scores], counts)
+        best = feasible_vals[j]
+        better = best < best_val[own]
         if better.any():
-            best_val[own[better]] = feasible_vals[j[better]]
+            best_val[own[better]] = best[better]
             best_pt[own[better]] = probes[j[better]]
 
-        k = _segment_argmin(scores, counts)
         accept = scores[k] < cur_score - 1e-15
         if accept.any():
             moved = np.flatnonzero(accept)
-            x[moved] = probes[k[moved]]
-            cur_score[moved] = scores[k[moved]]
-            _renormalize_simplexes(plan, x, moved)
+            picked = k[moved]
+            cur_score[moved] = scores[picked]
+            new = probes[picked]
+            _renormalize_simplexes(plan, new)
+            x[moved] = new
         return x, np.where(accept, step, 0.5 * step), cur_score, own
 
     # the descents advance in blocks whose probes fill at most one

@@ -41,12 +41,13 @@ from .probkit import (
     DimensionError,
     DomainError,
     JointPmf2,
+    Layout,
     _entropy_matched_tilts,
     aux_measures,
+    in_blocks,
     entropy_bits,
-    entropy_rows,
     kl_bits,
-    kl_rows,
+    lead_sum,
 )
 from .simplex_optim import (
     DEFAULT_CONFIG,
@@ -259,6 +260,10 @@ class _ExponentSearch:
         with np.errstate(divide="ignore"):
             self.log_src = np.log2(self.src_flat)
         self.domain = SearchDomain([Simplex(nu)] + [Simplex(self.k)] * nu)
+        # P_U, P_UXY, P_XY, P_Y, P_UY, P_UX and P_XY again, for the divergence
+        self.layout = Layout([nu, nu * self.k, self.k, self.ny, nu * self.ny, nu * self.nx, self.k])
+        # a table m(x, y), its P_Y and P_X, and m again, for the divergence
+        self.table_layout = Layout([self.k, self.ny, self.nx, self.k])
 
     def tensors(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -268,26 +273,51 @@ class _ExponentSearch:
 
     def evaluate(self, pts: np.ndarray):
         """(objective, violation) rows for a batch of domain points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        pu = pts[:, : self.nu]
-        t = self.tensors(pts)
-        txy = t.sum(axis=1)
-        t4 = t.reshape(-1, self.nu, self.nx, self.ny)
-        ty = txy.reshape(-1, self.nx, self.ny).sum(axis=1)
-        h_u = entropy_rows(pu)
-        h_uxy = entropy_rows(t)
-        h_xy = entropy_rows(txy)
-        h_y = entropy_rows(ty)
-        h_uy = entropy_rows(t4.sum(axis=2))
-        h_ux = entropy_rows(t4.sum(axis=3))
-        kl = kl_rows(txy, self.log_src)
+        return in_blocks(self._evaluate, pts)
+
+    def _evaluate(self, pts: np.ndarray):
+        """:meth:`evaluate` of at most ``BLOCK_POINTS`` points.
+
+        Every marginal goes to one feature-major block, one row per entry,
+        so one entropy pass gives all six entropies and the divergence.
+        Each marginal is summed in the order numpy sums it from the
+        row-major (point, u, x, y) tensor.
+        """
+        n, nu, nx, ny, k = len(pts), self.nu, self.nx, self.ny, self.k
+        pts = pts.T
+        u, uxy, xy, y, uy, ux, div = self.layout.rows
+        m = self.layout.block(n)
+        m[u] = pts[:nu]
+        t = m[uxy].reshape(nu, nx, ny, n)
+        np.multiply(pts[:nu, None, None], pts[nu:].reshape(nu, nx, ny, n), out=t)
+        lead_sum(t, out=m[xy].reshape(nx, ny, n), pairwise=k == 1)
+        lead_sum(m[xy].reshape(nx, ny, n), out=m[y], pairwise=ny == 1)
+        lead_sum(t.transpose(1, 0, 2, 3), out=m[uy].reshape(nu, ny, n), pairwise=ny == 1)
+        lead_sum(t.transpose(2, 0, 1, 3), out=m[ux].reshape(nu, nx, n), pairwise=True)
+        m[div] = m[xy]
+        h_u, h_uxy, h_xy, h_y, h_uy, h_ux, kl = self.layout.entropies(m, self.log_src)
         cond_mi = (h_xy - h_y) - (h_uxy - h_uy)
         rate2 = np.maximum((h_u + h_y - h_uy) - self.r2, 0.0)
         with np.errstate(invalid="ignore"):
             obj = kl + cond_mi + rate2
-        obj = np.where(np.isnan(obj), math.inf, obj)
         violation = np.maximum((h_ux - h_u) - self.r1, 0.0)
-        return obj, violation
+        return np.fmin(obj, math.inf), violation
+
+    def table_stats(self, pts: np.ndarray):
+        """(D(m||src), H(X,Y), H(Y), H(X)) rows for a batch of tables m(x, y)."""
+        return in_blocks(self._table_stats, pts)
+
+    def _table_stats(self, pts: np.ndarray):
+        pts = pts.T
+        xy, y, x, div = self.table_layout.rows
+        m = self.table_layout.block(pts.shape[1])
+        m[xy] = pts
+        m[div] = pts
+        table = pts.reshape(self.nx, self.ny, -1)
+        lead_sum(table, out=m[y], pairwise=self.ny == 1)
+        lead_sum(table.transpose(1, 0, 2), out=m[x], pairwise=True)
+        h_xy, h_y, h_x, kl = self.table_layout.entropies(m, self.log_src)
+        return kl, h_xy, h_y, h_x
 
     def encode(self, tensor: np.ndarray) -> np.ndarray:
         """Flat domain point reproducing the given (nu, nx, ny) tensor."""
@@ -338,7 +368,11 @@ class _ExponentSearch:
         """The closed-form starts, in a fixed order: constant U, the point
         masses, U = Y, U = X, the timeshares of U = X and of U = Y, and for
         sources without side information (|Y| = 1) the U = X timeshare of
-        every entropy-matched power tilt of P_X."""
+        every entropy-matched power tilt q of P_X, then q under constant U.
+
+        A timeshare of U = X needs nu >= |X| + 1, while constant U fits at
+        nu = 1: there H(X|U) = H(q), so the tilt q that meets r1 gives the
+        single-user exponent D(q||P_X) at every alphabet size."""
         nx, ny, src = self.nx, self.ny, self.src.probs
         px = src.sum(axis=1)
         # the point mass at x is P(y|x) under the channel that sends only x to u = 0
@@ -347,9 +381,10 @@ class _ExponentSearch:
         starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
         starts += [self.embed(np.eye(ny), "y"), self.embed(np.eye(nx), "x")]
         tables = [("x", src), ("y", src)]
-        if ny == 1:
-            tables += [("x", q[:, None]) for q in _entropy_matched_tilts(src[:, 0], self.r1)]
+        tilts = [q[:, None] for q in _entropy_matched_tilts(src[:, 0], self.r1)] if ny == 1 else []
+        tables += [("x", q) for q in tilts]
         starts += [self.embed(self.split_channel(on, t), on, t) for on, t in tables]
+        starts += [self.embed(np.ones((1, 1)), "y", q) for q in tilts]
         return [s for s in starts if s is not None]
 
     def candidates_copy_manifolds(self, config: SolverConfig):
@@ -366,17 +401,9 @@ class _ExponentSearch:
         """
         k = self.k
         domain = SearchDomain([Simplex(k)])
-        log_src = self.log_src
         nx, ny = self.nx, self.ny
         r1, r2 = self.r1, self.r2
-
-        def table_stats(pts):
-            m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-            kl = kl_rows(m, log_src)
-            h_xy = entropy_rows(m)
-            h_y = entropy_rows(m.reshape(-1, nx, ny).sum(axis=1))
-            h_x = entropy_rows(m.reshape(-1, nx, ny).sum(axis=2))
-            return kl, h_xy, h_y, h_x
+        table_stats = self.table_stats
 
         local = replace(
             config,
@@ -447,18 +474,24 @@ class _RegionSearch:
         self.py = src.probs.sum(axis=0)
         self.hy = entropy_bits(self.py)
         self.domain = SearchDomain([Simplex(nu)] * src.ny)
+        self.layout = Layout([nu, nu * src.nx, nu * src.ny])     # P_U, P_UX, P_UY
 
     def stats(self, pts: np.ndarray):
         """(H(X|U), I(U;Y)) rows for a batch of stacked channel rows."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        w = pts.reshape(-1, self.ny, self.nu)
-        puy = w.transpose(0, 2, 1) * self.py[None, None, :]
-        pu = puy.sum(axis=2)
-        pux = np.einsum("byu,xy->bux", w, self.src.probs)
-        h_u = entropy_rows(pu)
-        h_x_given_u = entropy_rows(pux) - h_u
-        mi = h_u + self.hy - entropy_rows(puy)
-        return h_x_given_u, mi
+        return in_blocks(self._stats, pts)
+
+    def _stats(self, pts: np.ndarray):
+        n, nu, ny, nx = len(pts), self.nu, self.ny, self.src.nx
+        u, ux, uy = self.layout.rows
+        m = self.layout.block(n)
+        # P_UY by (u, y); numpy lays the product out y-major, and sums over y so
+        puy = m[uy].reshape(nu, ny, n).transpose(1, 0, 2)
+        np.multiply(pts.T.reshape(ny, nu, n), self.py[:, None, None], out=puy)
+        lead_sum(puy, out=m[u], pairwise=nu == 1)
+        pux = np.einsum("byu,xy->bux", pts.reshape(n, ny, nu), self.src.probs)
+        m[ux].reshape(nu, nx, n)[...] = pux.transpose(1, 2, 0)
+        h_u, h_ux, h_uy = self.layout.entropies(m)
+        return h_ux - h_u, h_u + self.hy - h_uy
 
     def evaluate(self, pts: np.ndarray):
         h, mi = self.stats(pts)

@@ -11,6 +11,7 @@ from wakexp.probkit import (
     DimensionError,
     DomainError,
     JointPmf2,
+    Layout,
     Pmf,
     aux_measures,
     binary_entropy,
@@ -18,9 +19,12 @@ from wakexp.probkit import (
     binary_kl,
     conditional_entropy,
     entropy,
+    entropy_rows,
     joint_from_dict,
     joint_to_dict,
     kl_divergence,
+    kl_rows,
+    lead_sum,
     mutual_information,
     tv_distance,
 )
@@ -293,3 +297,66 @@ class TestJointJson:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             joint_from_dict({"nx": 2, "ny": 2, "probs": [0.5, 0.5]})
+
+
+# ---------------------------------------------------------------------------
+# feature-major sums and the one-pass entropies
+# ---------------------------------------------------------------------------
+
+SUM_LENGTHS = list(range(1, 34)) + [64, 127, 128, 129, 136, 255, 256, 257, 1000]
+
+
+class TestLeadSum:
+    @pytest.mark.parametrize("n", SUM_LENGTHS)
+    def test_pairwise_matches_a_contiguous_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.random((5, n)) * rng.choice([1e-12, 1.0, 1e8], size=(5, n)) * rng.choice([-1.0, 1.0], size=(5, n))
+        got = lead_sum(np.ascontiguousarray(a.T), pairwise=True)
+        assert got.tobytes() == a.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", SUM_LENGTHS)
+    def test_in_order_matches_a_strided_numpy_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.random((4, n, 3)) * rng.choice([1e-12, 1.0, 1e8], size=(4, n, 3))
+        out = np.empty((3, 4))
+        lead_sum(np.ascontiguousarray(a.transpose(1, 2, 0)), out=out)
+        assert out.T.tobytes() == np.ascontiguousarray(a.sum(axis=1)).tobytes()
+
+
+class TestLayoutEntropies:
+    def test_every_block_matches_entropy_rows_and_kl_rows(self):
+        rng = np.random.default_rng(3)
+        widths = [1, 3, 7, 8, 9, 24, 129, 5]
+        layout = Layout(widths)
+        log_ref = np.log2(rng.dirichlet(np.ones(widths[-1])))
+        log_ref[1] = -math.inf                              # a null reference atom
+        for n in (1, 7, 193):
+            vecs = [rng.random((n, w)) for w in widths]
+            for v in vecs:
+                v[rng.random(v.shape) < 0.25] = 0.0         # 0 * log2 0
+                v[n // 2] = np.nan                         # a NaN row counts as 0
+            vecs[-1][0, 1] = 0.3                            # charges the null atom: +inf
+            m = layout.block(n)
+            for rows, v in zip(layout.rows, vecs):
+                m[rows] = v.T
+            got = layout.entropies(m, log_ref)
+            for g, v in zip(got[:-1], vecs[:-1]):
+                assert g.tobytes() == entropy_rows(v).tobytes()
+            with np.errstate(invalid="ignore"):
+                assert got[-1].tobytes() == kl_rows(vecs[-1], log_ref).tobytes()
+            assert got[-1][0] == math.inf
+            plain = layout.entropies(m)                    # without log_ref the last is an entropy
+            assert plain[-1].tobytes() == entropy_rows(vecs[-1]).tobytes()
+
+    def test_results_are_not_views_of_the_workspace(self):
+        layout = Layout([2, 3])
+        m = layout.block(4)
+        m[layout.rows[0]] = 0.5
+        m[layout.rows[1]] = 1.0 / 3.0
+        first = layout.entropies(m)
+        kept = first.copy()
+        m = layout.block(4)
+        m[layout.rows[0]] = 1.0
+        m[layout.rows[1]] = 0.0
+        layout.entropies(m)
+        assert first.tobytes() == kept.tobytes()

@@ -301,6 +301,38 @@ def _reference_omega_rows(ev, mu, alpha, pts):
         return -np.log2(z)
 
 
+def _reference_row_terms(ev, pts):
+    """The tilt-free terms, row-major (point, u, x, y), with the mask of
+    positive weights."""
+    ny, nu = ev.src.ny, ev.nu
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    pyt = pts[:, :ny]
+    w = pts[:, ny:].reshape(-1, ny, nu)
+    pt_uy = pyt[:, None, :] * w.transpose(0, 2, 1)
+    weight = pt_uy[:, :, None, :] * ev.cond_x_given_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        py_given_u = pt_uy / pt_uy.sum(axis=2)[:, :, None]
+        known = np.where(np.isnan(py_given_u), 0.0, py_given_u)
+        px_given_u = np.einsum("buy,xy->bux", known, ev.cond_x_given_y)
+        y_term = np.log2(pyt) - ev.log_py
+        u_term = np.log2(py_given_u) - ev.log_py
+        x_term = -np.log2(px_given_u)
+        return y_term, u_term, x_term, weight > 0.0, np.log2(weight)
+
+
+def _reference_tilted(terms, coefs):
+    """-log2 of the tilted sum, masked by the positive weights."""
+    y_term, u_term, x_term, positive, log_weight = terms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (
+            (coefs[..., 0:1] * y_term)[:, None, None, :]
+            + (coefs[..., 1:2, None] * u_term)[:, :, None, :]
+            + (coefs[..., 2:3, None] * x_term)[:, :, :, None]
+        )
+        exponents = np.where(positive, log_weight - tau, -math.inf)
+        return -np.log2(np.exp2(exponents).sum(axis=(1, 2, 3)))
+
+
 def _reference_omega(ev, mu, alpha):
     """One tilt alone: its own lattice pass, then descents from its starts."""
 
@@ -402,12 +434,13 @@ class TestBatchedInnerSolve:
         ids=["zero-entry", "zero-py-column", "empty-u"],
     )
     def test_row_terms_are_finite_at_every_positive_weight(self, probs):
-        # the kernel multiplies the terms by the tilt weights as they are,
-        # so a weight of zero must never meet an infinite term that counts
+        # the kernel sets every infinite or NaN term to 0 and lets the -inf
+        # log-weight drop its entry, so a term that counts, one at a
+        # positive weight, must never be infinite
         ev = OohamaEvaluator(JointPmf2(probs))
         empty_u = np.concatenate([ev.py, np.tile(np.eye(ev.nu)[0], ev.src.ny)])
         pts = np.vstack([_cartesian_rows(ev.domain.grid_arrays(3)), empty_u])
-        y_term, u_term, x_term, positive, log_weight = ev._row_terms(pts)
+        y_term, u_term, x_term, positive, log_weight = _reference_row_terms(ev, pts)
         shape = positive.shape
         terms = [
             np.broadcast_to(y_term[:, None, None, :], shape),
@@ -419,6 +452,13 @@ class TestBatchedInnerSolve:
         assert not all(np.isfinite(t).all() for t in terms)
         for t in terms:
             assert np.isfinite(t[positive]).all()
+        # the kernel's terms: feature-major, (x,) y, u order, finite throughout
+        *got, got_log_weight = ev._row_terms(pts)
+        for g, w in zip(got, (y_term.T, u_term.transpose(2, 1, 0), x_term.transpose(1, 2, 0))):
+            assert np.isfinite(g).all()
+            assert np.array_equal(g, np.where(np.isfinite(w), w, 0.0))
+        want = np.where(positive, log_weight, -math.inf).transpose(2, 3, 1, 0)
+        assert got_log_weight.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["dsbs", "3x2"])
     def test_grid_tilts_match_the_reference(self, case):
@@ -547,3 +587,33 @@ class TestGoldenLookahead:
             assert mu not in _AXIS or alpha not in _AXIS
             fresh = OohamaEvaluator(dsbs(0.1)).omega(mu, alpha)
             assert fresh.hex() == ev._omega_cache[_tilt_key(mu, alpha)].hex(), (mu, alpha)
+
+
+# ---------------------------------------------------------------------------
+# the fused feature-major kernel against the row-major one it replaced
+# ---------------------------------------------------------------------------
+
+# |X| or |Y| of 8 and more, and nu * |X| * |Y| above 128, take numpy's
+# pairwise and blocked pairwise sums
+OMEGA_SHAPES = [((2, 2), 1), ((2, 2), 2), ((3, 2), 2), ((2, 3), 3), ((3, 1), 1), ((9, 2), 2), ((2, 9), 9), ((8, 3), 1)]
+
+
+@pytest.mark.parametrize("shape, nu", OMEGA_SHAPES, ids=[f"{a}x{b}-nu{n}" for (a, b), n in OMEGA_SHAPES])
+def test_omega_kernel_matches_the_reference(shape, nu):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1] + nu)
+    probs = rng.exponential(size=shape)
+    probs[rng.random(shape) < 0.2] = 0.0
+    probs.flat[0] += 0.1
+    ev = OohamaEvaluator(JointPmf2(probs / probs.sum()), nu=nu)
+    for n in (1, 7, 193, 2049):
+        pts = np.array([ev.domain.sample(rng) for _ in range(n)])
+        pts[rng.random(pts.shape) < 0.2] = 0.0          # empty y and u, unnormalized rows
+        pts[n // 2] = np.nan
+        coefs = _tilt_coefficients(rng.random((n, 2)))
+        coefs[::5] = _tilt_coefficients([(0.0, 0.0)])     # zero weights meet the empty entries
+        want = _reference_tilted(_reference_row_terms(ev, pts), coefs)
+        assert ev._omega_rows(pts, coefs).tobytes() == want.tobytes()
+        sweep = ev._lattice_sweep(pts)
+        for coef in _tilt_coefficients([(0.3, 0.6), (1.0, 0.0), (0.0, 1.0)]):
+            want = _reference_tilted(_reference_row_terms(ev, pts), coef)
+            assert sweep(coef).tobytes() == want.tobytes()

@@ -504,6 +504,33 @@ class TestCompassBatchMatchesReference:
 
         _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
+    def test_runs_of_wide_blocks_with_boxes_and_zero_mass(self):
+        # runs of equal simplex blocks of 9 and 10 (pairwise sums) are
+        # renormalized as one array each, a box or a block of another size
+        # ends a run, and empty coordinates give every descent its own
+        # number of probes; the constraint ranks by penalty
+        dom = SearchDomain([Simplex(9), Simplex(9), Box(0.0, 1.0), Simplex(10), Simplex(10),
+                            Simplex(3), Simplex(1), Simplex(9), Box(-1.0, 1.0)])
+        rng = np.random.default_rng(13)
+        starts = []
+        for i in range(7):
+            s = dom.sample(rng)
+            s[rng.random(len(s)) < 0.3] = 0.0
+            for sl in dom.slices():
+                if sl.stop - sl.start > 1 and s[sl].sum() > 0.0:
+                    s[sl] /= s[sl].sum()
+            s[:9] *= 1.0 + (1e-9, -3e-10, 1e-13)[i % 3]
+            s[19:29] *= 1.0 - 4e-10 * (i % 2)
+            starts.append(s)
+        w = rng.normal(size=dom.n_params)
+
+        def evaluate(pts):
+            vals = (pts * w).sum(axis=1) + 0.5 * (pts[:, 9:18] ** 2).sum(axis=1)
+            return vals, np.maximum(pts[:, 0] + pts[:, 19] - 0.6, 0.0)
+
+        _assert_same_descents(dom, starts, self.CFG, evaluate)
+        _assert_same_descents(dom, starts, self.CFG, lambda pts: (evaluate(pts)[0], 0.0))
+
     def test_batch_is_order_independent(self):
         dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
         rng = np.random.default_rng(2)

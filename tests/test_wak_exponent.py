@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from wakexp.probkit import (
+    BLOCK_POINTS,
     AuxJointPmf,
     DimensionError,
     DomainError,
     JointPmf2,
+    Pmf,
     _entropy_matched_tilts,
     aux_measures,
     binary_entropy,
     conditional_entropy,
     entropy_bits,
+    entropy_rows,
+    kl_rows,
 )
-from wakexp.reductions import exponent_ne
+from wakexp.reductions import exponent_ne, exponent_single_direct
 from wakexp.simplex_optim import SolverConfig
 from wakexp.wak_exponent import (
     RatePair,
@@ -493,6 +497,7 @@ class TestStructuredStarts:
                 if src.ny == 1:
                     tilts = _entropy_matched_tilts(src.probs[:, 0], r1)
                     want += [_reference_split(prob, "x", q[:, None]) for q in tilts]
+                    want += [_reference_constant_u(prob, q[:, None]) for q in tilts]
                 want = [w for w in want if w is not None]
                 got = prob.fixed_starts()
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (nu, r1)
@@ -551,3 +556,139 @@ class TestStructuredStarts:
                 assert abs(aux_measures(aux(prob.embed(np.eye(src.nx), "x", table))).h_x_given_u) <= 1e-12
                 split = aux_measures(aux(prob.embed(prob.split_channel("x", table), "x", table)))
                 assert split.h_x_given_u <= r1 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against the one-measure-at-a-time forms they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_evaluate(prob, pts):
+    """The exponent objective from six entropy_rows calls and kl_rows."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    pu = pts[:, : prob.nu]
+    t = pu[:, :, None] * pts[:, prob.nu :].reshape(-1, prob.nu, prob.k)
+    txy = t.sum(axis=1)
+    t4 = t.reshape(-1, prob.nu, prob.nx, prob.ny)
+    ty = txy.reshape(-1, prob.nx, prob.ny).sum(axis=1)
+    h_u = entropy_rows(pu)
+    h_uxy = entropy_rows(t)
+    h_xy = entropy_rows(txy)
+    h_y = entropy_rows(ty)
+    h_uy = entropy_rows(t4.sum(axis=2))
+    h_ux = entropy_rows(t4.sum(axis=3))
+    kl = kl_rows(txy, prob.log_src)
+    cond_mi = (h_xy - h_y) - (h_uxy - h_uy)
+    rate2 = np.maximum((h_u + h_y - h_uy) - prob.r2, 0.0)
+    with np.errstate(invalid="ignore"):
+        obj = kl + cond_mi + rate2
+    obj = np.where(np.isnan(obj), math.inf, obj)
+    violation = np.maximum((h_ux - h_u) - prob.r1, 0.0)
+    return obj, violation
+
+
+def _reference_table_stats(prob, pts):
+    m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    kl = kl_rows(m, prob.log_src)
+    h_xy = entropy_rows(m)
+    h_y = entropy_rows(m.reshape(-1, prob.nx, prob.ny).sum(axis=1))
+    h_x = entropy_rows(m.reshape(-1, prob.nx, prob.ny).sum(axis=2))
+    return kl, h_xy, h_y, h_x
+
+
+def _reference_region_stats(prob, pts):
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    w = pts.reshape(-1, prob.ny, prob.nu)
+    puy = w.transpose(0, 2, 1) * prob.py[None, None, :]
+    pu = puy.sum(axis=2)
+    pux = np.einsum("byu,xy->bux", w, prob.src.probs)
+    h_u = entropy_rows(pu)
+    return entropy_rows(pux) - h_u, h_u + prob.hy - entropy_rows(puy)
+
+
+def _kernel_rows(domain, rng, n):
+    """``n`` domain points, a fifth of their coordinates zeroed (unnormalized,
+    so every marginal meets 0 * log2 0), and a NaN row."""
+    pts = np.array([domain.sample(rng) for _ in range(n)])
+    pts[rng.random(pts.shape) < 0.2] = 0.0
+    pts[n // 2] = np.nan
+    return pts
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+# |X| or |Y| of 8 and more and nu of 8 and more take numpy's pairwise sums
+KERNEL_SHAPES = [(2, 2), (3, 2), (2, 3), (1, 3), (3, 1), (1, 1), (9, 2), (2, 9), (8, 1), (1, 8)]
+KERNEL_ROWS = (1, 7, 193, BLOCK_POINTS + 1)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_exponent_and_table_match_the_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        table = _random_table(rng, *shape)
+        src = JointPmf2(table)
+        for nu in (1, 2, 4, 9):
+            prob = _ExponentSearch(src, 0.4, 0.3, nu)
+            for n in KERNEL_ROWS:
+                with np.errstate(invalid="ignore"):
+                    pts = _kernel_rows(prob.domain, rng, n)
+                    _assert_same(prob.evaluate(pts), _reference_evaluate(prob, pts))
+                    tables = pts[:, nu : nu + prob.k]
+                    _assert_same(prob.table_stats(tables), _reference_table_stats(prob, tables))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_region_matches_the_reference(self, shape):
+        rng = np.random.default_rng(7 + sum(shape))
+        src = JointPmf2(_random_table(rng, *shape))
+        for nu in (1, 2, 4, 9):
+            prob = _RegionSearch(src, 0.3, nu)
+            for n in KERNEL_ROWS:
+                pts = _kernel_rows(prob.domain, rng, n)
+                with np.errstate(invalid="ignore"):
+                    _assert_same(prob.stats(pts), _reference_region_stats(prob, pts))
+
+
+# ---------------------------------------------------------------------------
+# sources without side information
+# ---------------------------------------------------------------------------
+
+def test_single_user_value_at_nu_equal_to_the_alphabet():
+    # the U = X timeshares of the power tilts need nu >= |X| + 1; constant U
+    # with the tilt meeting r1 gives the single-user exponent at nu = |X|
+    rng = np.random.default_rng(9)
+    cfg = SolverConfig(starts=16, seed=2718)
+    worst = 0.0
+    for i in range(8):
+        nx = (2, 3, 4)[i % 3]
+        p = rng.exponential(size=nx)
+        p /= p.sum()
+        r1 = float(rng.uniform(0.0, math.log2(nx)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UpperBoundWarning)
+            b = wak_exponent(JointPmf2(p[:, None]), RatePair(r1, 0.3), cfg, nu=nx)
+        worst = max(worst, abs(b.value - exponent_single_direct(Pmf(p), r1)))
+    assert worst <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# pinned benchmark cases
+# ---------------------------------------------------------------------------
+
+PINNED = {
+    # name: (source, r1, r2, value hex, evaluations), at the benchmark's config
+    "case4-2x2": (
+        [[0.013967104012289433, 0.7457383183907793], [0.02088948508151678, 0.2194050925154144]],
+        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 64356,
+    ),
+    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 103493),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_benchmark_cases(name):
+    table, r1, r2, value, evaluations = PINNED[name]
+    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), SolverConfig(grid_resolution=12, starts=16, seed=2718))
+    assert (b.value.hex(), b.evaluations) == (value, evaluations)

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Layer timings of the batched objective kernels and of the compass step.
+
+    python3 tools/layer_bench.py [--repeats N] [--iterations N]
+
+Prints the min-of-N ns per row of the four batched kernels at 8, 64, 256,
+1024 and 2048 rows:
+
+* ``exponent``: ``_ExponentSearch.evaluate``, the exponent objective;
+* ``table``: ``_ExponentSearch.table_stats``, the copy-manifold statistics;
+* ``region``: ``_RegionSearch.stats``, the rate-region statistics;
+* ``omega``: ``OohamaEvaluator._omega_rows``, the comparison bound's inner
+  objective, one tilt per row.
+
+Then the µs per lockstep iteration of ``compass_batch`` on the exponent
+objective, for a lone descent and for 16 descents, split into evaluation
+(time inside the objective) and the driver (everything else: probe
+generation, ranking, bookkeeping).  The descents run a fixed number of
+iterations with a step tolerance too small to stop them.
+
+The exponent, table and region kernels use the benchmark's ``case13-2x3``
+source at nu = 4 (the acceptance config); ``omega`` uses ``dsbs:0.1``, the
+source of the comparison workload.  Timings are wall-clock and noisy on a
+shared machine: compare two commits by running this alternately, not by
+reading one run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+import wakexp  # noqa: E402
+from wakexp.reductions import OohamaEvaluator, _tilt_coefficients  # noqa: E402
+from wakexp.simplex_optim import SolverConfig, compass_batch, random_starts  # noqa: E402
+
+_exponent = sys.modules["wakexp.wak_exponent"]
+
+CASE13 = [
+    [0.15468281556880634, 0.05616382104346113, 0.2915906716633682],
+    [0.3637804108774483, 0.015253752212244545, 0.11852852863467146],
+]
+ROWS = (8, 64, 256, 1024, 2048)
+
+
+def _min_time(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t)
+    return best
+
+
+def kernels():
+    """(name, sampler domain, callable on a row batch) of each kernel."""
+    src = wakexp.JointPmf2(CASE13)
+    exp = _exponent._ExponentSearch(src, 0.5054265770747463, 0.12710548404878932, 4)
+    region = _exponent._RegionSearch(src, 0.12710548404878932, 4)
+    table = wakexp.SearchDomain([wakexp.Simplex(exp.k)])
+    oohama = OohamaEvaluator(wakexp.dsbs_source(0.1))
+    rng = np.random.default_rng(0)
+    coefs = _tilt_coefficients(rng.random((max(ROWS), 2)))
+    return [
+        ("exponent", exp.domain, exp.evaluate),
+        ("table", table, exp.table_stats),
+        ("region", region.domain, region.stats),
+        ("omega", oohama.domain, lambda pts: oohama._omega_rows(pts, coefs[: len(pts)])),
+    ]
+
+
+def bench_kernels(repeats: int):
+    rng = np.random.default_rng(1)
+    print("kernel      " + "".join(f"{n:>10d}" for n in ROWS) + "   (ns per row, min of N)")
+    for name, domain, fn in kernels():
+        pts = np.array([domain.sample(rng) for _ in range(max(ROWS))])
+        cells = []
+        for n in ROWS:
+            batch = pts[:n]
+            reps = max(repeats, 20 * repeats // n)
+            cells.append(_min_time(lambda: fn(batch), reps) / n * 1e9)
+        print(f"{name:12s}" + "".join(f"{c:10.0f}" for c in cells))
+
+
+def bench_compass(repeats: int, iterations: int):
+    src = wakexp.JointPmf2(CASE13)
+    prob = _exponent._ExponentSearch(src, 0.5054265770747463, 0.12710548404878932, 4)
+    config = SolverConfig(starts=16, seed=2718, max_iterations=iterations, step_tolerance=1e-300)
+    starts = random_starts(prob.domain, config)
+    print(f"compass_batch on the exponent objective, {iterations} iterations (µs per iteration, min of N)")
+    print("descents     total  evaluate    driver")
+    for count in (1, 16):
+        best = None
+        for _ in range(repeats):
+            spent = [0.0]
+
+            def timed(pts):
+                t = time.perf_counter()
+                out = prob.evaluate(pts)
+                spent[0] += time.perf_counter() - t
+                return out
+
+            t = time.perf_counter()
+            compass_batch(prob.domain, starts[:count], config, batch_evaluate=timed)
+            total = time.perf_counter() - t
+            if best is None or total < best[0]:
+                best = (total, spent[0])
+        total, evaluate = (v / iterations * 1e6 for v in best)
+        print(f"{count:8d}  {total:8.1f}  {evaluate:8.1f}  {total - evaluate:8.1f}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=20, help="timed runs per cell (default 20)")
+    ap.add_argument("--iterations", type=int, default=200, help="compass iterations per run (default 200)")
+    args = ap.parse_args(argv)
+    bench_kernels(args.repeats)
+    print()
+    bench_compass(max(3, args.repeats // 4), args.iterations)
+
+
+if __name__ == "__main__":
+    main()

@@ -176,9 +176,9 @@ def lead_sum(a: np.ndarray, out: np.ndarray | None = None, pairwise: bool = Fals
         half = n // 2 - n // 2 % 8
         return np.add(lead_sum(a[:half], pairwise=True), lead_sum(a[half:], pairwise=True), out=out)
     if pairwise and n >= 8:
-        acc = a[:8].copy()
+        acc = a[:8]
         for i in range(8, n - n % 8, 8):
-            acc += a[i : i + 8]
+            acc = acc + a[i : i + 8]
         pairs = acc[0::2] + acc[1::2]
         out = np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
         start = n - n % 8
@@ -189,6 +189,28 @@ def lead_sum(a: np.ndarray, out: np.ndarray | None = None, pairwise: bool = Fals
         start = 2
     for i in range(start, n):
         np.add(out, a[i], out=out)
+    return out
+
+
+def y_contract(w: np.ndarray, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum over y of w[y, u, :] * table[x, y], a feature-major (u, x,
+    point) array, written to ``out``.
+
+    Bit for bit what ``np.einsum("byu,xy->bux")`` gives on the row-major
+    (point, y, u) array of ``w``.  With more than one u, y is a strided
+    axis there, and einsum adds its terms in index order, as done here
+    with whole rows.  With one u, y is contiguous and einsum's vector loop
+    adds them in another order, so that case stays an einsum.
+    """
+    ny, nu, n = w.shape
+    if out is None:
+        out = np.empty((nu, len(table), n))
+    if nu == 1:
+        out[...] = np.einsum("byu,xy->bux", np.ascontiguousarray(w.transpose(2, 0, 1)), table).transpose(1, 2, 0)
+        return out
+    np.multiply(w[0][:, None, :], table[:, 0, None], out=out)
+    for y in range(1, ny):
+        out += w[y][:, None, :] * table[:, y, None]
     return out
 
 

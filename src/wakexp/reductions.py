@@ -25,6 +25,7 @@ from .probkit import (
     entropy_rows,
     kl_rows,
     lead_sum,
+    y_contract,
 )
 from .simplex_optim import (
     SearchDomain,
@@ -335,12 +336,9 @@ class OohamaEvaluator:
         py_given_u = terms[ny : ny + ny * nu].reshape(ny, nu, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(pt_yu, lead_sum(pt_yu, pairwise=nu == 1), out=py_given_u)
-            # only the 0/0 entries of an empty u are NaN; they carry no mass;
-            # the einsum reads them (point, u, y) from y-major memory, as numpy would
-            known = np.where(np.isnan(py_given_u), 0.0, py_given_u).transpose(2, 0, 1).copy()
-            px_given_u = np.einsum("buy,xy->bux", known.transpose(0, 2, 1), self.cond_x_given_y)
-            x_term = terms[ny + ny * nu :].reshape(nu, nx, n)
-            x_term[...] = px_given_u.transpose(1, 2, 0)
+            # only the 0/0 entries of an empty u are NaN; they carry no mass
+            known = np.where(np.isnan(py_given_u), 0.0, py_given_u)
+            x_term = y_contract(known, self.cond_x_given_y, out=terms[ny + ny * nu :].reshape(nu, nx, n))
             np.log2(terms, out=terms)
         log_weight = np.full_like(weight, -math.inf)
         np.log2(weight, out=log_weight, where=weight > 0.0)

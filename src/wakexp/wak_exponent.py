@@ -48,6 +48,7 @@ from .probkit import (
     entropy_bits,
     kl_bits,
     lead_sum,
+    y_contract,
 )
 from .simplex_optim import (
     DEFAULT_CONFIG,
@@ -484,12 +485,12 @@ class _RegionSearch:
         n, nu, ny, nx = len(pts), self.nu, self.ny, self.src.nx
         u, ux, uy = self.layout.rows
         m = self.layout.block(n)
+        w = pts.T.reshape(ny, nu, n)
         # P_UY by (u, y); numpy lays the product out y-major, and sums over y so
         puy = m[uy].reshape(nu, ny, n).transpose(1, 0, 2)
-        np.multiply(pts.T.reshape(ny, nu, n), self.py[:, None, None], out=puy)
+        np.multiply(w, self.py[:, None, None], out=puy)
         lead_sum(puy, out=m[u], pairwise=nu == 1)
-        pux = np.einsum("byu,xy->bux", pts.reshape(n, ny, nu), self.src.probs)
-        m[ux].reshape(nu, nx, n)[...] = pux.transpose(1, 2, 0)
+        y_contract(w, self.src.probs, out=m[ux].reshape(nu, nx, n))
         h_u, h_ux, h_uy = self.layout.entropies(m)
         return h_ux - h_u, h_u + self.hy - h_uy
 

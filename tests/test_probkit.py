@@ -27,6 +27,7 @@ from wakexp.probkit import (
     lead_sum,
     mutual_information,
     tv_distance,
+    y_contract,
 )
 
 
@@ -360,3 +361,19 @@ class TestLayoutEntropies:
         m[layout.rows[1]] = 0.0
         layout.entropies(m)
         assert first.tobytes() == kept.tobytes()
+
+
+class TestYContract:
+    # einsum adds a strided y in order and a contiguous one (a single u)
+    # in its own vector order; both must come out bit for bit
+    @pytest.mark.parametrize("ny", [1, 2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 9])
+    def test_matches_einsum(self, ny, nu):
+        rng = np.random.default_rng(10 * ny + nu)
+        for nx, n in ((1, 1), (2, 7), (9, 83), (3, 10000)):
+            table = rng.random((nx, ny)) * rng.choice([1e-9, 1.0, 1e5], size=(nx, ny))
+            w = rng.random((n, ny, nu)) * rng.choice([1e-9, 1.0, 1e5], size=(n, ny, nu))
+            w[rng.random(w.shape) < 0.2] = 0.0
+            want = np.einsum("byu,xy->bux", w, table)
+            got = y_contract(np.ascontiguousarray(w.transpose(1, 2, 0)), table)
+            assert np.ascontiguousarray(got.transpose(2, 0, 1)).tobytes() == want.tobytes()

@@ -484,11 +484,11 @@ def compass_batch(
         """Values (NaN as inf), violations and penalized scores of ``pts``,
         from objective calls of at most ``_CALL_ROWS`` rows each; an
         unconstrained objective's scores are its values."""
-        calls = [
-            batch_evaluate(*((pts[lo : lo + _CALL_ROWS],) if params is None else
-                             (pts[lo : lo + _CALL_ROWS], params[owners[lo : lo + _CALL_ROWS]])))
-            for lo in range(0, len(pts), _CALL_ROWS)
-        ]
+        calls = []
+        for lo in range(0, len(pts), _CALL_ROWS):
+            rows = slice(lo, lo + _CALL_ROWS)
+            args = (pts[rows],) if params is None else (pts[rows], params[owners[rows]])
+            calls.append(batch_evaluate(*args))
         if len(calls) == 1:
             vals, violations = calls[0]
         else:

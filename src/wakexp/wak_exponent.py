@@ -404,7 +404,6 @@ class _ExponentSearch:
         domain = SearchDomain([Simplex(k)])
         nx, ny = self.nx, self.ny
         r1, r2 = self.r1, self.r2
-        table_stats = self.table_stats
 
         local = replace(
             config,
@@ -416,7 +415,7 @@ class _ExponentSearch:
         out = []
         if self.nu >= self.nx:
             def x_copy_evaluate(pts):
-                kl, h_xy, h_y, h_x = table_stats(pts)
+                kl, h_xy, h_y, h_x = self.table_stats(pts)
                 mi = h_x + h_y - h_xy
                 return kl + (h_xy - h_y) + np.maximum(mi - r2, 0.0), 0.0
 
@@ -429,7 +428,7 @@ class _ExponentSearch:
 
         if self.nu >= self.ny:
             def y_copy_evaluate(pts):
-                kl, h_xy, h_y, _ = table_stats(pts)
+                kl, h_xy, h_y, _ = self.table_stats(pts)
                 obj = kl + np.maximum(h_y - r2, 0.0)
                 return obj, np.maximum((h_xy - h_y) - r1, 0.0)
 

@@ -183,7 +183,10 @@ def lead_sum(a: np.ndarray, out: np.ndarray | None = None, pairwise: bool = Fals
         out = np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
         start = n - n % 8
     elif n == 1:
-        return a[0].copy() if out is None else np.copyto(out, a[0]) or out
+        if out is None:
+            return a[0].copy()
+        out[...] = a[0]
+        return out
     else:
         out = np.add(a[0], a[1], out=out)
         start = 2
@@ -271,8 +274,8 @@ class Layout:
         return m
 
     def entropies(self, m: np.ndarray, log_ref=None) -> np.ndarray:
-        """Entropy (bits) of every vector of each point of the block ``m``,
-        one result row per vector.
+        """Entropy (bits) of every vector of each point of ``m``, the block
+        :meth:`block` returned, one result row per vector.
 
         With ``log_ref`` the last vector m gives sum m*(log2 m - log_ref)
         instead, a divergence.  Each result equals :func:`entropy_rows`

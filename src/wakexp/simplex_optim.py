@@ -5,9 +5,10 @@ Every search takes one evaluation contract: ``batch_evaluate(points) ->
 its violation is at most ``_FEAS_TOL``.  An unconstrained objective returns
 ``(values, 0.0)`` and the scalar broadcasts.
 
-``grid_search`` enumerates every lattice point with a common denominator and
-is the ground-truth oracle for small problems; ``grid_search_batch`` does so
-for many objectives that differ by a parameter row, in one pass.
+``grid_search`` enumerates every lattice point with a common denominator, in
+chunks of bounded size, and is the ground-truth oracle for small problems;
+``grid_search_batch`` does so for many objectives that differ by a parameter
+row, in one pass.
 ``compass_batch`` runs independent compass (coordinate mass-transfer)
 descents from many starts in lockstep, with batched evaluations of bounded
 size per iteration; the best of them over seeded ``random_starts`` is the
@@ -25,7 +26,6 @@ Objectives must be pure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,19 +96,6 @@ class SearchDomain:
                 parts.append(np.array([b.lower + (b.upper - b.lower) * rng.random()]))
         return np.concatenate(parts)
 
-    def grid_arrays(self, resolution: int):
-        """Per-block lattice points with denominator ``resolution``, lex ordered."""
-        if resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
-        out = []
-        for b in self.blocks:
-            if isinstance(b, Simplex):
-                out.append(simplex_grid(b.dim, resolution))
-            else:
-                frac = np.arange(resolution + 1, dtype=np.float64) / resolution
-                out.append((b.lower + (b.upper - b.lower) * frac)[:, None])
-        return out
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -150,79 +137,11 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# lattice generation
+# lattice enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``,
-    in ascending lexicographic order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    level = {m: np.array([[m]], dtype=np.int64) for m in range(total + 1)}
-    for width in range(2, parts + 1):
-        nxt = {}
-        for m in range(total + 1):
-            rows = []
-            for first in range(m + 1):
-                sub = level[m - first]
-                rows.append(
-                    np.hstack([np.full((sub.shape[0], 1), first, dtype=np.int64), sub])
-                )
-            nxt[m] = np.vstack(rows)
-        if width == parts:
-            return nxt[total]
-        level = nxt
+_LATTICE_CHUNK = 1 << 16   # rows per lattice chunk of the exhaustive oracle
 
-
-def simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """Lattice of the (dim-1)-simplex with denominator ``resolution``.
-
-    Rows are in ascending lexicographic order and each sums to 1 within a
-    few ulps.
-    """
-    counts = _compositions(int(resolution), int(dim))
-    return counts.astype(np.float64) / float(resolution)
-
-
-def _cartesian_rows(arrays):
-    rows = arrays[0]
-    for a in arrays[1:]:
-        rows = np.hstack(
-            [np.repeat(rows, len(a), axis=0), np.tile(a, (len(rows), 1))]
-        )
-    return rows
-
-
-def _grid_chunks(block_arrays, target=1 << 18):
-    """Yield the lex-ordered cartesian product of row blocks in bounded chunks."""
-    sizes = [len(a) for a in block_arrays]
-    k = len(block_arrays)
-    split, suffix = k, 1
-    while split > 0 and suffix * sizes[split - 1] <= target:
-        suffix *= sizes[split - 1]
-        split -= 1
-    if split == k:
-        split = k - 1
-    trailing = _cartesian_rows(block_arrays[split:])
-    lead_width = sum(a.shape[1] for a in block_arrays[:split])
-    if split == 0:
-        yield trailing
-        return
-    buf = np.empty((len(trailing), lead_width + trailing.shape[1]))
-    buf[:, lead_width:] = trailing
-    for combo in itertools.product(*(range(s) for s in sizes[:split])):
-        at = 0
-        for i, idx in enumerate(combo):
-            w = block_arrays[i].shape[1]
-            buf[:, at : at + w] = block_arrays[i][idx]
-            at += w
-        yield buf
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
 
 def lattice_rows(domain: SearchDomain, resolution: int) -> int:
     """Number of points in the lattice of ``domain`` with denominator
@@ -233,6 +152,110 @@ def lattice_rows(domain: SearchDomain, resolution: int) -> int:
         for b in domain.blocks
     )
 
+
+def _compositions(resolution: int, parts: int) -> list:
+    """``out[m]`` holds every composition of ``m`` into ``parts``
+    nonnegative counts, in ascending lexicographic order, for each
+    ``m <= resolution``.
+
+    The compositions of m into w parts put each first count f = 0, ..., m
+    before those of m - f into w - 1 parts; stacked from ``resolution``
+    down, the latter for m, ..., 0 are one suffix of the stack.
+    """
+    out = [np.array([[m]]) for m in range(resolution + 1)]
+    for width in range(2, parts + 1):
+        stack = np.vstack(out[::-1])
+        out = []
+        for m in range(resolution + 1):
+            tail = stack[len(stack) - math.comb(m + width - 1, width - 1) :]
+            out.append(np.hstack([m - tail.sum(axis=1, keepdims=True), tail]))
+    return out
+
+
+def _box_values(block: Box, resolution: int) -> np.ndarray:
+    frac = np.arange(resolution + 1, dtype=np.float64) / resolution
+    return block.lower + (block.upper - block.lower) * frac
+
+
+def lattice_chunks(domain: SearchDomain, resolution: int):
+    """Yield the lattice of ``domain`` with denominator ``resolution`` in
+    ascending lexicographic order, in chunks of at most ``_LATTICE_CHUNK``
+    rows.
+
+    A simplex coordinate is ``count / float(resolution)`` and a box
+    coordinate ``lower + (upper - lower) * (i / resolution)``.  Every chunk
+    is a view of one buffer, which the next chunk overwrites.
+
+    The trailing coordinates whose lattice fits one chunk form a table,
+    built once per call.  They begin at a box or inside a simplex block,
+    and then the table holds their lattice for every count the block's
+    leading coordinates can leave.  The leading coordinates are walked
+    lazily in lex order, and each prefix is broadcast over its run of the
+    table.
+    """
+    if resolution < 2:
+        raise ValueError("grid resolution must be >= 2")
+    blocks = domain.blocks
+    coords = [(i, q) for i, b in enumerate(blocks) for q in range(b.dim if isinstance(b, Simplex) else 1)]
+
+    def table_rows(i, q):
+        """Rows of the table of a split before coordinate ``q`` of block
+        ``i``; a simplex block splits after its first coordinate instead."""
+        b, later = blocks[i], lattice_rows(SearchDomain(blocks[i + 1 :]), resolution)
+        if isinstance(b, Box):
+            return (resolution + 1) * later
+        return math.comb(resolution + b.dim - q, b.dim - q) * later if q else math.inf
+
+    split = next((s for s, c in enumerate(coords) if table_rows(*c) <= _LATTICE_CHUNK), len(coords))
+    runs = {resolution: np.empty((1, 0))}
+    if split < len(coords):
+        i, q = coords[split]
+        rest = next(lattice_chunks(SearchDomain(blocks[i + 1 :]), resolution))
+        if isinstance(blocks[i], Box):
+            runs = {resolution: _box_values(blocks[i], resolution)[:, None]}
+        else:
+            runs = dict(enumerate(c / float(resolution) for c in _compositions(resolution, blocks[i].dim - q)))
+        runs = {m: np.hstack([np.repeat(h, len(rest), axis=0), np.tile(rest, (len(h), 1))]) for m, h in runs.items()}
+
+    counts = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
+    prefix = np.empty(split)
+
+    def walk(j, budget):
+        """Write each value of coordinate ``j`` into ``prefix`` in turn and
+        walk the later ones; yield the count left at the split."""
+        if j == split:
+            yield budget
+            return
+        i, q = coords[j]
+        if isinstance(blocks[i], Box):
+            steps = [(v, budget) for v in _box_values(blocks[i], resolution)]
+        elif q == blocks[i].dim - 1:
+            steps = [(counts[budget], resolution)]
+        else:
+            steps = [(counts[c], budget - c) for c in range(budget + 1)]
+        for v, left in steps:
+            prefix[j] = v
+            yield from walk(j + 1, left)
+
+    buf = np.empty((min(_LATTICE_CHUNK, lattice_rows(domain, resolution)), len(coords)))
+    filled = 0
+    for budget in walk(0, resolution):
+        part = runs[budget]
+        while len(part):
+            take = min(len(part), len(buf) - filled)
+            buf[filled : filled + take, :split] = prefix
+            buf[filled : filled + take, split:] = part[:take]
+            part, filled = part[take:], filled + take
+            if filled == len(buf):
+                yield buf
+                filled = 0
+    if filled:
+        yield buf[:filled]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracle
+# ---------------------------------------------------------------------------
 
 def _capped_resolution(domain: SearchDomain, resolution: int, cap: int) -> int:
     """Highest resolution, at most ``resolution`` and at least 2, whose
@@ -253,7 +276,7 @@ def grid_search(domain: SearchDomain, resolution: int, batch_evaluate) -> Search
     infeasible marker result when no lattice point is feasible.
     """
     minima = _LatticeMinima(1, domain.n_params)
-    for chunk in _grid_chunks(domain.grid_arrays(resolution)):
+    for chunk in lattice_chunks(domain, resolution):
         vals, violations = batch_evaluate(chunk)
         feasible = np.broadcast_to(np.asarray(violations) <= _FEAS_TOL, len(chunk))
         minima.fold(0, chunk, np.where(feasible, vals, math.inf), np.count_nonzero(feasible))
@@ -273,7 +296,7 @@ def grid_search_batch(
     """
     params = np.asarray(params)
     minima = _LatticeMinima(len(params), domain.n_params)
-    for chunk in _grid_chunks(domain.grid_arrays(resolution)):
+    for chunk in lattice_chunks(domain, resolution):
         sweep = batch_sweep(chunk)
         for k in range(len(params)):
             minima.fold(k, chunk, np.asarray(sweep(params[k]), dtype=np.float64), len(chunk))

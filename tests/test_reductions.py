@@ -28,11 +28,11 @@ from wakexp import reductions, simplex_optim
 from wakexp.simplex_optim import (
     SolverConfig,
     _capped_resolution,
-    _cartesian_rows,
     compass_batch,
     grid_search,
     random_starts,
 )
+from test_simplex_optim import _reference_lattice
 
 
 def dsbs(p):
@@ -439,7 +439,7 @@ class TestBatchedInnerSolve:
         # positive weight, must never be infinite
         ev = OohamaEvaluator(JointPmf2(probs))
         empty_u = np.concatenate([ev.py, np.tile(np.eye(ev.nu)[0], ev.src.ny)])
-        pts = np.vstack([_cartesian_rows(ev.domain.grid_arrays(3)), empty_u])
+        pts = np.vstack([_reference_lattice(ev.domain, 3), empty_u])
         y_term, u_term, x_term, positive, log_weight = _reference_row_terms(ev, pts)
         shape = positive.shape
         terms = [
@@ -471,7 +471,7 @@ class TestBatchedInnerSolve:
         ev._solve_tilts(grid)
         edge = [t for t in grid if (_tilt_coefficients([t]) == 0.0).any()]
         assert len(edge) == 4 * (MU_ALPHA_GRID - 1)
-        lattice = _cartesian_rows(ev.domain.grid_arrays(ev.config.grid_resolution))
+        lattice = _reference_lattice(ev.domain, ev.config.grid_resolution)
         for mu, alpha in edge:
             got = ev._omega_rows(lattice, _tilt_coefficients([(mu, alpha)]))
             assert got.tobytes() == _reference_omega_rows(ev, mu, alpha, lattice).tobytes(), (mu, alpha)

@@ -2,27 +2,27 @@
 golden-section maximizers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wakexp import simplex_optim
 from wakexp.dsbs import dsbs_source
-from wakexp.probkit import JointPmf2
-from wakexp.reductions import OohamaEvaluator, _tilt_coefficients
+from wakexp.probkit import JointPmf2, Pmf
+from wakexp.reductions import OohamaEvaluator, _tilt_coefficients, exponent_single_direct
 from wakexp.simplex_optim import (
     Box,
     SearchDomain,
     Simplex,
     SolverConfig,
-    _cartesian_rows,
     best_of,
     compass_batch,
     grid_search,
     grid_search_batch,
+    lattice_chunks,
     maximize_1d,
     random_starts,
-    simplex_grid,
 )
 from wakexp.wak_exponent import _ExponentSearch, _RegionSearch
 
@@ -49,19 +49,77 @@ def _multistart(domain, config, batch_evaluate):
     return best_of(compass_batch(domain, random_starts(domain, config), config, batch_evaluate=batch_evaluate))
 
 
+# ---------------------------------------------------------------------------
+# the lattice: the whole-lattice builders the stream replaced, kept as the
+# reference it must reproduce byte for byte
+# ---------------------------------------------------------------------------
+
+def _reference_compositions(total, parts):
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``,
+    in ascending lexicographic order."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    level = {m: np.array([[m]], dtype=np.int64) for m in range(total + 1)}
+    for width in range(2, parts + 1):
+        nxt = {}
+        for m in range(total + 1):
+            rows = []
+            for first in range(m + 1):
+                sub = level[m - first]
+                rows.append(np.hstack([np.full((sub.shape[0], 1), first, dtype=np.int64), sub]))
+            nxt[m] = np.vstack(rows)
+        if width == parts:
+            return nxt[total]
+        level = nxt
+
+
+def _reference_simplex_grid(dim, resolution):
+    return _reference_compositions(int(resolution), int(dim)).astype(np.float64) / float(resolution)
+
+
+def _reference_grid_arrays(domain, resolution):
+    """Per-block lattice points with denominator ``resolution``, lex ordered."""
+    if resolution < 2:
+        raise ValueError("grid resolution must be >= 2")
+    out = []
+    for b in domain.blocks:
+        if isinstance(b, Simplex):
+            out.append(_reference_simplex_grid(b.dim, resolution))
+        else:
+            frac = np.arange(resolution + 1, dtype=np.float64) / resolution
+            out.append((b.lower + (b.upper - b.lower) * frac)[:, None])
+    return out
+
+
+def _reference_cartesian_rows(arrays):
+    rows = arrays[0]
+    for a in arrays[1:]:
+        rows = np.hstack([np.repeat(rows, len(a), axis=0), np.tile(a, (len(rows), 1))])
+    return rows
+
+
+def _reference_lattice(domain, resolution):
+    return _reference_cartesian_rows(_reference_grid_arrays(domain, resolution))
+
+
+def _streamed(domain, resolution):
+    """The chunks of ``lattice_chunks``, copied before the next overwrites them."""
+    return [chunk.copy() for chunk in lattice_chunks(domain, resolution)]
+
+
 class TestSimplexGrid:
     def test_counts_and_sums(self):
-        g = simplex_grid(3, 4)
+        g = _reference_simplex_grid(3, 4)
         assert g.shape == (math.comb(6, 2), 3)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-14)
 
     def test_lexicographic_order(self):
-        g = simplex_grid(3, 3)
+        g = _reference_simplex_grid(3, 3)
         as_tuples = [tuple(row) for row in g]
         assert as_tuples == sorted(as_tuples)
 
     def test_dimension_one(self):
-        g = simplex_grid(1, 7)
+        g = _reference_simplex_grid(1, 7)
         np.testing.assert_array_equal(g, [[1.0]])
 
     @pytest.mark.parametrize(
@@ -72,7 +130,129 @@ class TestSimplexGrid:
     def test_lattice_rows_counts_the_lattice(self, blocks):
         domain = SearchDomain(blocks)
         for res in (2, 5):
-            assert simplex_optim.lattice_rows(domain, res) == len(_cartesian_rows(domain.grid_arrays(res)))
+            assert simplex_optim.lattice_rows(domain, res) == len(_reference_lattice(domain, res))
+
+
+PRODUCTS = {
+    "two-simplexes": [Simplex(3), Simplex(4)],
+    "simplex-box": [Simplex(4), Box(-1.0, 2.0)],
+    "box-simplex-box": [Box(0.25, 0.75), Simplex(3), Box(-1.0, 2.0)],
+    "boxes": [Box(0.0, 1.0)] * 3,
+    "zero-width-box": [Simplex(2), Box(0.3, 0.3), Simplex(3)],
+    "omega-3x2": [Simplex(3), Simplex(2), Simplex(2), Simplex(2)],
+}
+
+
+class TestLatticeChunks:
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_simplex_matches_the_reference(self, dim):
+        for res in (2, 3, 12, 26, 40):
+            if math.comb(res + dim - 1, dim - 1) > 400_000:
+                continue
+            chunks = _streamed(SearchDomain([Simplex(dim)]), res)
+            assert all(len(c) <= simplex_optim._LATTICE_CHUNK for c in chunks)
+            assert np.vstack(chunks).tobytes() == _reference_lattice(SearchDomain([Simplex(dim)]), res).tobytes()
+
+    @pytest.mark.parametrize("blocks", PRODUCTS.values(), ids=PRODUCTS.keys())
+    def test_products_match_the_reference(self, blocks):
+        domain = SearchDomain(blocks)
+        for res in (2, 3, 7, 12):
+            chunks = _streamed(domain, res)
+            assert all(len(c) <= simplex_optim._LATTICE_CHUNK for c in chunks)
+            assert np.vstack(chunks).tobytes() == _reference_lattice(domain, res).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "blocks",
+        [[Simplex(1)], [Simplex(2)], [Simplex(4)], [Simplex(6)], *PRODUCTS.values()],
+        ids=["simplex1", "simplex2", "simplex4", "simplex6", *PRODUCTS.keys()],
+    )
+    def test_small_chunks_split_the_trailing_table(self, monkeypatch, chunk, blocks):
+        # chunk boundaries fall inside the runs of the trailing table,
+        # and with one row per chunk the walk reaches every coordinate
+        monkeypatch.setattr(simplex_optim, "_LATTICE_CHUNK", chunk)
+        domain = SearchDomain(blocks)
+        for res in (2, 5):
+            chunks = _streamed(domain, res)
+            assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+            assert 0 < len(chunks[-1]) <= chunk
+            assert np.vstack(chunks).tobytes() == _reference_lattice(domain, res).tobytes()
+
+    def test_resolution_below_two_raises(self):
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        for res in (1, 0, -3):
+            with pytest.raises(ValueError):
+                next(lattice_chunks(dom, res))
+            with pytest.raises(ValueError):
+                grid_search(dom, res, lambda p: (p[:, 0], 0.0))
+            with pytest.raises(ValueError):
+                grid_search_batch(dom, res, np.zeros((1, 1)), lambda p: lambda r: p[:, 0])
+
+    @staticmethod
+    def _searches(domain, res, evaluate, params, sweep):
+        return [grid_search(domain, res, evaluate)] + grid_search_batch(domain, res, params, sweep)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_searches_do_not_depend_on_the_chunks(self, monkeypatch, chunk):
+        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        params = np.random.default_rng(4).random((3, 4))
+        params[1] = 0.0
+
+        def evaluate(pts):
+            return pts[:, 0] + 2.0 * pts[:, 2] - pts[:, 3], np.maximum(0.4 - pts[:, 1], 0.0)
+
+        def sweep(pts):
+            return lambda r: _tilted_quadratic(pts, np.broadcast_to(r, (len(pts), len(r))))
+
+        want = self._searches(dom, 9, evaluate, params, sweep)
+        monkeypatch.setattr(simplex_optim, "_LATTICE_CHUNK", chunk)
+        for a, b in zip(self._searches(dom, 9, evaluate, params, sweep), want):
+            _assert_same_result(a, b)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_tie_breaks_lexicographically_across_chunks(self, monkeypatch, chunk):
+        # every point with p0 >= 1/4 ties at 0; the first of them, row 235
+        # of 455, is inside a chunk, and its ties run on through later ones
+        monkeypatch.setattr(simplex_optim, "_LATTICE_CHUNK", chunk)
+        dom = SearchDomain([Simplex(4)])
+        lattice = _reference_lattice(dom, 12)
+        first = np.flatnonzero(lattice[:, 0] >= 0.25)[0]
+        assert first == 235 and first % chunk and first // chunk < (len(lattice) - 1) // chunk
+        res = grid_search(dom, 12, lambda p: (np.where(p[:, 0] >= 0.25, 0.0, 1.0 - p[:, 0]), 0.0))
+        assert res.argmin.tobytes() == lattice[first].tobytes() and res.value == 0.0
+        (batch,) = grid_search_batch(
+            dom, 12, np.zeros((1, 1)), lambda p: lambda r: np.where(p[:, 0] >= 0.25, r[0], 1.0)
+        )
+        assert batch.argmin.tobytes() == lattice[first].tobytes() and batch.evaluations == len(lattice)
+
+
+class TestLatticeMemory:
+    """Lattice oracles stream bounded chunks and keep nothing after they return."""
+
+    @staticmethod
+    def _traced(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak, held
+
+    def test_grid_search_peak_and_residue(self):
+        # 169,911 rows of 6 floats: 8.2 MB as one array
+        dom = SearchDomain([Simplex(6)])
+        res, peak, held = self._traced(lambda: grid_search(dom, 26, lambda p: (p[:, 0] - p[:, 5], 0.0)))
+        assert res.evaluations == simplex_optim.lattice_rows(dom, 26) == 169_911
+        assert peak < 8e6 and held < 1e6, (peak, held)
+
+    def test_single_user_exponent_peak(self):
+        # the 293,930-row Simplex(10) lattice at resolution 12: 23.5 MB as one array
+        pmf = Pmf(np.arange(1.0, 11.0) / 55.0)
+        config = SolverConfig(starts=4, max_iterations=200, seed=1)
+        value, peak, _ = self._traced(lambda: exponent_single_direct(pmf, 2.0, config))
+        assert math.isfinite(value)
+        assert peak < 32e6, peak
 
 
 class TestSolverConfig:
@@ -115,7 +295,7 @@ class TestGridSearch:
             return pts[:, 0] + 2.0 * pts[:, 2], np.maximum(0.4 - pts[:, 1], 0.0)
 
         fused = grid_search(dom, resolution=10, batch_evaluate=evaluate)
-        lattice = simplex_grid(3, 10)
+        lattice = _reference_simplex_grid(3, 10)
         vals, violations = evaluate(lattice)
         feasible = np.flatnonzero(violations <= 1e-12)
         best = feasible[np.argmin(vals[feasible])]

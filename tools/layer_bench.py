@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer timings of the batched objective kernels and of the compass step.
+"""Layer timings of the batched objective kernels, the compass step and the lattice oracle.
 
     python3 tools/layer_bench.py [--repeats N] [--iterations N]
 
@@ -18,6 +18,13 @@ objective, for a lone descent and for 16 descents, split into evaluation
 generation, ranking, bookkeeping).  The descents run a fixed number of
 iterations with a step tolerance too small to stop them.
 
+Last, the lattice oracle on three domains: the copy manifold's Simplex(6)
+at resolution 26 (169,911 rows), Simplex(9) at 12 (125,970 rows) and the
+comparison bound's domain for a 2x3 source at its 10,000-row cap.  For
+each it prints the min-of-N time to enumerate the lattice with
+``lattice_chunks`` and the tracemalloc peak of one ``grid_search`` with a
+one-column objective, which is the memory of the enumeration itself.
+
 The exponent, table and region kernels use the benchmark's ``case13-2x3``
 source at nu = 4 (the acceptance config); ``omega`` uses ``dsbs:0.1``, the
 source of the comparison workload.  Timings are wall-clock and noisy on a
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -37,8 +45,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import wakexp  # noqa: E402
-from wakexp.reductions import OohamaEvaluator, _tilt_coefficients  # noqa: E402
-from wakexp.simplex_optim import SolverConfig, compass_batch, random_starts  # noqa: E402
+from wakexp.reductions import _OMEGA_GRID_CAP, OohamaEvaluator, _tilt_coefficients  # noqa: E402
+from wakexp.simplex_optim import (  # noqa: E402
+    SearchDomain,
+    Simplex,
+    SolverConfig,
+    _capped_resolution,
+    compass_batch,
+    grid_search,
+    lattice_chunks,
+    lattice_rows,
+    random_starts,
+)
 
 _exponent = sys.modules["wakexp.wak_exponent"]
 
@@ -115,6 +133,23 @@ def bench_compass(repeats: int, iterations: int):
         print(f"{count:8d}  {total:8.1f}  {evaluate:8.1f}  {total - evaluate:8.1f}")
 
 
+def bench_lattices(repeats: int):
+    omega = OohamaEvaluator(wakexp.JointPmf2([[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]])).domain
+    cases = [
+        ("Simplex(6)@26", SearchDomain([Simplex(6)]), 26),
+        ("Simplex(9)@12", SearchDomain([Simplex(9)]), 12),
+        ("omega 2x3", omega, _capped_resolution(omega, 12, _OMEGA_GRID_CAP)),
+    ]
+    print("lattice             rows  enumerate ms  grid_search peak MB   (min of N)")
+    for name, domain, res in cases:
+        spent = _min_time(lambda: sum(len(c) for c in lattice_chunks(domain, res)), repeats)
+        tracemalloc.start()
+        grid_search(domain, res, lambda pts: (pts[:, 0], 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{name:14s}{lattice_rows(domain, res):10d}{spent * 1e3:14.2f}{peak / 1e6:21.2f}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=20, help="timed runs per cell (default 20)")
@@ -123,6 +158,8 @@ def main(argv=None):
     bench_kernels(args.repeats)
     print()
     bench_compass(max(3, args.repeats // 4), args.iterations)
+    print()
+    bench_lattices(max(3, args.repeats // 4))
 
 
 if __name__ == "__main__":

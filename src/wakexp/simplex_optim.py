@@ -153,30 +153,6 @@ def lattice_rows(domain: SearchDomain, resolution: int) -> int:
     )
 
 
-def _compositions(resolution: int, parts: int) -> list:
-    """``out[m]`` holds every composition of ``m`` into ``parts``
-    nonnegative counts, in ascending lexicographic order, for each
-    ``m <= resolution``.
-
-    The compositions of m into w parts put each first count f = 0, ..., m
-    before those of m - f into w - 1 parts; stacked from ``resolution``
-    down, the latter for m, ..., 0 are one suffix of the stack.
-    """
-    out = [np.array([[m]]) for m in range(resolution + 1)]
-    for width in range(2, parts + 1):
-        stack = np.vstack(out[::-1])
-        out = []
-        for m in range(resolution + 1):
-            tail = stack[len(stack) - math.comb(m + width - 1, width - 1) :]
-            out.append(np.hstack([m - tail.sum(axis=1, keepdims=True), tail]))
-    return out
-
-
-def _box_values(block: Box, resolution: int) -> np.ndarray:
-    frac = np.arange(resolution + 1, dtype=np.float64) / resolution
-    return block.lower + (block.upper - block.lower) * frac
-
-
 def lattice_chunks(domain: SearchDomain, resolution: int):
     """Yield the lattice of ``domain`` with denominator ``resolution`` in
     ascending lexicographic order, in chunks of at most ``_LATTICE_CHUNK``
@@ -186,61 +162,61 @@ def lattice_chunks(domain: SearchDomain, resolution: int):
     coordinate ``lower + (upper - lower) * (i / resolution)``.  Every chunk
     is a view of one buffer, which the next chunk overwrites.
 
-    The trailing coordinates whose lattice fits one chunk form a table,
-    built once per call.  They begin at a box or inside a simplex block,
-    and then the table holds their lattice for every count the block's
-    leading coordinates can leave.  The leading coordinates are walked
-    lazily in lex order, and each prefix is broadcast over its run of the
-    table.
+    The most trailing coordinates whose lattice fits one chunk form a
+    table, built once per call from the last coordinate back.  When they
+    begin inside a simplex block, the table holds one run of rows for each
+    count the block's leading coordinates can leave.  The leading
+    coordinates are walked lazily in lex order, and each prefix is
+    broadcast over its run of the table.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     blocks = domain.blocks
     coords = [(i, q) for i, b in enumerate(blocks) for q in range(b.dim if isinstance(b, Simplex) else 1)]
-
-    def table_rows(i, q):
-        """Rows of the table of a split before coordinate ``q`` of block
-        ``i``; a simplex block splits after its first coordinate instead."""
-        b, later = blocks[i], lattice_rows(SearchDomain(blocks[i + 1 :]), resolution)
-        if isinstance(b, Box):
-            return (resolution + 1) * later
-        return math.comb(resolution + b.dim - q, b.dim - q) * later if q else math.inf
-
-    split = next((s for s, c in enumerate(coords) if table_rows(*c) <= _LATTICE_CHUNK), len(coords))
-    runs = {resolution: np.empty((1, 0))}
-    if split < len(coords):
-        i, q = coords[split]
-        rest = next(lattice_chunks(SearchDomain(blocks[i + 1 :]), resolution))
-        if isinstance(blocks[i], Box):
-            runs = {resolution: _box_values(blocks[i], resolution)[:, None]}
-        else:
-            runs = dict(enumerate(c / float(resolution) for c in _compositions(resolution, blocks[i].dim - q)))
-        runs = {m: np.hstack([np.repeat(h, len(rest), axis=0), np.tile(rest, (len(h), 1))]) for m, h in runs.items()}
-
     counts = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
+
+    def steps(j, left):
+        """Each value of coordinate ``j`` in lex order, with the count its
+        simplex block has left after it, when ``left`` are left before it."""
+        i, q = coords[j]
+        b = blocks[i]
+        if isinstance(b, Box):
+            frac = np.arange(resolution + 1, dtype=np.float64) / resolution
+            return [(v, left) for v in b.lower + (b.upper - b.lower) * frac]
+        if q == b.dim - 1:
+            return [(counts[left], resolution)]
+        return [(counts[c], left - c) for c in range(left + 1)]
+
+    # runs[m]: the lattice of the coordinates from ``split`` on, when their
+    # simplex block has m counts left (all of them at a block boundary)
+    runs, split = {resolution: np.empty((1, 0))}, len(coords)
+    while split:
+        lefts = range(resolution + 1) if coords[split - 1][1] else [resolution]
+        if sum(len(runs[after]) for m in lefts for _, after in steps(split - 1, m)) > _LATTICE_CHUNK:
+            break
+        split -= 1
+        built = {}
+        for m in lefts:
+            values, afters = zip(*steps(split, m))
+            tails = [runs[after] for after in afters]
+            built[m] = np.hstack([np.repeat(values, [len(t) for t in tails])[:, None], np.vstack(tails)])
+        runs = built
     prefix = np.empty(split)
 
-    def walk(j, budget):
+    def walk(j, left):
         """Write each value of coordinate ``j`` into ``prefix`` in turn and
         walk the later ones; yield the count left at the split."""
         if j == split:
-            yield budget
+            yield left
             return
-        i, q = coords[j]
-        if isinstance(blocks[i], Box):
-            steps = [(v, budget) for v in _box_values(blocks[i], resolution)]
-        elif q == blocks[i].dim - 1:
-            steps = [(counts[budget], resolution)]
-        else:
-            steps = [(counts[c], budget - c) for c in range(budget + 1)]
-        for v, left in steps:
+        for v, after in steps(j, left):
             prefix[j] = v
-            yield from walk(j + 1, left)
+            yield from walk(j + 1, after)
 
     buf = np.empty((min(_LATTICE_CHUNK, lattice_rows(domain, resolution)), len(coords)))
     filled = 0
-    for budget in walk(0, resolution):
-        part = runs[budget]
+    for left in walk(0, resolution):
+        part = runs[left]
         while len(part):
             take = min(len(part), len(buf) - filled)
             buf[filled : filled + take, :split] = prefix

@@ -192,14 +192,15 @@ def lattice_chunks(domain: SearchDomain, resolution: int):
     runs, split = {resolution: np.empty((1, 0))}, len(coords)
     while split:
         lefts = range(resolution + 1) if coords[split - 1][1] else [resolution]
-        if sum(len(runs[after]) for m in lefts for _, after in steps(split - 1, m)) > _LATTICE_CHUNK:
+        level = {m: steps(split - 1, m) for m in lefts}
+        if sum(len(runs[after]) for st in level.values() for _, after in st) > _LATTICE_CHUNK:
             break
         split -= 1
         built = {}
-        for m in lefts:
-            values, afters = zip(*steps(split, m))
-            tails = [runs[after] for after in afters]
-            built[m] = np.hstack([np.repeat(values, [len(t) for t in tails])[:, None], np.vstack(tails)])
+        for m, st in level.items():
+            tails = [runs[after] for _, after in st]
+            heads = np.repeat([v for v, _ in st], [len(t) for t in tails])[:, None]
+            built[m] = np.concatenate([heads, np.concatenate(tails)], axis=1)
         runs = built
     prefix = np.empty(split)
 

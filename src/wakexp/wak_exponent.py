@@ -17,14 +17,14 @@ to structured starts, each a table m(x, y) glued to a test channel:
 * m(x, y) W(u|y), Markov U - Y - X under m: constant U, U = Y, its
   entropy-saturating timeshare, the optimized U = Y copy manifold and the
   embedded rate-region test channel;
-* m(x, y) W(u|x): the point masses, U = X, its timeshare and the
-  optimized U = X copy manifold.
+* m(x, y) W(u|x): U = X, its timeshare, the optimized U = X copy manifold
+  and, where U = X does not fit (nu < |X|), the point masses.
 
 Without side information (|Y| = 1) the U = X timeshares of the
 entropy-matched power tilts of P_X join them.  Constant U is infeasible
 when R1 < H(X), and U = Y when R1 < H(X|Y); their descents rank probes by a
-penalized score and count only from the first feasible point.  The point
-masses and U = X have H(X|U) = 0, so the returned point is always feasible
+penalized score and count only from the first feasible point.  U = X (or
+the point masses) has H(X|U) = 0, so the returned point is always feasible
 and its value an upper bound that the other starts can only improve.
 """
 
@@ -367,19 +367,22 @@ class _ExponentSearch:
 
     def fixed_starts(self) -> list:
         """The closed-form starts, in a fixed order: constant U, the point
-        masses, U = Y, U = X, the timeshares of U = X and of U = Y, and for
-        sources without side information (|Y| = 1) the U = X timeshare of
-        every entropy-matched power tilt q of P_X, then q under constant U.
+        masses (only when nu < |X|, where U = X does not fit), U = Y, U = X,
+        the timeshares of U = X and of U = Y, and for sources without side
+        information (|Y| = 1) the U = X timeshare of every entropy-matched
+        power tilt q of P_X, then q under constant U.
 
         A timeshare of U = X needs nu >= |X| + 1, while constant U fits at
         nu = 1: there H(X|U) = H(q), so the tilt q that meets r1 gives the
         single-user exponent D(q||P_X) at every alphabet size."""
         nx, ny, src = self.nx, self.ny, self.src.probs
-        px = src.sum(axis=1)
-        # the point mass at x is P(y|x) under the channel that sends only x to u = 0
-        p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
         starts = [self.embed(np.ones((1, ny)), "y")]
-        starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
+        if self.nu < nx:
+            # the feasible start (H(X|U) = 0) that U = X is wherever it fits: the
+            # point mass at x is P(y|x) under the channel that sends only x to u = 0
+            px = src.sum(axis=1)
+            p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
+            starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
         starts += [self.embed(np.eye(ny), "y"), self.embed(np.eye(nx), "x")]
         tables = [("x", src), ("y", src)]
         tilts = [q[:, None] for q in _entropy_matched_tilts(src[:, 0], self.r1)] if ny == 1 else []
@@ -690,30 +693,25 @@ def wak_exponent(
     padded = (_padded_channel(w.probs, nu) for w in warm)
     starts += [prob.encode(t) for t in padded if t is not None]
 
-    runs = compass_batch(
-        prob.domain,
-        starts + random_starts(prob.domain, config),
-        config,
-        batch_evaluate=prob.evaluate,
-    )
-    runs = runs[: len(starts)] + [best_of(runs[len(starts) :])]
+    # byte-equal starts descend once, and every copy takes that descent's result
+    distinct = {s.tobytes(): s for s in starts}
+    slot = {key: i for i, key in enumerate(distinct)}
+    batch = list(distinct.values()) + random_starts(prob.domain, config)
+    runs = compass_batch(prob.domain, batch, config, batch_evaluate=prob.evaluate)
+    evaluations += sum(r.evaluations for r in runs)
+    runs = [runs[slot[s.tobytes()]] for s in starts] + [best_of(runs[len(slot) :])]
 
     best = None
     for r in runs:
-        evaluations += r.evaluations
         if r.infeasible:
             continue
         if best is None or r.value < best.value - 1e-12:
             best = r
         elif abs(r.value - best.value) <= 1e-12:
             # reproducibility tie-break: lexicographically smallest tensor
-            ta = prob.tensors(r.argmin[None, :]).ravel()
-            tb = prob.tensors(best.argmin[None, :]).ravel()
-            diff = ta - tb
-            nz = np.nonzero(diff)[0]
-            if nz.size and diff[nz[0]] < 0:
+            if list(prob.tensors(r.argmin).ravel()) < list(prob.tensors(best.argmin).ravel()):
                 best = SearchResult(r.argmin, best.value, r.evaluations, r.converged)
-    # point-mass candidates are always feasible, so `best` is never None
+    # U = X, or the point masses where it does not fit, is always feasible, so `best` is never None
     tensor = prob.tensors(best.argmin[None, :])[0].reshape(nu, src.nx, src.ny)
     total = tensor.sum()
     if abs(total - 1.0) > 1e-13:

@@ -1,6 +1,7 @@
 """Unit tests for the exponent, its decomposition, and the rate region."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from wakexp.probkit import (
     kl_rows,
 )
 from wakexp.reductions import exponent_ne, exponent_single_direct
-from wakexp.simplex_optim import SolverConfig
+from wakexp.simplex_optim import SolverConfig, compass_batch
 from wakexp.wak_exponent import (
     RatePair,
     _ExponentSearch,
@@ -487,7 +488,9 @@ class TestStructuredStarts:
         for nu in START_NUS:
             for r1 in (0.0, 0.4, 5.0):
                 prob = _ExponentSearch(src, r1, 0.3, nu)
-                want = [_reference_constant_u(prob)] + _reference_point_masses(prob)
+                # the point masses only where U = X does not fit
+                masses = _reference_point_masses(prob) if nu < src.nx else []
+                want = [_reference_constant_u(prob)] + masses
                 want += [
                     _reference_copy_y(prob),
                     _reference_copy_x(prob),
@@ -678,17 +681,85 @@ def test_single_user_value_at_nu_equal_to_the_alphabet():
 # ---------------------------------------------------------------------------
 
 PINNED = {
-    # name: (source, r1, r2, value hex, evaluations), at the benchmark's config
+    # name: (source, r1, r2, value hex, evaluations), at the benchmark's config;
+    # the values are those of perfbench/reference.json
+    "case0-2x2": (
+        [[0.15063553039154987, 0.043301720479387865], [0.754622442161684, 0.05144030696737834]],
+        0.5079917387670908, 0.99324311258453, "0x1.ac1b107c4649ap-6", 85_469,
+    ),
+    "case3-1x3": (
+        [[0.4704535532506672, 0.33642007514760724, 0.19312637160172555]],
+        0.6494722266569211, 0.332269444854445, "-0x1.decda41e69000p-53", 33_016,
+    ),
     "case4-2x2": (
         [[0.013967104012289433, 0.7457383183907793], [0.02088948508151678, 0.2194050925154144]],
-        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 64356,
+        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 58_902,
     ),
-    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 103493),
+    "case6-3x2": (
+        [
+            [0.13587766017292377, 0.14564772852756022],
+            [0.2802418813809834, 0.12708263504457637],
+            [0.06447814616711398, 0.24667194870684236],
+        ],
+        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 206_361,
+    ),
+    "case7-1x3": (
+        [[0.8195177007032262, 0.05445439773665263, 0.1260279015601211]],
+        0.22958871126864033, 0.09786314083621525, "-0x1.541142e3701c0p-53", 56_535,
+    ),
+    "case11-1x3": (
+        [[0.3942462415254647, 0.3359858551643965, 0.2697679033101387]],
+        0.2946627206918131, 0.9222203986755052, "-0x1.1aea01796bf80p-53", 31_660,
+    ),
+    "case13-2x3": (
+        [
+            [0.15468281556880634, 0.05616382104346113, 0.2915906716633682],
+            [0.3637804108774483, 0.015253752212244545, 0.11852852863467146],
+        ],
+        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 354_454,
+    ),
+    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 90_271),
 }
+PINNED_CONFIG = SolverConfig(grid_resolution=12, starts=16, seed=2718)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_benchmark_cases(name):
     table, r1, r2, value, evaluations = PINNED[name]
-    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), SolverConfig(grid_resolution=12, starts=16, seed=2718))
+    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
+    assert (b.value.hex(), b.evaluations) == (value, evaluations)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_point_masses_win_nowhere_u_equals_x_fits(name):
+    # fixed_starts leaves the point masses out at nu >= |X|; handed back as
+    # warm candidates they must not beat the pinned value
+    table, r1, r2, value, _ = PINNED[name]
+    src = JointPmf2(table)
+    nu = 4
+    assert nu >= src.nx
+    prob = _ExponentSearch(src, r1, r2, nu)
+    masses = [AuxJointPmf(prob.tensors(pt)[0].reshape(nu, src.nx, src.ny)) for pt in _reference_point_masses(prob)]
+    assert len(masses) == src.nx
+    b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG, warm_candidates=masses)
+    assert b.value.hex() == value
+
+
+def test_main_batch_descends_each_distinct_start_once(monkeypatch):
+    # at |X| = 1, constant U, U = X and the timeshare of U = X are one point
+    module = sys.modules["wakexp.wak_exponent"]
+    batches = []
+
+    def recording(domain, starts, config, **kwargs):
+        batches.append([s.tobytes() for s in starts])
+        return compass_batch(domain, starts, config, **kwargs)
+
+    monkeypatch.setattr(module, "compass_batch", recording)
+    table, r1, r2, value, evaluations = PINNED["case3-1x3"]
+    fixed = [s.tobytes() for s in _ExponentSearch(JointPmf2(table), r1, r2, 4).fixed_starts()]
+    assert len(set(fixed)) < len(fixed)
+    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
+    main = batches[-1]
+    assert len(set(main)) == len(main)
+    assert set(fixed) <= set(main)
     assert (b.value.hex(), b.evaluations) == (value, evaluations)

@@ -378,8 +378,8 @@ class _ExponentSearch:
         nx, ny, src = self.nx, self.ny, self.src.probs
         starts = [self.embed(np.ones((1, ny)), "y")]
         if self.nu < nx:
-            # the feasible start (H(X|U) = 0) that U = X is wherever it fits: the
-            # point mass at x is P(y|x) under the channel that sends only x to u = 0
+            # U = X does not fit, so these keep a start with H(X|U) = 0: the point
+            # mass at x is P(y|x) under the channel that sends only x to u = 0
             px = src.sum(axis=1)
             p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
             starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]

@@ -733,7 +733,7 @@ def test_pinned_benchmark_cases(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_point_masses_win_nowhere_u_equals_x_fits(name):
     # fixed_starts leaves the point masses out at nu >= |X|; handed back as
-    # warm candidates they must not beat the pinned value
+    # warm candidates they must leave the pinned value as it is
     table, r1, r2, value, _ = PINNED[name]
     src = JointPmf2(table)
     nu = 4

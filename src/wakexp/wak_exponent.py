@@ -378,8 +378,7 @@ class _ExponentSearch:
         nx, ny, src = self.nx, self.ny, self.src.probs
         starts = [self.embed(np.ones((1, ny)), "y")]
         if self.nu < nx:
-            # U = X does not fit, so these keep a start with H(X|U) = 0: the point
-            # mass at x is P(y|x) under the channel that sends only x to u = 0
+            # the point mass at x is P(y|x) under the channel that sends only x to u = 0
             px = src.sum(axis=1)
             p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
             starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
@@ -709,7 +708,11 @@ def wak_exponent(
             best = r
         elif abs(r.value - best.value) <= 1e-12:
             # reproducibility tie-break: lexicographically smallest tensor
-            if list(prob.tensors(r.argmin).ravel()) < list(prob.tensors(best.argmin).ravel()):
+            ta = prob.tensors(r.argmin[None, :]).ravel()
+            tb = prob.tensors(best.argmin[None, :]).ravel()
+            diff = ta - tb
+            nz = np.nonzero(diff)[0]
+            if nz.size and diff[nz[0]] < 0:
                 best = SearchResult(r.argmin, best.value, r.evaluations, r.converged)
     # U = X, or the point masses where it does not fit, is always feasible, so `best` is never None
     tensor = prob.tensors(best.argmin[None, :])[0].reshape(nu, src.nx, src.ny)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Which fixed-start families of ``wak_exponent`` win where the others do not.
 
-    python3 tools/start_ablation.py [--sources N] [--family NAME ...]
+    python3 tools/start_ablation.py
 
 Solves a fixed corpus once with every fixed start, then once more for each
 family of ``_ExponentSearch.fixed_starts`` with that family left out, and
@@ -17,7 +17,7 @@ corpus.  The families are:
 * ``power-tilts``: for |Y| = 1, each entropy-matched tilt as an x-split and
   under constant U.
 
-The corpus: ``--sources`` random sources (default 40) drawn from
+The corpus: ``SOURCES`` = 40 random sources drawn from
 ``np.random.default_rng(77)``, shapes cycling through 2x2, 3x2, 4x2, 5x2
 and 3x3, about a quarter of the entries zeroed, and (r1, r2) uniform on
 [0, 1.2]^2; each is solved at nu = 1, 2, 4 and 5 with
@@ -33,7 +33,6 @@ removal patches ``fixed_starts`` from outside the package; nothing in
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
 from pathlib import Path
@@ -52,15 +51,16 @@ _fixed_starts = _ExponentSearch.fixed_starts
 FAMILIES = ("constant-u", "point-masses", "copy-y", "copy-x", "x-split", "y-split", "power-tilts")
 SHAPES = ((2, 2), (3, 2), (4, 2), (5, 2), (3, 3))
 NUS = (1, 2, 4, 5)
+SOURCES = 40
 CONFIG = wakexp.SolverConfig(starts=16, seed=2718)
 RISE_TOL = 1e-9
 
 
-def corpus(sources: int = 40) -> list:
+def corpus() -> list:
     """(name, table, r1, r2, nu) of every solve."""
     rng = np.random.default_rng(77)
     out = []
-    for i in range(sources):
+    for i in range(SOURCES):
         nx, ny = SHAPES[i % len(SHAPES)]
         t = rng.exponential(size=(nx, ny))
         t[rng.random(size=(nx, ny)) < 0.25] = 0.0
@@ -112,15 +112,11 @@ def solve_all(solves, family: str | None) -> list:
         _ExponentSearch.fixed_starts = _fixed_starts
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sources", type=int, default=40, help="random sources in the corpus (default 40)")
-    ap.add_argument("--family", action="append", choices=FAMILIES, help="ablate only these (default all)")
-    args = ap.parse_args(argv)
-    solves = corpus(args.sources)
+def main():
+    solves = corpus()
     base = solve_all(solves, None)
     print(f"{len(solves)} solves, {SHAPES} x nu {NUS}, {CONFIG}")
-    for family in args.family or FAMILIES:
+    for family in FAMILIES:
         values = solve_all(solves, family)
         rose = [(v - b, s) for v, b, s in zip(values, base, solves) if v > b + RISE_TOL]
         worst = max((d for d, _ in rose), default=0.0)

@@ -5,8 +5,7 @@ Every computation is a subcommand that reads a source specification
 single queries and CSV for sweeps on stdout, and keeps diagnostics on
 stderr.  Identical argv and seed produce byte-identical stdout.
 
-Exit codes: 0 success, 2 argument errors, 3 domain errors, 4 infeasible
-solver results.
+Exit codes: 0 success, 2 argument errors, 3 domain errors.
 """
 
 from __future__ import annotations
@@ -29,16 +28,11 @@ from .reductions import (
     gap_check,
 )
 from .simplex_optim import SolverConfig
-from .wak_exponent import RatePair, region_curve, region_min_r1, wak_exponent
+from .wak_exponent import REGION_TOL, RatePair, region_curve, region_min_r1, wak_exponent
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-EXIT_INFEASIBLE = 4
-
-
-class InfeasibleResultError(RuntimeError):
-    """A solver reported an empty feasible set."""
 
 
 def _load_source(spec: str) -> JointPmf2:
@@ -138,7 +132,7 @@ def _cmd_region(args) -> int:
     min_r1 = region_min_r1(src, args.r2, config)
     payload = {"r2": args.r2, "min_r1": min_r1}
     if args.r1 is not None:
-        payload["contains"] = bool(args.r1 >= min_r1 - 1e-6)
+        payload["contains"] = bool(args.r1 >= min_r1 - REGION_TOL)
     _emit_json(payload, args.out)
     return EXIT_OK
 
@@ -345,9 +339,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except InfeasibleResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,9 +31,7 @@ from .simplex_optim import (
     Box,
     SearchDomain,
     SolverConfig,
-    best_of,
-    compass_batch,
-    grid_search,
+    minimize,
     random_starts,
 )
 
@@ -143,14 +141,15 @@ def _zero_candidates(p: float, r1: float, r2: float):
     return out
 
 
-def _inner_solved_candidates(p, r1, r2, markov, resolution, keep=8):
+def _inner_solved_candidates(p, r1, r2, markov, resolution):
     """Sweep the outer parameters with the inner one solved exactly.
 
     For fixed (beta, q1) the objective is strictly convex in q0 while the
     constraint mix is affine in it, so the optimal q0 is p when feasible
     and otherwise sits where the mix entropy equals r1; both mix roots
     come from the binary-entropy inverse.  (Tied q0 = q1 works the same
-    way along beta.)  Returns the best few feasible (beta, q0, q1) rows.
+    way along beta.)  Returns the best feasible (beta, q0, q1) row, or
+    None when no row is feasible.
     """
     n = int(min(max(4 * resolution + 1, 201), 1601))
     a = binary_entropy_inverse(min(r1, 1.0))
@@ -179,10 +178,8 @@ def _inner_solved_candidates(p, r1, r2, markov, resolution, keep=8):
     obj, viol = _evaluate(pts, p, r1, r2, markov)
     feasible = viol <= 1e-12
     if not feasible.any():
-        return []
-    pts, obj = pts[feasible], obj[feasible]
-    order = np.argsort(obj, kind="stable")[:keep]
-    return [pts[i].copy() for i in order]
+        return None
+    return pts[feasible][np.argmin(obj[feasible])]
 
 
 def dsbs_exponent(
@@ -210,7 +207,6 @@ def dsbs_exponent(
     def batch_evaluate(pts):
         return _evaluate(pts, p, r1, r2, markov_constrained)
 
-    runs = [grid_search(domain, resolution=config.grid_resolution, batch_evaluate=batch_evaluate)]
     inner = _inner_solved_candidates(p, r1, r2, markov_constrained, config.grid_resolution)
     zero_pts = [
         np.asarray(c[:dims], dtype=np.float64) for c in _zero_candidates(p, r1, r2)
@@ -219,16 +215,10 @@ def dsbs_exponent(
         obj, viol = batch_evaluate(np.asarray(zero_pts))
         scored = np.where(viol <= 1e-12, obj, np.inf)
         zero_pts = [zero_pts[int(np.argmin(scored))]] if np.isfinite(scored).any() else []
-    starts = []
-    if not runs[0].infeasible:
-        starts.append(runs[0].argmin)
-    starts.extend(inner[:1])
-    starts.extend(zero_pts)
+    starts = ([] if inner is None else [inner]) + zero_pts
     starts.extend(np.asarray(tuple(w)[:dims], dtype=np.float64) for w in warm_candidates)
-    # the multistart's own best comes first among its starts, so one
-    # reduction over every run picks the same winner
     starts += random_starts(domain, config)
-    best = best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
+    best = minimize(domain, batch_evaluate, config, starts, config.grid_resolution)
     # h(0) = 0 <= r1 makes (beta, q0) = (0, 1) always feasible, so best exists
     vec = best.argmin
     if markov_constrained:

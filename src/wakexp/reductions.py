@@ -33,15 +33,13 @@ from .simplex_optim import (
     SolverConfig,
     _capped_resolution,
     _golden_max,
-    best_of,
     compass_batch,
-    grid_search,
     grid_search_batch,
     maximize_1d,
+    minimize,
     random_starts,
 )
 
-THETA_FLOOR = -1e4
 MU_ALPHA_GRID = 41
 
 # small simplex problems: lattice oracle first, local descent after
@@ -106,25 +104,6 @@ def s_theta(p: Pmf, theta: float) -> float:
 # divergence-minimization forms
 # ---------------------------------------------------------------------------
 
-def _simplex_min(k, batch_evaluate, config, candidates, use_grid=True):
-    """Shared driver: lattice oracle (when enumerable), refined candidates,
-    then multistart; returns (value, argmin, evaluations)."""
-    domain = SearchDomain([Simplex(k)])
-    runs = []
-    candidates = list(candidates)
-    if use_grid:
-        res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)
-        g = grid_search(domain, resolution=res, batch_evaluate=batch_evaluate)
-        runs.append(g)
-        if not g.infeasible:
-            candidates.append(g.argmin)
-    # the multistart's own best comes first among its starts, so one
-    # reduction over every run picks the same winner
-    starts = candidates + random_starts(domain, config)
-    best = best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
-    return best.value, best.argmin, best.evaluations
-
-
 def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -> float:
     """Exponent with non-encoded side information.
 
@@ -157,8 +136,9 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
             row = np.zeros((src.nx, src.ny))
             row[x] = src.probs[x] / px[x]
             candidates.append(row.ravel())
-    value, _, _ = _simplex_min(k, batch_evaluate, config, candidates, use_grid=k <= 9)
-    return float(value)
+    domain = SearchDomain([Simplex(k)])
+    res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP) if k <= 9 else None
+    return float(minimize(domain, batch_evaluate, config, candidates + random_starts(domain, config), res).value)
 
 
 def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None) -> float:
@@ -181,8 +161,9 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
             e[i] = 1.0
             candidates.append(e)
     candidates.extend(_entropy_matched_tilts(p.probs, r1))
-    value, _, _ = _simplex_min(k, batch_evaluate, config, candidates)
-    return float(value)
+    domain = SearchDomain([Simplex(k)])
+    res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)
+    return float(minimize(domain, batch_evaluate, config, candidates + random_starts(domain, config), res).value)
 
 
 # ---------------------------------------------------------------------------

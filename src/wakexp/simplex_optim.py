@@ -12,7 +12,9 @@ row, in one pass.
 ``compass_batch`` runs independent compass (coordinate mass-transfer)
 descents from many starts in lockstep, with batched evaluations of bounded
 size per iteration; the best of them over seeded ``random_starts`` is the
-multistart that handles the larger parametrizations.  Hard constraints are
+multistart that handles the larger parametrizations.  ``minimize`` is the one
+driver that chains them: the lattice, then one ``compass_batch`` from its
+argmin and the caller's starts, then ``best_of``.  Hard constraints are
 handled by exact rejection of infeasible incumbents plus a linear penalty on
 constraint violation while probing, so kinky objectives (positive parts,
 entropy caps) do not stall the search.  ``maximize_1d`` and ``_golden_max``
@@ -611,6 +613,23 @@ def best_of(results) -> SearchResult:
     if best is None:
         return SearchResult(None, math.inf, evaluations, False)
     return SearchResult(best.argmin, best.value, evaluations, best.converged)
+
+
+def minimize(domain: SearchDomain, batch_evaluate, config: SolverConfig, starts, resolution=None) -> SearchResult:
+    """The one lattice-then-descend driver.
+
+    Runs the lattice oracle at ``resolution`` when one is given, then one
+    ``compass_batch`` from the lattice argmin first and then ``starts``, and
+    returns the :func:`best_of` the lattice and every descent.  A caller
+    that wants the seeded multistart puts ``random_starts(domain, config)``
+    in ``starts``.
+    """
+    runs, starts = [], list(starts)
+    if resolution is not None:
+        runs.append(grid_search(domain, resolution, batch_evaluate))
+        if not runs[0].infeasible:
+            starts.insert(0, runs[0].argmin)
+    return best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
 
 
 # ---------------------------------------------------------------------------

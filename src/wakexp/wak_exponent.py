@@ -56,16 +56,17 @@ from .simplex_optim import (
     SearchResult,
     Simplex,
     SolverConfig,
+    _FEAS_TOL,
     _capped_resolution,
     best_of,
     compass_batch,
     grid_search,
     lattice_rows,
+    minimize,
     random_starts,
 )
 
 REGION_TOL = 1e-6          # rate-region membership tolerance, bits
-ZERO_TOL = 2e-3            # solver-resolution zero tolerance, bits
 
 
 class UpperBoundWarning(UserWarning):
@@ -200,32 +201,60 @@ def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
     return div + max(aux_measures(a).i_u_y - r2, 0.0)
 
 
-def _bisect_multiplier(solve, feasible, doublings: int, halvings: int) -> None:
+class _Incumbent:
+    """The best feasible point seen under ``batch_evaluate``: a point whose
+    violation is at most ``_FEAS_TOL`` replaces it when its value is
+    strictly lower."""
+
+    def __init__(self, batch_evaluate):
+        self.evaluate = batch_evaluate
+        self.value, self.point = math.inf, None
+
+    def consider(self, pt) -> bool:
+        """Record ``pt`` if it wins; return whether it is feasible."""
+        vals, violations = self.evaluate(pt[None, :])
+        feasible = violations[0] <= _FEAS_TOL
+        if feasible and vals[0] < self.value:
+            self.value, self.point = float(vals[0]), pt.copy()
+        return feasible
+
+
+def _bisect_multiplier(domain, scalarized, starts, config, incumbent, doublings: int, halvings: int) -> int:
     """Bisect the multiplier of a scalarized solve onto an active constraint.
 
-    ``solve(lam, warm)`` minimizes objective + lam * constraint from the
-    extra starts ``warm`` and returns its argmin; ``feasible(point)`` tests
-    (and may record) it.  After the unpenalized solve, the multiplier
-    doubles from 1 until a solve is feasible, then ``halvings`` bisection
-    steps follow; each solve is warm-started from the previous argmin.
+    Each solve minimizes ``scalarized(lam)``, objective + lam * constraint,
+    by one descent from ``starts`` and the previous argmin, and hands its
+    argmin to ``incumbent``, whose verdict is the solve's feasibility.
+    After the unpenalized solve, the multiplier doubles from 1 until a
+    solve is feasible, then ``halvings`` bisection steps follow.  Returns
+    the evaluations the solves spent.
     """
+    evaluations = 0
+
+    def solve(lam, warm):
+        nonlocal evaluations
+        best = minimize(domain, scalarized(lam), config, starts + warm)
+        evaluations += best.evaluations
+        return best.argmin
+
     pt = solve(0.0, [])
-    if feasible(pt):
-        return
+    if incumbent.consider(pt):
+        return evaluations
     lam_lo, lam_hi = 0.0, 1.0
     for _ in range(doublings):
         pt = solve(lam_hi, [pt])
-        if feasible(pt):
+        if incumbent.consider(pt):
             break
         lam_lo = lam_hi
         lam_hi *= 2.0
     for _ in range(halvings):
         lam = 0.5 * (lam_lo + lam_hi)
         pt = solve(lam, [pt])
-        if feasible(pt):
+        if incumbent.consider(pt):
             lam_hi = lam
         else:
             lam_lo = lam
+    return evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +428,8 @@ class _ExponentSearch:
         multiplier of a scalarized solve, as for the rate region.  On the
         always-feasible U = X manifold the collapse is
         D(m||src) + H_m(X|Y) + max(I_m(X;Y) - r2, 0), unconstrained.
-        Both searches run in the small table simplex and return embedded
-        tensor points.
+        Both searches run in the small table simplex.  Returns the embedded
+        tensor points and the evaluations the searches spent.
         """
         k = self.k
         domain = SearchDomain([Simplex(k)])
@@ -414,7 +443,7 @@ class _ExponentSearch:
         )
         base = [self.src_flat.copy()] + list(np.eye(k)[self.src_flat > 0.0])
 
-        out = []
+        out, evaluations = [], 0
         if self.nu >= self.nx:
             def x_copy_evaluate(pts):
                 kl, h_xy, h_y, h_x = self.table_stats(pts)
@@ -422,10 +451,8 @@ class _ExponentSearch:
                 return kl + (h_xy - h_y) + np.maximum(mi - r2, 0.0), 0.0
 
             res = _capped_resolution(domain, 40, 200_000)
-            winners = [grid_search(domain, resolution=res, batch_evaluate=x_copy_evaluate)]
-            refine = base + [w.argmin for w in winners if not w.infeasible]
-            winners += compass_batch(domain, refine, local, batch_evaluate=x_copy_evaluate)
-            best = min((w for w in winners if not w.infeasible), key=lambda w: w.value)
+            best = minimize(domain, x_copy_evaluate, local, base, res)
+            evaluations += best.evaluations
             out.append(self.embed(np.eye(nx), "x", best.argmin))
 
         if self.nu >= self.ny:
@@ -434,31 +461,23 @@ class _ExponentSearch:
                 obj = kl + np.maximum(h_y - r2, 0.0)
                 return obj, np.maximum((h_xy - h_y) - r1, 0.0)
 
-            def solve(lam, extra):
+            def scalarized(lam):
                 def objective(pts):
-                    obj, viol_raw = y_copy_evaluate(pts)
-                    return obj + lam * viol_raw, 0.0
+                    obj, violation = y_copy_evaluate(pts)
+                    return obj + lam * violation, 0.0
 
-                runs = compass_batch(domain, base + extra, local, batch_evaluate=objective)
-                return best_of(runs).argmin
+                return objective
 
-            best_m, best_val = None, math.inf
-
-            def consider(m):
-                nonlocal best_m, best_val
-                obj, viol = y_copy_evaluate(m[None, :])
-                if viol[0] <= 1e-12 and obj[0] < best_val:
-                    best_m, best_val = m.copy(), float(obj[0])
-                return viol[0] <= 0.0
-
-            _bisect_multiplier(solve, consider, 30, 20)
-            start = best_m if best_m is not None else self.src_flat.copy()
+            incumbent = _Incumbent(y_copy_evaluate)
+            evaluations += _bisect_multiplier(domain, scalarized, base, local, incumbent, 30, 20)
+            start = incumbent.point if incumbent.point is not None else self.src_flat.copy()
             polish = compass_batch(domain, [start], local, batch_evaluate=y_copy_evaluate)[0]
+            evaluations += polish.evaluations
             if not polish.infeasible:
-                consider(polish.argmin)
-            if best_m is not None:
-                out.append(self.embed(np.eye(ny), "y", best_m))
-        return out
+                incumbent.consider(polish.argmin)
+            if incumbent.point is not None:
+                out.append(self.embed(np.eye(ny), "y", incumbent.point))
+        return out, evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -544,28 +563,8 @@ def _region_argmin(
     if warm_channel is not None and warm_channel.shape == (nu, src.ny):
         base_starts.append(prob.encode_rows(warm_channel.T))
 
-    evaluations = 0
-    best_val = math.inf
-    best_pt = None
-
-    def consider(pt):
-        nonlocal best_val, best_pt
-        h, mi = prob.stats(pt[None, :])
-        if mi[0] <= r2 + 1e-12 and h[0] < best_val:
-            best_val = float(h[0])
-            best_pt = pt.copy()
-        return mi[0] <= r2 + 1e-12
-
-    def solve_scalarized(lam, extra):
-        nonlocal evaluations
-        objective = prob.scalarized(lam)
-        winner = best_of(
-            compass_batch(prob.domain, base_starts + extra, local, batch_evaluate=objective)
-        )
-        evaluations += winner.evaluations
-        return winner.argmin
-
-    _bisect_multiplier(solve_scalarized, consider, 40, 22)
+    incumbent = _Incumbent(prob.evaluate)
+    evaluations = _bisect_multiplier(prob.domain, prob.scalarized, base_starts, local, incumbent, 40, 22)
 
     if lattice_rows(prob.domain, config.grid_resolution) <= 120_000:
         g = grid_search(
@@ -573,10 +572,10 @@ def _region_argmin(
         )
         evaluations += g.evaluations
         if not g.infeasible:
-            consider(g.argmin)
+            incumbent.consider(g.argmin)
     polish_starts = list(base_starts)
-    if best_pt is not None:
-        polish_starts.append(best_pt)
+    if incumbent.point is not None:
+        polish_starts.append(incumbent.point)
     runs = compass_batch(
         prob.domain,
         polish_starts + random_starts(prob.domain, local),
@@ -586,9 +585,9 @@ def _region_argmin(
     for r in runs[: len(polish_starts)] + [best_of(runs[len(polish_starts) :])]:
         evaluations += r.evaluations
         if not r.infeasible:
-            consider(r.argmin)
-    channel = best_pt.reshape(src.ny, nu).T
-    return best_val, channel, evaluations
+            incumbent.consider(r.argmin)
+    channel = incumbent.point.reshape(src.ny, nu).T
+    return incumbent.value, channel, evaluations
 
 
 def region_min_r1(src: JointPmf2, r2: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
@@ -684,9 +683,11 @@ def wak_exponent(
             )
     prob = _ExponentSearch(src, rates.r1, rates.r2, nu)
 
-    starts = prob.fixed_starts() + prob.candidates_copy_manifolds(config)
+    copies, evaluations = prob.candidates_copy_manifolds(config)
+    starts = prob.fixed_starts() + copies
     # the region channel has at most nu rows, so it always embeds
-    _, channel, evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
+    _, channel, region_evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
+    evaluations += region_evaluations
     starts.append(prob.embed(channel, "y"))
 
     padded = (_padded_channel(w.probs, nu) for w in warm)

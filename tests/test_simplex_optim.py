@@ -389,6 +389,76 @@ class TestMultistart:
         assert res.value == pytest.approx(0.6, abs=1e-5)
 
 
+def _off_lattice_gap(pts):
+    """Distance of the first coordinate from 1/3 beyond 0.01: 0 on a band
+    that holds no point of any PRODUCTS lattice at resolution 4."""
+    return np.maximum(np.abs(pts[:, 0] - 1.0 / 3.0) - 0.01, 0.0)
+
+
+MINIMIZE_OBJECTIVES = {
+    # a smooth objective whose constraint some lattice points meet
+    "feasible-lattice": lambda w: lambda pts: (
+        np.cos(pts @ w) + ((pts - 0.3) ** 2).sum(axis=1),
+        np.maximum(pts[:, 0] - 0.6, 0.0),
+    ),
+    # feasible only on the band, so every lattice point is infeasible
+    "infeasible-lattice": lambda w: lambda pts: (pts @ w, _off_lattice_gap(pts)),
+    # 0 on the whole band: descents tie there at different points
+    "ties": lambda w: lambda pts: (_off_lattice_gap(pts), 0.0),
+}
+
+
+class TestMinimize:
+    """``minimize`` against a hand-built lattice, one descent and ``best_of``."""
+
+    CFG = SolverConfig(starts=5, seed=6, max_iterations=300, step_tolerance=1e-7)
+
+    @staticmethod
+    def _by_hand(domain, evaluate, config, starts, resolution, lattice_first=True):
+        runs = [] if resolution is None else [grid_search(domain, resolution, evaluate)]
+        lattice = [r.argmin for r in runs if not r.infeasible]
+        starts = lattice + starts if lattice_first else starts + lattice
+        return best_of(runs + compass_batch(domain, starts, config, batch_evaluate=evaluate))
+
+    @pytest.mark.parametrize("resolution", [None, 4])
+    @pytest.mark.parametrize("objective", MINIMIZE_OBJECTIVES)
+    @pytest.mark.parametrize("blocks", PRODUCTS.values(), ids=PRODUCTS.keys())
+    def test_matches_the_hand_built_driver(self, monkeypatch, blocks, objective, resolution):
+        domain = SearchDomain(blocks)
+        evaluate = MINIMIZE_OBJECTIVES[objective](np.random.default_rng(8).normal(size=domain.n_params))
+        starts = random_starts(domain, self.CFG)
+        want = self._by_hand(domain, evaluate, self.CFG, starts, resolution)
+        batches = []
+
+        def recording(domain, starts, config, **kwargs):
+            batches.append([s.tobytes() for s in starts])
+            return compass_batch(domain, starts, config, **kwargs)
+
+        monkeypatch.setattr(simplex_optim, "compass_batch", recording)
+        got = simplex_optim.minimize(domain, evaluate, self.CFG, starts, resolution)
+        _assert_same_result(got, want)
+        assert len(batches) == 1
+        lattice = [] if resolution is None else [grid_search(domain, resolution, evaluate)]
+        if objective == "infeasible-lattice":
+            assert lattice == [] or lattice[0].infeasible
+        first = [r.argmin.tobytes() for r in lattice if not r.infeasible]
+        assert batches[0] == first + [s.tobytes() for s in starts]
+
+    @pytest.mark.parametrize("blocks", PRODUCTS.values(), ids=PRODUCTS.keys())
+    def test_ties_go_to_the_lattice_argmin_descent(self, blocks):
+        # the lattice misses the band, and the descent from its argmin
+        # reaches 0 as do descents from other starts; the first one wins
+        domain = SearchDomain(blocks)
+        evaluate = MINIMIZE_OBJECTIVES["ties"](None)
+        starts = random_starts(domain, self.CFG)
+        got = simplex_optim.minimize(domain, evaluate, self.CFG, starts, 4)
+        last = self._by_hand(domain, evaluate, self.CFG, starts, 4, lattice_first=False)
+        assert got.value == last.value == 0.0
+        assert got.argmin.tobytes() != last.argmin.tobytes()
+        (descent,) = compass_batch(domain, [grid_search(domain, 4, evaluate).argmin], self.CFG, batch_evaluate=evaluate)
+        assert got.argmin.tobytes() == descent.argmin.tobytes()
+
+
 class TestDomainDiscipline:
     def test_every_evaluated_point_stays_inside(self):
         seen = []

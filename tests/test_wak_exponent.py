@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wakexp import simplex_optim
 from wakexp.probkit import (
     BLOCK_POINTS,
     AuxJointPmf,
@@ -685,15 +686,15 @@ PINNED = {
     # the values are those of perfbench/reference.json
     "case0-2x2": (
         [[0.15063553039154987, 0.043301720479387865], [0.754622442161684, 0.05144030696737834]],
-        0.5079917387670908, 0.99324311258453, "0x1.ac1b107c4649ap-6", 85_469,
+        0.5079917387670908, 0.99324311258453, "0x1.ac1b107c4649ap-6", 147_859,
     ),
     "case3-1x3": (
         [[0.4704535532506672, 0.33642007514760724, 0.19312637160172555]],
-        0.6494722266569211, 0.332269444854445, "-0x1.decda41e69000p-53", 33_016,
+        0.6494722266569211, 0.332269444854445, "-0x1.decda41e69000p-53", 35_261,
     ),
     "case4-2x2": (
         [[0.013967104012289433, 0.7457383183907793], [0.02088948508151678, 0.2194050925154144]],
-        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 58_902,
+        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 74_483,
     ),
     "case6-3x2": (
         [
@@ -701,24 +702,24 @@ PINNED = {
             [0.2802418813809834, 0.12708263504457637],
             [0.06447814616711398, 0.24667194870684236],
         ],
-        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 206_361,
+        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 545_796,
     ),
     "case7-1x3": (
         [[0.8195177007032262, 0.05445439773665263, 0.1260279015601211]],
-        0.22958871126864033, 0.09786314083621525, "-0x1.541142e3701c0p-53", 56_535,
+        0.22958871126864033, 0.09786314083621525, "-0x1.541142e3701c0p-53", 58_980,
     ),
     "case11-1x3": (
         [[0.3942462415254647, 0.3359858551643965, 0.2697679033101387]],
-        0.2946627206918131, 0.9222203986755052, "-0x1.1aea01796bf80p-53", 31_660,
+        0.2946627206918131, 0.9222203986755052, "-0x1.1aea01796bf80p-53", 33_945,
     ),
     "case13-2x3": (
         [
             [0.15468281556880634, 0.05616382104346113, 0.2915906716633682],
             [0.3637804108774483, 0.015253752212244545, 0.11852852863467146],
         ],
-        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 354_454,
+        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 670_217,
     ),
-    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 90_271),
+    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 107_808),
 }
 PINNED_CONFIG = SolverConfig(grid_resolution=12, starts=16, seed=2718)
 
@@ -763,3 +764,26 @@ def test_main_batch_descends_each_distinct_start_once(monkeypatch):
     assert len(set(main)) == len(main)
     assert set(fixed) <= set(main)
     assert (b.value.hex(), b.evaluations) == (value, evaluations)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
+    # every grid_search and compass_batch call of the solve, from wak_exponent
+    # itself or through simplex_optim.minimize, adds to b.evaluations
+    tally = []
+    grid, compass = simplex_optim.grid_search, simplex_optim.compass_batch
+
+    def tallied(fn, count):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tally.append(count(out))
+            return out
+
+        return wrapper
+
+    for module in (sys.modules["wakexp.wak_exponent"], simplex_optim):
+        monkeypatch.setattr(module, "grid_search", tallied(grid, lambda r: r.evaluations))
+        monkeypatch.setattr(module, "compass_batch", tallied(compass, lambda rs: sum(r.evaluations for r in rs)))
+    table, r1, r2, _, evaluations = PINNED[name]
+    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
+    assert sum(tally) == b.evaluations == evaluations

@@ -620,7 +620,7 @@ def minimize(domain: SearchDomain, batch_evaluate, config: SolverConfig, starts,
 
     Runs the lattice oracle at ``resolution`` when one is given, then one
     ``compass_batch`` from the lattice argmin first and then ``starts``, and
-    returns the :func:`best_of` the lattice and every descent.  A caller
+    returns :func:`best_of` over the lattice and every descent.  A caller
     that wants the seeded multistart puts ``random_starts(domain, config)``
     in ``starts``.
     """

@@ -124,12 +124,7 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
         h_y = entropy_rows(m.reshape(-1, src.nx, src.ny).sum(axis=1))
         return kl_rows(m, log_src) + np.maximum(h_xy - h_y - r1, 0.0), 0.0
 
-    candidates = [flat.copy()]
-    for i in range(k):
-        if flat[i] > 0.0:
-            e = np.zeros(k)
-            e[i] = 1.0
-            candidates.append(e)
+    candidates = [flat.copy()] + list(np.eye(k)[flat > 0.0])
     px = src.probs.sum(axis=1)
     for x in range(src.nx):
         if px[x] > 0.0:
@@ -154,12 +149,7 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
         q = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         return kl_rows(q, log_p) + np.maximum(entropy_rows(q) - r1, 0.0), 0.0
 
-    candidates = [p.probs.copy(), np.full(k, 1.0 / k)]
-    for i in range(k):
-        if p.probs[i] > 0.0:
-            e = np.zeros(k)
-            e[i] = 1.0
-            candidates.append(e)
+    candidates = [p.probs.copy(), np.full(k, 1.0 / k)] + list(np.eye(k)[p.probs > 0.0])
     candidates.extend(_entropy_matched_tilts(p.probs, r1))
     domain = SearchDomain([Simplex(k)])
     res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)

@@ -26,6 +26,11 @@ when R1 < H(X), and U = Y when R1 < H(X|Y); their descents rank probes by a
 penalized score and count only from the first feasible point.  U = X (or
 the point masses) has H(X|U) = 0, so the returned point is always feasible
 and its value an upper bound that the other starts can only improve.
+
+Every search runs through :func:`simplex_optim.minimize`: the rate
+region's lattice and polish, the copy manifolds, and the main batch of
+every distinct start plus the seeded multistart.  The reported point is
+the first strictly lowest feasible finisher of that batch.
 """
 
 from __future__ import annotations
@@ -53,14 +58,10 @@ from .probkit import (
 from .simplex_optim import (
     DEFAULT_CONFIG,
     SearchDomain,
-    SearchResult,
     Simplex,
     SolverConfig,
     _FEAS_TOL,
     _capped_resolution,
-    best_of,
-    compass_batch,
-    grid_search,
     lattice_rows,
     minimize,
     random_starts,
@@ -471,7 +472,7 @@ class _ExponentSearch:
             incumbent = _Incumbent(y_copy_evaluate)
             evaluations += _bisect_multiplier(domain, scalarized, base, local, incumbent, 30, 20)
             start = incumbent.point if incumbent.point is not None else self.src_flat.copy()
-            polish = compass_batch(domain, [start], local, batch_evaluate=y_copy_evaluate)[0]
+            polish = minimize(domain, y_copy_evaluate, local, [start])
             evaluations += polish.evaluations
             if not polish.infeasible:
                 incumbent.consider(polish.argmin)
@@ -546,8 +547,9 @@ def _region_argmin(
     The boundary traced by (I(U;Y), H(X|U)) is convex, so the active
     constraint is handled by bisecting the multiplier of the scalarized
     objective H + lam * I, with each unconstrained solve warm-started from
-    the previous multiplier.  A lattice pass and seeded restarts guard the
-    corner cases.
+    the previous multiplier.  One :func:`minimize` call then guards the
+    corner cases: the lattice, and descents from its argmin, the fixed
+    channels, the bisection's point and seeded restarts.
     """
     nu = src.ny + 1 if nu_cap is None else max(1, min(nu_cap, src.ny + 1))
     if r2 <= 1e-9:
@@ -566,26 +568,13 @@ def _region_argmin(
     incumbent = _Incumbent(prob.evaluate)
     evaluations = _bisect_multiplier(prob.domain, prob.scalarized, base_starts, local, incumbent, 40, 22)
 
-    if lattice_rows(prob.domain, config.grid_resolution) <= 120_000:
-        g = grid_search(
-            prob.domain, resolution=config.grid_resolution, batch_evaluate=prob.evaluate
-        )
-        evaluations += g.evaluations
-        if not g.infeasible:
-            incumbent.consider(g.argmin)
-    polish_starts = list(base_starts)
-    if incumbent.point is not None:
-        polish_starts.append(incumbent.point)
-    runs = compass_batch(
-        prob.domain,
-        polish_starts + random_starts(prob.domain, local),
-        local,
-        batch_evaluate=prob.evaluate,
-    )
-    for r in runs[: len(polish_starts)] + [best_of(runs[len(polish_starts) :])]:
-        evaluations += r.evaluations
-        if not r.infeasible:
-            incumbent.consider(r.argmin)
+    res = config.grid_resolution if lattice_rows(prob.domain, config.grid_resolution) <= 120_000 else None
+    bisected = [] if incumbent.point is None else [incumbent.point]
+    polish_starts = base_starts + bisected + random_starts(prob.domain, local)
+    polish = minimize(prob.domain, prob.evaluate, local, polish_starts, res)
+    evaluations += polish.evaluations
+    if not polish.infeasible:
+        incumbent.consider(polish.argmin)
     channel = incumbent.point.reshape(src.ny, nu).T
     return incumbent.value, channel, evaluations
 
@@ -693,36 +682,20 @@ def wak_exponent(
     padded = (_padded_channel(w.probs, nu) for w in warm)
     starts += [prob.encode(t) for t in padded if t is not None]
 
-    # byte-equal starts descend once, and every copy takes that descent's result
-    distinct = {s.tobytes(): s for s in starts}
-    slot = {key: i for i, key in enumerate(distinct)}
-    batch = list(distinct.values()) + random_starts(prob.domain, config)
-    runs = compass_batch(prob.domain, batch, config, batch_evaluate=prob.evaluate)
-    evaluations += sum(r.evaluations for r in runs)
-    runs = [runs[slot[s.tobytes()]] for s in starts] + [best_of(runs[len(slot) :])]
-
-    best = None
-    for r in runs:
-        if r.infeasible:
-            continue
-        if best is None or r.value < best.value - 1e-12:
-            best = r
-        elif abs(r.value - best.value) <= 1e-12:
-            # reproducibility tie-break: lexicographically smallest tensor
-            ta = prob.tensors(r.argmin[None, :]).ravel()
-            tb = prob.tensors(best.argmin[None, :]).ravel()
-            diff = ta - tb
-            nz = np.nonzero(diff)[0]
-            if nz.size and diff[nz[0]] < 0:
-                best = SearchResult(r.argmin, best.value, r.evaluations, r.converged)
-    # U = X, or the point masses where it does not fit, is always feasible, so `best` is never None
+    # byte-equal starts descend once
+    distinct = list({s.tobytes(): s for s in starts}.values())
+    best = minimize(prob.domain, prob.evaluate, config, distinct + random_starts(prob.domain, config))
+    evaluations += best.evaluations
+    # U = X, or the point masses where it does not fit, is always feasible, so `best` is too
     tensor = prob.tensors(best.argmin[None, :])[0].reshape(nu, src.nx, src.ny)
     total = tensor.sum()
     if abs(total - 1.0) > 1e-13:
         tensor = tensor / total
     arg = AuxJointPmf(tensor)
-    kl, cond_mi = soft_markov_decompose(arg, src)
     m = aux_measures(arg)
+    # each term is nonnegative, so a negative one is rounding
+    kl = max(kl_bits(m.marginal_xy.probs, src.probs), 0.0)
+    cond_mi = max(m.i_u_x_given_y, 0.0)
     rate2 = max(m.i_u_y - rates.r2, 0.0)
     return ExponentBreakdown(
         value=kl + cond_mi + rate2,

@@ -180,7 +180,7 @@ def test_06_non_encoded_reduction(capsys):
     report(
         capsys,
         "06 non-encoded reduction",
-        worst <= 2e-2,
+        worst <= 1e-5,
         f"max |general - non-encoded| {worst:.2e} over 5 sources in {time.time()-t0:.1f}s",
     )
 
@@ -205,7 +205,7 @@ def test_07_zero_positivity(capsys):
         elif r1 <= min_r1 - 0.05:
             outside_min = min(outside_min, value)
             n_out += 1
-    ok = inside_max <= 2e-3 and (n_out == 0 or outside_min >= 1e-3)
+    ok = inside_max <= 1e-14 and (n_out == 0 or outside_min >= 1e-3)
     report(
         capsys,
         "07 zero inside, positive outside",
@@ -254,7 +254,7 @@ def test_09_comparison_bound_dominance(capsys):
     report(
         capsys,
         "09 comparison bound dominance",
-        worst <= 2e-2,
+        worst <= 1e-12,
         f"max (bound - exponent) {worst:.2e} over {checked} pairs in {time.time()-t0:.1f}s",
     )
 

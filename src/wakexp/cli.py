@@ -124,7 +124,7 @@ def _cmd_region(args) -> int:
     config = _config_from(args)
     if args.r2_grid is not None:
         curve = region_curve(src, _parse_grid(args.r2_grid), config)
-        rows = ["r2,min_r1"] + [f"{a:.6f},{b:.6f}" for a, b in curve.points]
+        rows = ["r2,min_r1"] + [f"{dsbs_mod._fmt(a)},{dsbs_mod._fmt(b)}" for a, b in curve.points]
         _emit("\n".join(rows), args.out)
         return EXIT_OK
     if args.r2 is None:

@@ -12,7 +12,7 @@ zero where any float would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,20 +53,7 @@ class PaBoundReport:
             raise ValueError("total must be the exact sum of the two terms")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r1": self.r1,
-            "r2": self.r2,
-            "delta": self.delta,
-            "exponent": self.exponent,
-            "tail_term": self.tail_term,
-            "hash_term": self.hash_term,
-            "total": self.total,
-            "log2_tail_term": self.log2_tail_term,
-            "log2_hash_term": self.log2_hash_term,
-            "log2_total": self.log2_total,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self)
 
 
 def pa_generic_bound(tail_probability: float, tau: float, n: int, r1: float) -> float:

@@ -217,24 +217,6 @@ def y_contract(w: np.ndarray, table: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-BLOCK_POINTS = 2048         # points per pass of a feature-major kernel
-
-
-def in_blocks(kernel, pts):
-    """``kernel(pts)`` over blocks of at most ``BLOCK_POINTS`` points,
-    concatenated.
-
-    ``kernel`` maps a 2-d float array of points (one per row) to a tuple
-    of per-point result arrays, each point's results depending on that
-    point alone; blocks bound the working memory of a large lattice.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    if len(pts) <= BLOCK_POINTS:
-        return kernel(pts)
-    parts = [kernel(pts[lo : lo + BLOCK_POINTS]) for lo in range(0, len(pts), BLOCK_POINTS)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 class Layout:
     """Feature-major layout of a block of vectors: one row per entry, one
     column per point.
@@ -248,7 +230,9 @@ class Layout:
     The blocks live in a workspace that the layout keeps for later calls,
     so a large batch faults in no fresh pages; a kernel on one layout must
     therefore not run in two threads at once.  :meth:`entropies` returns
-    no view of it.
+    no view of it.  The workspace grows to the largest batch; the search
+    drivers of :mod:`simplex_optim` hand a kernel at most ``_CALL_ROWS``
+    points per call, which bounds it.
     """
 
     def __init__(self, widths):

@@ -12,7 +12,7 @@ report packages that difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -209,13 +209,7 @@ class GapReport:
             raise ValueError("gap must equal f_tight - f_oohama")
 
     def to_dict(self) -> dict:
-        return {
-            "f_oohama": self.f_oohama,
-            "f_tight": self.f_tight,
-            "gap": self.gap,
-            "argmax_theta_oohama": self.argmax_theta_oohama,
-            "argmax_theta_tight": self.argmax_theta_tight,
-        }
+        return asdict(self)
 
 
 def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:

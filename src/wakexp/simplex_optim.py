@@ -10,15 +10,19 @@ chunks of bounded size, and is the ground-truth oracle for small problems;
 ``grid_search_batch`` does so for many objectives that differ by a parameter
 row, in one pass.
 ``compass_batch`` runs independent compass (coordinate mass-transfer)
-descents from many starts in lockstep, with batched evaluations of bounded
-size per iteration; the best of them over seeded ``random_starts`` is the
-multistart that handles the larger parametrizations.  ``minimize`` is the one
-driver that chains them: the lattice, then one ``compass_batch`` from its
-argmin and the caller's starts, then ``best_of``.  Hard constraints are
-handled by exact rejection of infeasible incumbents plus a linear penalty on
-constraint violation while probing, so kinky objectives (positive parts,
-entropy caps) do not stall the search.  ``maximize_1d`` and ``_golden_max``
-are the one-dimensional golden-section maximizers.
+descents from many starts in lockstep; the best of them over seeded
+``random_starts`` is the multistart that handles the larger
+parametrizations.  ``grid_search`` and ``compass_batch`` hand
+``batch_evaluate`` at most ``_CALL_ROWS`` rows per call, so the kernels
+behind them need not split a batch.  ``minimize`` is the one driver that
+chains them: the lattice, then one ``compass_batch`` from its argmin and
+the caller's starts, then ``best_of``.  ``bisect_multiplier`` is the one
+multiplier bisection: ``minimize`` solves of a scalarized objective, of
+which ``best_of`` picks the best feasible one.  Hard constraints are
+handled by exact rejection of infeasible incumbents plus a linear penalty
+on constraint violation while probing, so kinky objectives (positive
+parts, entropy caps) do not stall the search.  ``maximize_1d`` and
+``_golden_max`` are the one-dimensional golden-section maximizers.
 
 All searches are deterministic functions of their inputs and the seed:
 evaluation and reduction happen in index order, so a parallel driver that
@@ -36,7 +40,7 @@ import numpy as np
 
 _FEAS_TOL = 1e-12          # violation below this counts as feasible
 _DRIFT_TOL = 2.5e-13       # simplex sum drift that triggers exact rescaling
-_CALL_ROWS = 1 << 11       # rows per objective call of compass_batch
+_CALL_ROWS = 1 << 11       # rows per objective call of grid_search and compass_batch
 
 
 @dataclass(frozen=True)
@@ -251,14 +255,17 @@ def grid_search(domain: SearchDomain, resolution: int, batch_evaluate) -> Search
     Infeasible points and +inf objective values are skipped, and only
     feasible points count as evaluations.  Ties break to the
     lexicographically smallest point because enumeration is lex ordered
-    and only strict improvements replace the incumbent.  Returns the
-    infeasible marker result when no lattice point is feasible.
+    and only strict improvements replace the incumbent.  Each call of
+    ``batch_evaluate`` gets at most ``_CALL_ROWS`` rows of a lattice chunk.
+    Returns the infeasible marker result when no lattice point is feasible.
     """
     minima = _LatticeMinima(1, domain.n_params)
     for chunk in lattice_chunks(domain, resolution):
-        vals, violations = batch_evaluate(chunk)
-        feasible = np.broadcast_to(np.asarray(violations) <= _FEAS_TOL, len(chunk))
-        minima.fold(0, chunk, np.where(feasible, vals, math.inf), np.count_nonzero(feasible))
+        for lo in range(0, len(chunk), _CALL_ROWS):
+            rows = chunk[lo : lo + _CALL_ROWS]
+            vals, violations = batch_evaluate(rows)
+            feasible = np.broadcast_to(np.asarray(violations) <= _FEAS_TOL, len(rows))
+            minima.fold(0, rows, np.where(feasible, vals, math.inf), np.count_nonzero(feasible))
     return minima.results()[0]
 
 
@@ -630,6 +637,49 @@ def minimize(domain: SearchDomain, batch_evaluate, config: SolverConfig, starts,
         if not runs[0].infeasible:
             starts.insert(0, runs[0].argmin)
     return best_of(runs + compass_batch(domain, starts, config, batch_evaluate=batch_evaluate))
+
+
+def bisect_multiplier(
+    domain: SearchDomain, batch_evaluate, scalarized, starts, config: SolverConfig, doublings: int, halvings: int
+) -> SearchResult:
+    """Bisect the multiplier of a scalarized solve onto an active constraint.
+
+    Each solve is one :func:`minimize` of the unconstrained
+    ``scalarized(lam)``, objective + lam * constraint, from ``starts`` and
+    the previous solve's argmin.  Its argmin is judged under
+    ``batch_evaluate``: feasible when the violation is at most
+    ``_FEAS_TOL``.  After the unpenalized solve, the multiplier doubles
+    from 1 until a solve is feasible, then ``halvings`` bisection steps
+    follow.  Returns :func:`best_of` over the feasible solves, each with its
+    value under ``batch_evaluate``, so ties go to the earlier solve, and
+    with the evaluations of every solve summed.
+    """
+    solves, starts = [], list(starts)
+
+    def solve(lam, warm):
+        """Record the solve at ``lam``; return its verdict and its argmin as the next warm start."""
+        res = minimize(domain, scalarized(lam), config, starts + warm)
+        vals, violations = batch_evaluate(res.argmin[None, :])
+        ok = bool(np.max(violations) <= _FEAS_TOL)
+        point = res.argmin if ok and vals[0] < math.inf else None
+        solves.append(SearchResult(point, float(vals[0]), res.evaluations, res.converged))
+        return ok, [res.argmin]
+
+    ok, warm = solve(0.0, [])
+    if ok:
+        return best_of(solves)
+    lam_lo, lam_hi = 0.0, 1.0
+    for _ in range(doublings):
+        ok, warm = solve(lam_hi, warm)
+        if ok:
+            break
+        lam_lo = lam_hi
+        lam_hi *= 2.0
+    for _ in range(halvings):
+        lam = 0.5 * (lam_lo + lam_hi)
+        ok, warm = solve(lam, warm)
+        lam_lo, lam_hi = (lam_lo, lam) if ok else (lam, lam_hi)
+    return best_of(solves)
 
 
 # ---------------------------------------------------------------------------

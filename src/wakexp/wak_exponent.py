@@ -29,8 +29,11 @@ and its value an upper bound that the other starts can only improve.
 
 Every search runs through :func:`simplex_optim.minimize`: the rate
 region's lattice and polish, the copy manifolds, and the main batch of
-every distinct start plus the seeded multistart.  The reported point is
-the first strictly lowest feasible finisher of that batch.
+every distinct start plus the seeded multistart.  The rate region and the
+U = Y copy manifold bisect a multiplier with
+:func:`simplex_optim.bisect_multiplier`, whose solves are ``minimize``
+calls.  The reported point is the first strictly lowest feasible finisher
+of the main batch.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .probkit import (
     Layout,
     _entropy_matched_tilts,
     aux_measures,
-    in_blocks,
     entropy_bits,
     kl_bits,
     lead_sum,
@@ -60,8 +62,9 @@ from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
-    _FEAS_TOL,
     _capped_resolution,
+    best_of,
+    bisect_multiplier,
     lattice_rows,
     minimize,
     random_starts,
@@ -202,62 +205,6 @@ def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
     return div + max(aux_measures(a).i_u_y - r2, 0.0)
 
 
-class _Incumbent:
-    """The best feasible point seen under ``batch_evaluate``: a point whose
-    violation is at most ``_FEAS_TOL`` replaces it when its value is
-    strictly lower."""
-
-    def __init__(self, batch_evaluate):
-        self.evaluate = batch_evaluate
-        self.value, self.point = math.inf, None
-
-    def consider(self, pt) -> bool:
-        """Record ``pt`` if it wins; return whether it is feasible."""
-        vals, violations = self.evaluate(pt[None, :])
-        feasible = violations[0] <= _FEAS_TOL
-        if feasible and vals[0] < self.value:
-            self.value, self.point = float(vals[0]), pt.copy()
-        return feasible
-
-
-def _bisect_multiplier(domain, scalarized, starts, config, incumbent, doublings: int, halvings: int) -> int:
-    """Bisect the multiplier of a scalarized solve onto an active constraint.
-
-    Each solve minimizes ``scalarized(lam)``, objective + lam * constraint,
-    by one descent from ``starts`` and the previous argmin, and hands its
-    argmin to ``incumbent``, whose verdict is the solve's feasibility.
-    After the unpenalized solve, the multiplier doubles from 1 until a
-    solve is feasible, then ``halvings`` bisection steps follow.  Returns
-    the evaluations the solves spent.
-    """
-    evaluations = 0
-
-    def solve(lam, warm):
-        nonlocal evaluations
-        best = minimize(domain, scalarized(lam), config, starts + warm)
-        evaluations += best.evaluations
-        return best.argmin
-
-    pt = solve(0.0, [])
-    if incumbent.consider(pt):
-        return evaluations
-    lam_lo, lam_hi = 0.0, 1.0
-    for _ in range(doublings):
-        pt = solve(lam_hi, [pt])
-        if incumbent.consider(pt):
-            break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-    for _ in range(halvings):
-        lam = 0.5 * (lam_lo + lam_hi)
-        pt = solve(lam, [pt])
-        if incumbent.consider(pt):
-            lam_hi = lam
-        else:
-            lam_lo = lam
-    return evaluations
-
-
 # ---------------------------------------------------------------------------
 # batched search problem
 # ---------------------------------------------------------------------------
@@ -303,11 +250,7 @@ class _ExponentSearch:
         return pu[:, :, None] * blocks
 
     def evaluate(self, pts: np.ndarray):
-        """(objective, violation) rows for a batch of domain points."""
-        return in_blocks(self._evaluate, pts)
-
-    def _evaluate(self, pts: np.ndarray):
-        """:meth:`evaluate` of at most ``BLOCK_POINTS`` points.
+        """(objective, violation) rows for a 2-d batch of domain points.
 
         Every marginal goes to one feature-major block, one row per entry,
         so one entropy pass gives all six entropies and the divergence.
@@ -335,10 +278,7 @@ class _ExponentSearch:
         return np.fmin(obj, math.inf), violation
 
     def table_stats(self, pts: np.ndarray):
-        """(D(m||src), H(X,Y), H(Y), H(X)) rows for a batch of tables m(x, y)."""
-        return in_blocks(self._table_stats, pts)
-
-    def _table_stats(self, pts: np.ndarray):
+        """(D(m||src), H(X,Y), H(Y), H(X)) rows for a 2-d batch of tables m(x, y)."""
         pts = pts.T
         xy, y, x, div = self.table_layout.rows
         m = self.table_layout.block(pts.shape[1])
@@ -425,12 +365,13 @@ class _ExponentSearch:
 
         On the U = Y manifold the objective collapses to
         D(m||src) + max(H_m(Y) - r2, 0) with the hard constraint
-        H_m(X|Y) <= r1; the active constraint is handled by bisecting the
-        multiplier of a scalarized solve, as for the rate region.  On the
-        always-feasible U = X manifold the collapse is
-        D(m||src) + H_m(X|Y) + max(I_m(X;Y) - r2, 0), unconstrained.
-        Both searches run in the small table simplex.  Returns the embedded
-        tensor points and the evaluations the searches spent.
+        H_m(X|Y) <= r1; the search is :func:`bisect_multiplier` alone on
+        the penalty objective + lam * violation, with no polish, and gives
+        no point when no solve is feasible.  On the always-feasible U = X
+        manifold the collapse is D(m||src) + H_m(X|Y) + max(I_m(X;Y) - r2, 0),
+        unconstrained: one lattice-then-descend :func:`minimize`.  Both
+        searches run in the small table simplex.  Returns the embedded
+        tensor points, U = X first, and the evaluations the searches spent.
         """
         k = self.k
         domain = SearchDomain([Simplex(k)])
@@ -469,15 +410,10 @@ class _ExponentSearch:
 
                 return objective
 
-            incumbent = _Incumbent(y_copy_evaluate)
-            evaluations += _bisect_multiplier(domain, scalarized, base, local, incumbent, 30, 20)
-            start = incumbent.point if incumbent.point is not None else self.src_flat.copy()
-            polish = minimize(domain, y_copy_evaluate, local, [start])
-            evaluations += polish.evaluations
-            if not polish.infeasible:
-                incumbent.consider(polish.argmin)
-            if incumbent.point is not None:
-                out.append(self.embed(np.eye(ny), "y", incumbent.point))
+            best = bisect_multiplier(domain, y_copy_evaluate, scalarized, base, local, 30, 20)
+            evaluations += best.evaluations
+            if not best.infeasible:
+                out.append(self.embed(np.eye(ny), "y", best.argmin))
         return out, evaluations
 
 
@@ -499,10 +435,7 @@ class _RegionSearch:
         self.layout = Layout([nu, nu * src.nx, nu * src.ny])     # P_U, P_UX, P_UY
 
     def stats(self, pts: np.ndarray):
-        """(H(X|U), I(U;Y)) rows for a batch of stacked channel rows."""
-        return in_blocks(self._stats, pts)
-
-    def _stats(self, pts: np.ndarray):
+        """(H(X|U), I(U;Y)) rows for a 2-d batch of stacked channel rows."""
         n, nu, ny, nx = len(pts), self.nu, self.ny, self.src.nx
         u, ux, uy = self.layout.rows
         m = self.layout.block(n)
@@ -549,12 +482,14 @@ def _region_argmin(
     objective H + lam * I, with each unconstrained solve warm-started from
     the previous multiplier.  One :func:`minimize` call then guards the
     corner cases: the lattice, and descents from its argmin, the fixed
-    channels, the bisection's point and seeded restarts.
+    channels, the bisection's point and seeded restarts.  The result is
+    :func:`best_of` the two, ties to the bisection.  H(X|U) >= 0, so a
+    value at or below 0 is rounding and is returned as +0.0.
     """
     nu = src.ny + 1 if nu_cap is None else max(1, min(nu_cap, src.ny + 1))
     if r2 <= 1e-9:
-        # I(U;Y) = 0 forces independence, so H(X|U) = H(X) exactly
-        return entropy_bits(src.probs.sum(axis=1)), _padded_channel(np.ones((1, src.ny)), nu), src.ny
+        # I(U;Y) = 0 forces independence, so H(X|U) = H(X) exactly; + 0.0 turns -0.0 into 0.0
+        return entropy_bits(src.probs.sum(axis=1)) + 0.0, _padded_channel(np.ones((1, src.ny)), nu), src.ny
     prob = _RegionSearch(src, r2, nu)
     local = replace(
         config,
@@ -565,18 +500,14 @@ def _region_argmin(
     if warm_channel is not None and warm_channel.shape == (nu, src.ny):
         base_starts.append(prob.encode_rows(warm_channel.T))
 
-    incumbent = _Incumbent(prob.evaluate)
-    evaluations = _bisect_multiplier(prob.domain, prob.scalarized, base_starts, local, incumbent, 40, 22)
+    bisected = bisect_multiplier(prob.domain, prob.evaluate, prob.scalarized, base_starts, local, 40, 22)
 
     res = config.grid_resolution if lattice_rows(prob.domain, config.grid_resolution) <= 120_000 else None
-    bisected = [] if incumbent.point is None else [incumbent.point]
-    polish_starts = base_starts + bisected + random_starts(prob.domain, local)
-    polish = minimize(prob.domain, prob.evaluate, local, polish_starts, res)
-    evaluations += polish.evaluations
-    if not polish.infeasible:
-        incumbent.consider(polish.argmin)
-    channel = incumbent.point.reshape(src.ny, nu).T
-    return incumbent.value, channel, evaluations
+    bisected_point = [] if bisected.infeasible else [bisected.argmin]
+    polish_starts = base_starts + bisected_point + random_starts(prob.domain, local)
+    best = best_of([bisected, minimize(prob.domain, prob.evaluate, local, polish_starts, res)])
+    value = best.value if best.value > 0.0 else 0.0
+    return value, best.argmin.reshape(src.ny, nu).T, best.evaluations
 
 
 def region_min_r1(src: JointPmf2, r2: float, config: SolverConfig = DEFAULT_CONFIG) -> float:

@@ -114,6 +114,17 @@ class TestSweeps:
         assert lines[0] == "r2,min_r1"
         assert len(lines) == 4
 
+    def test_region_sweep_prints_no_negative_zero(self, capsys):
+        # H(X|Y) = 0, so min r1 reaches 0 once r2 >= H(Y)
+        spec = json.dumps({"nx": 2, "ny": 3, "probs": [0.3, 0, 0.2, 0, 0.5, 0]})
+        code, out, _ = run_cli(
+            capsys, ["region", "--source", spec, "--r2-grid", "0:1.6:0.4", "--starts", "4", "--seed", "1"]
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[4:] == ["1.200000,0.000000", "1.600000,0.000000"]
+        assert "-0.000000" not in out
+
     def test_pa_tradeoff_csv(self, capsys, monkeypatch):
         monkeypatch.setenv("WAK_THREADS", "1")
         code, out, _ = run_cli(

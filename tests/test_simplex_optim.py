@@ -12,11 +12,13 @@ from wakexp.dsbs import dsbs_source
 from wakexp.probkit import JointPmf2, Pmf
 from wakexp.reductions import OohamaEvaluator, _tilt_coefficients, exponent_single_direct
 from wakexp.simplex_optim import (
+    _FEAS_TOL,
     Box,
     SearchDomain,
     Simplex,
     SolverConfig,
     best_of,
+    bisect_multiplier,
     compass_batch,
     grid_search,
     grid_search_batch,
@@ -320,6 +322,25 @@ class TestGridSearch:
         res = grid_search(SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), 10, _pointwise(f))
         assert res.value == f(res.argmin)
 
+    def test_row_bound_splits_calls_without_changing_results(self, monkeypatch):
+        # 5,915 lattice rows, one chunk: no call may hold more than _CALL_ROWS
+        dom = SearchDomain([Simplex(4), Box(0.0, 1.0)])
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            vals = np.sin(3 * pts[:, 0]) * pts[:, 4] + (pts[:, 1] - 0.4) ** 2
+            return vals, np.maximum(pts[:, 2] - 0.5, 0.0)
+
+        whole = grid_search(dom, 12, counted)
+        assert sum(calls) == simplex_optim.lattice_rows(dom, 12) > simplex_optim._CALL_ROWS
+        assert max(calls) <= simplex_optim._CALL_ROWS
+        for rows in (7, 100):
+            monkeypatch.setattr(simplex_optim, "_CALL_ROWS", rows)
+            calls.clear()
+            _assert_same_result(grid_search(dom, 12, counted), whole)
+            assert max(calls) <= rows
+
 
 class TestMultistart:
     def test_convex_quadratic_over_box(self):
@@ -449,6 +470,69 @@ class TestMinimize:
             last = self._by_hand(domain, evaluate, self.CFG, starts, resolution, lattice_first=False)
             assert got.value == last.value == 0.0
             assert got.argmin.tobytes() != last.argmin.tobytes()
+
+
+class TestBisectMultiplier:
+    """Each solve of ``scalarized(lam)`` ends exactly at x = lam, so a solve's
+    argmin names its multiplier, and ``batch_evaluate`` reads a scripted
+    (value, violation) verdict for it."""
+
+    CFG = SolverConfig(max_iterations=300, step_tolerance=1e-9)
+    DOM = SearchDomain([Box(0.0, 4.0)])
+
+    def _run(self, monkeypatch, verdicts, doublings=30, halvings=3):
+        lams, spent = [], []
+        solve = simplex_optim.minimize
+
+        def tallied(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            spent.append(out.evaluations)
+            return out
+
+        def scalarized(lam):
+            lams.append(lam)
+            return lambda pts: ((pts[:, 0] - lam) ** 2, 0.0)
+
+        def evaluate(pts):
+            value, violation = verdicts[float(pts[0, 0])]
+            return np.array([value]), np.array([violation])
+
+        monkeypatch.setattr(simplex_optim, "minimize", tallied)
+        res = bisect_multiplier(self.DOM, evaluate, scalarized, [np.array([0.0])], self.CFG, doublings, halvings)
+        assert res.evaluations == sum(spent)
+        return res, lams
+
+    def test_records_points_within_the_feasibility_tolerance(self, monkeypatch):
+        # a violation of _FEAS_TOL / 2 or exactly _FEAS_TOL is feasible, and
+        # one of 2 * _FEAS_TOL is not, however low its value
+        verdicts = {
+            0.0: (0.25, 2.0 * _FEAS_TOL),
+            1.0: (0.5, 0.5 * _FEAS_TOL),
+            0.5: (0.1, 2.0 * _FEAS_TOL),
+            0.75: (0.125, _FEAS_TOL),
+            0.625: (0.05, 2.0 * _FEAS_TOL),
+        }
+        res, lams = self._run(monkeypatch, verdicts)
+        assert lams == [0.0, 1.0, 0.5, 0.75, 0.625]
+        assert (res.argmin.tolist(), res.value) == ([0.75], 0.125)
+
+    def test_ties_go_to_the_earlier_solve(self, monkeypatch):
+        verdicts = {0.0: (1.0, 1.0), 1.0: (0.5, 0.5 * _FEAS_TOL), 0.5: (0.5, 0.0), 0.25: (0.75, 1.0)}
+        res, lams = self._run(monkeypatch, verdicts, halvings=2)
+        assert lams == [0.0, 1.0, 0.5, 0.25]
+        assert (res.argmin.tolist(), res.value) == ([1.0], 0.5)
+
+    def test_a_feasible_first_solve_ends_the_search(self, monkeypatch):
+        res, lams = self._run(monkeypatch, {0.0: (0.3, 0.0)})
+        assert lams == [0.0]
+        assert (res.argmin.tolist(), res.value) == ([0.0], 0.3)
+
+    def test_no_feasible_solve_gives_the_infeasible_marker(self, monkeypatch):
+        # the solve at lam = 6 stops at the box bound x = 4
+        verdicts = {x: (0.1, 1.0) for x in (0.0, 1.0, 2.0, 4.0)}
+        res, lams = self._run(monkeypatch, verdicts, doublings=3, halvings=1)
+        assert lams == [0.0, 1.0, 2.0, 4.0, 6.0]
+        assert res.infeasible and res.evaluations > 0
 
 
 class TestDomainDiscipline:

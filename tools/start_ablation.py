@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Which fixed-start families of ``wak_exponent`` win where the others do not.
+"""Which structured starts of ``wak_exponent`` win where the others do not.
 
     python3 tools/start_ablation.py
 
-Solves a fixed corpus once with every fixed start, then once more for each
-family of ``_ExponentSearch.fixed_starts`` with that family left out, and
-prints, per family, every solve whose value rose without it and by how
-much.  A family that never raises a value wins nowhere alone on this
-corpus.  The families are:
+Solves a fixed corpus once with every structured start, then once more for
+each family of ``_ExponentSearch.fixed_starts`` and each searched phase with
+that start left out, and prints, per family or phase, every solve whose
+value rose without it and by how much.  One that never raises a value wins
+nowhere alone on this corpus.  The families are:
 
 * ``constant-u``: m(x, y) W(u|y) with one u;
 * ``point-masses``: the point mass at each x (only where U = X does not fit);
@@ -16,6 +16,15 @@ corpus.  The families are:
 * ``x-split`` and ``y-split``: the timeshares of U = X and U = Y;
 * ``power-tilts``: for |Y| = 1, each entropy-matched tilt as an x-split and
   under constant U.
+
+The phases are the searched starts:
+
+* ``u=x-manifold`` and ``u=y-manifold``: the points of
+  ``_ExponentSearch.candidates_copy_manifolds``, U = X first where it fits
+  (nu >= |X|) and U = Y last where its bisection found a feasible point;
+* ``region-embed``: the embedded channel of ``_region_argmin``, replaced by
+  the constant channel, whose embedding is the constant-U fixed start, so
+  the main batch descends it once, as if the region start were gone.
 
 The corpus: ``SOURCES`` = 40 random sources drawn from
 ``np.random.default_rng(77)``, shapes cycling through 2x2, 3x2, 4x2, 5x2
@@ -27,8 +36,9 @@ per pass on one core).
 The families are rebuilt here with ``_ExponentSearch.embed``, and every
 solve first checks that they give ``fixed_starts`` byte for byte, so the
 tool stops rather than ablate a start list it does not describe.  The
-removal patches ``fixed_starts`` from outside the package; nothing in
-``src/`` knows about it.
+removals patch ``fixed_starts``, ``candidates_copy_manifolds`` and
+``_region_argmin`` from outside the package; nothing in ``src/`` knows
+about them.
 """
 
 from __future__ import annotations
@@ -47,8 +57,10 @@ from wakexp.probkit import _entropy_matched_tilts  # noqa: E402
 _exponent = sys.modules["wakexp.wak_exponent"]
 _ExponentSearch = _exponent._ExponentSearch
 _fixed_starts = _ExponentSearch.fixed_starts
+_copy_manifolds = _ExponentSearch.candidates_copy_manifolds
 
 FAMILIES = ("constant-u", "point-masses", "copy-y", "copy-x", "x-split", "y-split", "power-tilts")
+PHASES = ("u=x-manifold", "u=y-manifold", "region-embed")
 SHAPES = ((2, 2), (3, 2), (4, 2), (5, 2), (3, 3))
 NUS = (1, 2, 4, 5)
 SOURCES = 40
@@ -99,8 +111,31 @@ def without(family: str | None):
     return fixed_starts
 
 
-def solve_all(solves, family: str | None) -> list:
-    _ExponentSearch.fixed_starts = without(family)
+def without_manifold(phase: str):
+    """A ``candidates_copy_manifolds`` that drops the point of ``phase``."""
+
+    def candidates_copy_manifolds(prob, config):
+        out, evaluations = _copy_manifolds(prob, config)
+        labels = ["u=x-manifold"] * (prob.nu >= prob.nx) + ["u=y-manifold"]
+        return [pt for label, pt in zip(labels, out) if label != phase], evaluations
+
+    return candidates_copy_manifolds
+
+
+def constant_region(src, r2, config, nu_cap=None, warm_channel=None):
+    """The constant channel in place of the region search."""
+    return 0.0, np.ones((1, src.ny)), 0
+
+
+def solve_all(solves, dropped: str | None) -> list:
+    patches = [(_ExponentSearch, "fixed_starts", without(dropped))]
+    if dropped in ("u=x-manifold", "u=y-manifold"):
+        patches.append((_ExponentSearch, "candidates_copy_manifolds", without_manifold(dropped)))
+    if dropped == "region-embed":
+        patches.append((_exponent, "_region_argmin", constant_region))
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, fn in patches:
+        setattr(owner, name, fn)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", wakexp.UpperBoundWarning)
@@ -109,18 +144,19 @@ def solve_all(solves, family: str | None) -> list:
                 for _, t, r1, r2, nu in solves
             ]
     finally:
-        _ExponentSearch.fixed_starts = _fixed_starts
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 def main():
     solves = corpus()
     base = solve_all(solves, None)
     print(f"{len(solves)} solves, {SHAPES} x nu {NUS}, {CONFIG}")
-    for family in FAMILIES:
-        values = solve_all(solves, family)
+    for dropped in FAMILIES + PHASES:
+        values = solve_all(solves, dropped)
         rose = [(v - b, s) for v, b, s in zip(values, base, solves) if v > b + RISE_TOL]
         worst = max((d for d, _ in rose), default=0.0)
-        print(f"\n{family}: {len(rose)} of {len(solves)} values rose, most by {worst:.3e}")
+        print(f"\n{dropped}: {len(rose)} of {len(solves)} values rose, most by {worst:.3e}")
         for d, (name, _, r1, r2, nu) in sorted(rose, key=lambda x: -x[0]):
             print(f"  {name} r1={r1:.4f} r2={r2:.4f} nu={nu}: +{d:.3e}")
 

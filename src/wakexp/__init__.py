@@ -49,7 +49,6 @@ from .reductions import (
     s_theta,
 )
 from .simplex_optim import (
-    Box,
     SearchDomain,
     SearchResult,
     Simplex,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dsbs as dsbs_mod
 from . import pa_bound as pa_mod
-from .probkit import DomainError, JointPmf2, Pmf, binary_entropy, joint_from_dict
+from .probkit import DomainError, JointPmf2, Pmf, binary_entropy, check_rate, joint_from_dict
 from .reductions import (
     OohamaEvaluator,
     exponent_ne,
@@ -57,6 +57,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0.0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
     count = math.floor((stop - start) / step + 1e-9) + 1
@@ -129,6 +131,8 @@ def _cmd_region(args) -> int:
         return EXIT_OK
     if args.r2 is None:
         raise ValueError("region needs --r2 or --r2-grid")
+    if args.r1 is not None:
+        check_rate(args.r1, "r1")
     min_r1 = region_min_r1(src, args.r2, config)
     payload = {"r2": args.r2, "min_r1": min_r1}
     if args.r1 is not None:

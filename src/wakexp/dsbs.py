@@ -7,7 +7,10 @@ family (beta, q0, q1) of auxiliary joints gives the upper bound
     s.t. h((1-beta)(1-q0) + beta q1) <= r1
 
 on the exponent; restricting q0 = q1 makes the auxiliary chain Markov.
-The sweep over r1 reports both variants side by side — the unrestricted
+The search domain is a product of 2-simplices: each parameter t in [0, 1]
+is the first coordinate of the pmf (t, 1 - t), so a search point reads
+(beta, 1 - beta, q0, 1 - q0, q1, 1 - q1) and the objective reads every
+other coordinate.  The sweep over r1 reports both variants side by side — the unrestricted
 minimum is the interesting one, since it dips strictly below the Markov
 variant in the middle of the rate range.
 """
@@ -26,14 +29,9 @@ from .probkit import (
     binary_entropy,
     binary_entropy_inverse,
     binary_kl,
+    check_rate,
 )
-from .simplex_optim import (
-    Box,
-    SearchDomain,
-    SolverConfig,
-    minimize,
-    random_starts,
-)
+from .simplex_optim import SearchDomain, Simplex, SolverConfig, minimize
 
 # per-axis lattice denominators: fast tier for sweeps, oracle tier for checks
 DSBS_FAST_CONFIG = SolverConfig(grid_resolution=24, starts=4, max_iterations=800, seed=0)
@@ -86,6 +84,7 @@ def dsbs_source(p: float) -> JointPmf2:
 
 def dsbs_objective(params: DsbsParams, r2: float) -> float:
     """(1-beta) D(q0||p) + beta D(q1||p) + max(1 - h(beta) - r2, 0)."""
+    check_rate(r2, "r2")
     div = (1.0 - params.beta) * binary_kl(params.q0, params.p) + params.beta * binary_kl(
         params.q1, params.p
     )
@@ -193,39 +192,42 @@ def dsbs_exponent(
     """Minimize the family bound at one rate pair.
 
     Returns the value (an upper bound on the exponent of the binary
-    symmetric source) and the minimizing parameters; with
-    ``markov_constrained`` the search is restricted to q0 = q1.
+    symmetric source, +0.0 where the minimum is at or below 0) and the
+    minimizing parameters; with ``markov_constrained`` the search is
+    restricted to q0 = q1.
     """
     if not 0.0 < p < 0.5:
         raise DomainError("crossover probability must be strictly inside (0, 1/2)")
-    if not (r1 >= 0.0 and r2 >= 0.0):
-        raise DomainError("rates must be nonnegative")
+    check_rate(r1, "r1")
+    check_rate(r2, "r2")
     config = DSBS_FAST_CONFIG if config is None else config
     dims = 2 if markov_constrained else 3
-    domain = SearchDomain([Box(0.0, 1.0)] * dims)
+    domain = SearchDomain([Simplex(2)] * dims)
 
     def batch_evaluate(pts):
-        return _evaluate(pts, p, r1, r2, markov_constrained)
+        return _evaluate(pts[:, 0::2], p, r1, r2, markov_constrained)
 
     inner = _inner_solved_candidates(p, r1, r2, markov_constrained, config.grid_resolution)
     zero_pts = [
         np.asarray(c[:dims], dtype=np.float64) for c in _zero_candidates(p, r1, r2)
     ]
     if zero_pts:
-        obj, viol = batch_evaluate(np.asarray(zero_pts))
+        obj, viol = _evaluate(np.asarray(zero_pts), p, r1, r2, markov_constrained)
         scored = np.where(viol <= 1e-12, obj, np.inf)
         zero_pts = [zero_pts[int(np.argmin(scored))]] if np.isfinite(scored).any() else []
-    starts = ([] if inner is None else [inner]) + zero_pts
-    starts.extend(np.asarray(tuple(w)[:dims], dtype=np.float64) for w in warm_candidates)
-    starts += random_starts(domain, config)
+    rows = ([] if inner is None else [inner]) + zero_pts
+    rows.extend(np.asarray(tuple(w)[:dims], dtype=np.float64) for w in warm_candidates)
+    rows.extend(np.random.default_rng(config.seed).random((config.starts, dims)))
+    starts = [np.column_stack([t, 1.0 - t]).ravel() for t in rows]
     best = minimize(domain, batch_evaluate, config, starts, config.grid_resolution)
     # h(0) = 0 <= r1 makes (beta, q0) = (0, 1) always feasible, so best exists
-    vec = best.argmin
+    vec = best.argmin[0::2]
     if markov_constrained:
         params = DsbsParams(p, float(vec[0]), float(vec[1]), float(vec[1]))
     else:
         params = DsbsParams(p, float(vec[0]), float(vec[1]), float(vec[2]))
-    return float(best.value), params
+    # every term of the objective is nonnegative, so a value <= 0 is rounding
+    return (float(best.value) if best.value > 0.0 else 0.0), params
 
 
 def dsbs_pair(p: float, r1: float, r2: float, config: SolverConfig | None = None) -> DsbsPoint:
@@ -272,6 +274,7 @@ def figure2_sweep(
         raise DomainError("r1 grid must be ascending")
     if not all(0.0 <= v <= 1.0 for v in r1s):
         raise DomainError("r1 grid must lie within [0, 1]")
+    check_rate(r2, "r2")
     config = DSBS_FAST_CONFIG if config is None else config
     raw = parallel_map(_sweep_point, [(p, r1, r2, config) for r1 in r1s], workers=workers)
     points: list[DsbsPoint] = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .dsbs import _fmt
-from .probkit import DomainError, JointPmf2
+from .probkit import DomainError, JointPmf2, check_rate
 from .simplex_optim import DEFAULT_CONFIG, SolverConfig
 from .wak_exponent import RatePair, wak_exponent
 
@@ -60,13 +60,16 @@ def pa_generic_bound(tail_probability: float, tau: float, n: int, r1: float) -> 
     """Tail-plus-hash bound: tail + (1/2) 2^((n r1 - tau) / 2)."""
     if not 0.0 <= tail_probability <= 1.0:
         raise DomainError("tail probability must be in [0, 1]")
-    if not (tau >= 0.0 and n >= 0 and r1 >= 0.0):
-        raise DomainError("tau, n and r1 must be nonnegative")
+    if not (tau >= 0.0 and n >= 0):
+        raise DomainError("tau and n must be nonnegative")
+    check_rate(r1, "r1")
     return float(tail_probability + 0.5 * np.exp2((n * r1 - tau) / 2.0))
 
 
 def pa_bound_from_exponent(exponent: float, *, r1: float, r2: float, delta: float, n: int) -> PaBoundReport:
     """Assemble the report from an already-known exponent value."""
+    check_rate(r1, "r1")
+    check_rate(r2, "r2")
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
     if not n >= 1:
@@ -110,6 +113,8 @@ def pa_security_bound(
     """
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
+    check_rate(r1, "r1")
+    check_rate(r2, "r2")
     config = DEFAULT_CONFIG if config is None else config
     breakdown = wak_exponent(src, RatePair(r1 + delta, r2), config, nu=nu)
     return pa_bound_from_exponent(breakdown.value, r1=r1, r2=r2, delta=delta, n=n)
@@ -153,11 +158,16 @@ def pa_rate_tradeoff(
     if not n >= 1:
         raise DomainError("blocklength must be at least 1")
     r1s = [float(v) for v in r1_grid]
+    r2s = [float(v) for v in r2_grid]
     if not r1s:
         raise DomainError("the r1 grid must be nonempty")
+    for r in r1s:
+        check_rate(r, "r1")
+    for r in r2s:
+        check_rate(r, "r2")
     tasks = [
-        (src.probs, float(target_delta_bound), int(n), float(delta), float(r2), r1s, config, nu)
-        for r2 in r2_grid
+        (src.probs, float(target_delta_bound), int(n), float(delta), r2, r1s, config, nu)
+        for r2 in r2s
     ]
     columns = parallel_map(_tradeoff_column, tasks, workers=workers)
     return [c for c in columns if c is not None]

@@ -28,6 +28,12 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
+def check_rate(value: float, name: str) -> None:
+    """Raise :class:`DomainError` unless the rate ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and nonnegative")
+
+
 def _validated(probs, shape) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):

@@ -21,6 +21,7 @@ from .probkit import (
     JointPmf2,
     Pmf,
     _entropy_matched_tilts,
+    check_rate,
     entropy_bits,
     entropy_rows,
     kl_rows,
@@ -45,9 +46,8 @@ MU_ALPHA_GRID = 41
 # small simplex problems: lattice oracle first, local descent after
 NE_DEFAULT = SolverConfig(grid_resolution=60, starts=24, seed=0)
 SINGLE_DEFAULT = SolverConfig(grid_resolution=64, starts=16, seed=0)
-OOHAMA_DEFAULT = SolverConfig(
-    grid_resolution=12, starts=8, max_iterations=600, step_tolerance=1e-5, seed=0
-)
+# the comparison bound's inner solve draws no random starts
+OOHAMA_DEFAULT = SolverConfig(grid_resolution=12, max_iterations=600, step_tolerance=1e-5)
 
 _GRID_POINT_CAP = 1_600_000
 _OMEGA_GRID_CAP = 10_000       # lattice rows of the comparison bound's inner solve
@@ -110,8 +110,7 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
     Minimum over joints m of D(m || src) + max(H(X|Y under m) - r1, 0);
     zero exactly when r1 >= H(X|Y).
     """
-    if not r1 >= 0.0:
-        raise DomainError("r1 must be nonnegative")
+    check_rate(r1, "r1")
     config = NE_DEFAULT if config is None else config
     k = src.nx * src.ny
     flat = src.probs.ravel()
@@ -138,8 +137,7 @@ def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -
 
 def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None) -> float:
     """Single-user exponent: min over q of D(q || p) + max(H(q) - r1, 0)."""
-    if not r1 >= 0.0:
-        raise DomainError("r1 must be nonnegative")
+    check_rate(r1, "r1")
     config = SINGLE_DEFAULT if config is None else config
     k = p.alphabet_size
     with np.errstate(divide="ignore"):
@@ -176,8 +174,7 @@ def exponent_single_parametric(p: Pmf, r1: float, grid: ThetaGrid | None = None)
     truncation; for low rates the supremum is approached only as the tilt
     goes to -infinity.
     """
-    if not r1 >= 0.0:
-        raise DomainError("r1 must be nonnegative")
+    check_rate(r1, "r1")
     grid = DEFAULT_THETA_GRID if grid is None else grid
     _, value = _parametric_max(p, r1, grid.abscissae, 1.0)
     return float(value)
@@ -185,8 +182,7 @@ def exponent_single_parametric(p: Pmf, r1: float, grid: ThetaGrid | None = None)
 
 def oohama_single(p: Pmf, r1: float, grid=None) -> float:
     """Parametric comparison bound max_{theta in [-1,0]} (-s+theta*r1)/(2-theta)."""
-    if not r1 >= 0.0:
-        raise DomainError("r1 must be nonnegative")
+    check_rate(r1, "r1")
     thetas = DEFAULT_THETA_GRID.restricted_to_unit() if grid is None else tuple(grid)
     if any(t < -1.0 or t > 0.0 for t in thetas):
         raise DomainError("the comparison-bound grid must lie in [-1, 0]")
@@ -218,8 +214,7 @@ def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
     Requires r1 < H(p); the tight form strictly exceeds the comparison
     bound there.
     """
-    if not r1 >= 0.0:
-        raise DomainError("r1 must be nonnegative")
+    check_rate(r1, "r1")
     if r1 >= entropy_bits(p.probs):
         raise DomainError("gap_check requires r1 < H(p)")
     grid = DEFAULT_THETA_GRID if grid is None else grid
@@ -400,10 +395,8 @@ class OohamaEvaluator:
         The sup includes the (0, 0) corner, whose value is exactly zero, so
         the result is clamped to be nonnegative.
         """
-        if not (math.isfinite(r1) and math.isfinite(r2)):
-            raise DomainError("rates must be finite")
-        if not (r1 >= 0.0 and r2 >= 0.0):
-            raise DomainError("rates must be nonnegative")
+        check_rate(r1, "r1")
+        check_rate(r2, "r2")
 
         def f(mu, alpha):
             return (self.omega(mu, alpha) - alpha * ((1.0 - mu) * r1 + mu * r2)) / (

@@ -1,4 +1,4 @@
-"""Derivative-free minimization over products of probability simplices and intervals.
+"""Derivative-free minimization over products of probability simplices.
 
 Every search takes one evaluation contract: ``batch_evaluate(points) ->
 (values, violations)``, one row per point, where a point is feasible when
@@ -55,51 +55,35 @@ class Simplex:
 
 
 @dataclass(frozen=True)
-class Box:
-    """A scalar block constrained to [lower, upper]."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError("box needs lower <= upper")
-
-
-@dataclass(frozen=True)
 class SearchDomain:
-    """Ordered product of simplex and box blocks."""
+    """Ordered product of simplex blocks."""
 
     blocks: tuple
 
     def __init__(self, blocks):
         object.__setattr__(self, "blocks", tuple(blocks))
         for b in self.blocks:
-            if not isinstance(b, (Simplex, Box)):
+            if not isinstance(b, Simplex):
                 raise TypeError(f"unsupported block type: {type(b).__name__}")
 
     @property
     def n_params(self) -> int:
-        return sum(b.dim if isinstance(b, Simplex) else 1 for b in self.blocks)
+        return sum(b.dim for b in self.blocks)
 
     def slices(self):
         """Per-block slices into the flat parameter vector."""
         out, at = [], 0
         for b in self.blocks:
-            w = b.dim if isinstance(b, Simplex) else 1
-            out.append(slice(at, at + w))
-            at += w
+            out.append(slice(at, at + b.dim))
+            at += b.dim
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform point: Dirichlet(1) per simplex, uniform per box."""
+        """One uniform point: Dirichlet(1) per simplex."""
         parts = []
         for b in self.blocks:
-            if isinstance(b, Simplex):
-                e = rng.exponential(size=b.dim)
-                parts.append(e / e.sum())
-            else:
-                parts.append(np.array([b.lower + (b.upper - b.lower) * rng.random()]))
+            e = rng.exponential(size=b.dim)
+            parts.append(e / e.sum())
         return np.concatenate(parts)
 
 
@@ -151,12 +135,9 @@ _LATTICE_CHUNK = 1 << 16   # rows per lattice chunk of the exhaustive oracle
 
 def lattice_rows(domain: SearchDomain, resolution: int) -> int:
     """Number of points in the lattice of ``domain`` with denominator
-    ``resolution``: C(resolution + d - 1, d - 1) per d-simplex block and
-    resolution + 1 per box block, multiplied."""
-    return math.prod(
-        math.comb(resolution + b.dim - 1, b.dim - 1) if isinstance(b, Simplex) else resolution + 1
-        for b in domain.blocks
-    )
+    ``resolution``: C(resolution + d - 1, d - 1) per d-simplex block,
+    multiplied."""
+    return math.prod(math.comb(resolution + b.dim - 1, b.dim - 1) for b in domain.blocks)
 
 
 def lattice_chunks(domain: SearchDomain, resolution: int):
@@ -164,9 +145,8 @@ def lattice_chunks(domain: SearchDomain, resolution: int):
     ascending lexicographic order, in chunks of at most ``_LATTICE_CHUNK``
     rows.
 
-    A simplex coordinate is ``count / float(resolution)`` and a box
-    coordinate ``lower + (upper - lower) * (i / resolution)``.  Every chunk
-    is a view of one buffer, which the next chunk overwrites.
+    Every coordinate is ``count / float(resolution)``.  Every chunk is a
+    view of one buffer, which the next chunk overwrites.
 
     The most trailing coordinates whose lattice fits one chunk form a
     table, built once per call from the last coordinate back.  When they
@@ -178,18 +158,14 @@ def lattice_chunks(domain: SearchDomain, resolution: int):
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     blocks = domain.blocks
-    coords = [(i, q) for i, b in enumerate(blocks) for q in range(b.dim if isinstance(b, Simplex) else 1)]
+    coords = [(i, q) for i, b in enumerate(blocks) for q in range(b.dim)]
     counts = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
 
     def steps(j, left):
         """Each value of coordinate ``j`` in lex order, with the count its
         simplex block has left after it, when ``left`` are left before it."""
         i, q = coords[j]
-        b = blocks[i]
-        if isinstance(b, Box):
-            frac = np.arange(resolution + 1, dtype=np.float64) / resolution
-            return [(v, left) for v in b.lower + (b.upper - b.lower) * frac]
-        if q == b.dim - 1:
+        if q == blocks[i].dim - 1:
             return [(counts[left], resolution)]
         return [(counts[c], left - c) for c in range(left + 1)]
 
@@ -330,57 +306,34 @@ class _LatticeMinima:
 class _ProbePlan:
     """Every candidate move of one compass iteration, in probe order.
 
-    A simplex candidate moves ``min(step, x[take])`` of mass from ``take``
-    to ``give`` (source coordinate outer, target inner).  The candidates at
-    ``box_cols`` instead step the box scalar ``x[take]`` (``give == take``)
-    by ``step * box_width`` (plus before minus) and clip it to the bounds.
+    A candidate moves ``min(step, x[take])`` of mass from ``take`` to
+    ``give`` within one block (source coordinate outer, target inner).
     ``simplex_runs`` holds ``(start, blocks, dim)`` for each maximal run of
-    adjacent simplex blocks of one dimension.
+    adjacent blocks of one dimension.
     """
 
     take: np.ndarray
     give: np.ndarray
-    box_cols: np.ndarray
-    box_width: np.ndarray
-    box_lower: np.ndarray
-    box_upper: np.ndarray
     simplex_runs: tuple
 
 
 @lru_cache(maxsize=64)
 def _probe_plan(domain: SearchDomain) -> _ProbePlan:
-    take, give, box_cols, box_width, box_lower, box_upper = [], [], [], [], [], []
-    runs = []
+    take, give, runs = [], [], []
     for block, sl in zip(domain.blocks, domain.slices()):
-        if isinstance(block, Simplex):
-            start, count, dim = runs[-1] if runs else (0, 0, 0)
-            if dim == block.dim and start + count * dim == sl.start:
-                runs[-1] = (start, count + 1, dim)
-            else:
-                runs.append((sl.start, 1, block.dim))
-            for j in range(block.dim):
-                for i in range(block.dim):
-                    if i != j:
-                        take.append(sl.start + j)
-                        give.append(sl.start + i)
+        start, count, dim = runs[-1] if runs else (0, 0, 0)
+        if dim == block.dim and start + count * dim == sl.start:
+            runs[-1] = (start, count + 1, dim)
         else:
-            width = block.upper - block.lower
-            if width <= 0.0:
-                continue
-            for signed in (width, -width):
-                box_cols.append(len(take))
-                take.append(sl.start)
-                give.append(sl.start)
-                box_width.append(signed)
-                box_lower.append(block.lower)
-                box_upper.append(block.upper)
+            runs.append((sl.start, 1, block.dim))
+        for j in range(block.dim):
+            for i in range(block.dim):
+                if i != j:
+                    take.append(sl.start + j)
+                    give.append(sl.start + i)
     return _ProbePlan(
         take=np.array(take, dtype=np.intp),
         give=np.array(give, dtype=np.intp),
-        box_cols=np.array(box_cols, dtype=np.intp),
-        box_width=np.array(box_width, dtype=np.float64),
-        box_lower=np.array(box_lower, dtype=np.float64),
-        box_upper=np.array(box_upper, dtype=np.float64),
         simplex_runs=tuple(runs),
     )
 
@@ -389,26 +342,12 @@ def _candidate_moves(plan: _ProbePlan, x: np.ndarray, step: np.ndarray):
     """Validity and the values written at ``take`` and ``give`` of every
     candidate, per row of ``x``.
 
-    A simplex move out of an empty coordinate and a box step that the
-    clipping cancels are invalid: they are never built nor evaluated.
+    A move out of an empty coordinate is invalid: it is never built nor
+    evaluated.
     """
     cur = x[:, plan.take]
-    if len(plan.box_cols) == cur.shape[1]:
-        return _box_moves(plan, cur, step)
     delta = np.minimum(step[:, None], cur)
-    valid, taken, given = cur > 0.0, cur - delta, x[:, plan.give] + delta
-    if len(plan.box_cols):
-        cols = plan.box_cols
-        valid[:, cols], taken[:, cols], given[:, cols] = _box_moves(plan, cur[:, cols], step)
-    return valid, taken, given
-
-
-def _box_moves(plan: _ProbePlan, v: np.ndarray, step: np.ndarray):
-    moved = v + step[:, None] * plan.box_width
-    # min(max(moved, lower), upper), keeping Python's tie order
-    moved = np.where(plan.box_lower > moved, plan.box_lower, moved)
-    moved = np.where(plan.box_upper < moved, plan.box_upper, moved)
-    return moved != v, moved, moved
+    return cur > 0.0, cur - delta, x[:, plan.give] + delta
 
 
 def _segment_argmin(rankings, counts):
@@ -462,9 +401,8 @@ def compass_batch(
 ) -> list[SearchResult]:
     """Independent compass descents from every start, advanced in lockstep.
 
-    Probes transfer mass between simplex coordinates (or step box scalars,
-    clipped to the bounds), so every evaluated point stays inside the
-    domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
+    Probes transfer mass between the coordinates of one simplex block, so
+    every evaluated point stays inside the domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
     constraint violation; only feasible points can become a descent's
     incumbent.  Each iteration evaluates the probes of all still-running
     descents in batched calls of at most ``_CALL_ROWS`` rows, one call per
@@ -541,8 +479,7 @@ def compass_batch(
         probes = np.repeat(x, counts, axis=0)
         at = np.arange(len(cols))
         probes[at, plan.take[cols]] = taken[valid]
-        if given is not taken:                  # box-only moves write one coordinate
-            probes[at, plan.give[cols]] = given[valid]
+        probes[at, plan.give[cols]] = given[valid]
         vals, violations, scores = score_of(probes, None if params is None else np.repeat(own, counts))
 
         if scores is vals:                      # unconstrained: one ranking serves both

@@ -52,6 +52,7 @@ from .probkit import (
     Layout,
     _entropy_matched_tilts,
     aux_measures,
+    check_rate,
     entropy_bits,
     kl_bits,
     lead_sum,
@@ -86,10 +87,8 @@ class RatePair:
     r2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
-            raise DomainError("rates must be finite")
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise DomainError("rates must be nonnegative")
+        check_rate(self.r1, "r1")
+        check_rate(self.r2, "r2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +196,7 @@ def soft_markov_decompose(a: AuxJointPmf, src: JointPmf2) -> tuple[float, float]
 
 def wak_objective(a: AuxJointPmf, src: JointPmf2, r2: float) -> float:
     """Divergence term plus the rate-2 penalty max(I(U;Y) - r2, 0)."""
-    if not r2 >= 0.0:
-        raise DomainError("r2 must be nonnegative")
+    check_rate(r2, "r2")
     div = wak_divergence_term(a, src)
     if math.isinf(div):
         return math.inf
@@ -516,8 +514,7 @@ def region_min_r1(src: JointPmf2, r2: float, config: SolverConfig = DEFAULT_CONF
     Equals H(X) at r2 = 0 and H(X|Y) once r2 >= H(Y); non-increasing in
     between.
     """
-    if not r2 >= 0.0:
-        raise DomainError("r2 must be nonnegative")
+    check_rate(r2, "r2")
     value, _, _ = _region_argmin(src, r2, config)
     return value
 
@@ -535,6 +532,8 @@ def region_curve(src: JointPmf2, r2_values, config: SolverConfig = DEFAULT_CONFI
     as r2 grows, so the curve is non-increasing by construction.
     """
     r2s = sorted(float(v) for v in r2_values)
+    for r2 in r2s:
+        check_rate(r2, "r2")
     points = []
     prev_channel = None
     prev_value = math.inf

@@ -80,6 +80,13 @@ class TestSingleQueries:
         payload = json.loads(out)
         assert payload["constrained"]["value"] >= payload["unconstrained"]["value"] - 1e-9
 
+    def test_dsbs_prints_no_negative_rounding(self, capsys):
+        code, out, _ = run_cli(capsys, ["dsbs", "--p", "0.1", "--r1", "0.9", "--r2", "0.2781"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["unconstrained"]["value"] == payload["constrained"]["value"] == 0.0
+        assert '"value": 0.0,' in out
+
     def test_pa_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -190,6 +197,32 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, ["ne", "--source", "dsbs:0.1", "--r1", "nan", *FAST])
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--pmf", "[0.9,0.1]", "--r1", "inf"],
+            ["oohama", "--pmf", "[0.9,0.1]", "--r1", "inf"],
+            ["ne", "--source", "dsbs:0.1", "--r1", "inf"],
+            ["region", "--source", "dsbs:0.1", "--r2", "inf"],
+            ["region", "--source", "dsbs:0.1", "--r2", "0.5", "--r1", "inf"],
+            ["dsbs", "--p", "0.1", "--r1", "inf", "--r2", "0.2781"],
+            ["fig2", "--p", "0.1", "--r2", "inf", "--r1-grid", "0:1:0.5"],
+            ["pa", "--source", "dsbs:0.1", "--r1", "-0.01", "--r2", "0.3", "--delta", "0.05", "--n", "64"],
+        ],
+    )
+    def test_non_finite_or_negative_rate_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + FAST)
+        assert code == 3
+        assert out == ""
+        assert "must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.5", "nan:1:0.5", "0:1:inf"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, ["region", "--source", "dsbs:0.1", "--r2-grid", grid, *FAST])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_domain_error_exit_code(self, capsys):
         code, _, _ = run_cli(

@@ -14,6 +14,7 @@ from wakexp.dsbs import (
     dsbs_constraint_value,
     dsbs_exponent,
     dsbs_objective,
+    dsbs_pair,
     dsbs_source,
     fig2_csv_rows,
     figure2_sweep,
@@ -23,6 +24,38 @@ from wakexp.simplex_optim import SolverConfig
 from wakexp.wak_exponent import RatePair, region_contains, wak_exponent
 
 R2_STUDY = 1.0 - binary_entropy(0.2)
+CLI_CONFIG = SolverConfig(grid_resolution=24, starts=6, max_iterations=600, seed=7)
+
+PINNED_PAIRS = {
+    # name: (config, p, r1, r2, then the value and argmin hex of the
+    # unrestricted and of the Markov variant), as the Box(0, 1) search
+    # gave them before each parameter became the pmf (t, 1 - t)
+    "fast-0.1-study-0.3": (
+        DSBS_FAST_CONFIG, 0.1, 0.3, R2_STUDY,
+        "0x1.b01b904cd0e02p-2", ["0x1.28f5c28f5c28fp-3", "0x1.9d12512f5a700p-8", "0x1.570a3d70a3d71p-1"],
+        "0x1.203f5402e1290p-1", ["0x1.7a09555555555p-5", "0x1.0000000000000p-7"],
+    ),
+    "fast-0.1-0.2781-0.6": (
+        DSBS_FAST_CONFIG, 0.1, 0.6, 0.2781,
+        "0x1.fd0d096f15622p-4", ["0x1.999199999999ap-3", "0x1.5e41d94af6da0p-6", "0x1.6b791eb851eb8p-2"],
+        "0x1.dfb472e0dcd84p-3", ["0x1.bd70a3d70a3d7p-1", "0x1.6484130a7830dp-6"],
+    ),
+    "fast-0.2-0.5-0.45": (
+        DSBS_FAST_CONFIG, 0.2, 0.45, 0.5,
+        "0x1.576a8e79990adp-3", ["0x1.c28f5c28f5c29p-4", "0x1.956ebf2176190p-5", "0x1.170a3d70a3d71p-1"],
+        "0x1.4f5508b6871cfp-2", ["0x1.d99999999999ap-1", "0x1.701ae01f47cb8p-6"],
+    ),
+    "cli-0.1-0.2781-0.5": (
+        CLI_CONFIG, 0.1, 0.5, 0.2781,
+        "0x1.c68c2cdd3b430p-3", ["0x1.851eb851eb852p-3", "0x1.c63733a88fa80p-7", "0x1.eb851eb851eb8p-2"],
+        "0x1.62da23c4c6fb6p-2", ["0x1.851eb851eb852p-4", "0x1.2ff89526d528cp-6"],
+    ),
+    "cli-0.2-0-0.2": (
+        CLI_CONFIG, 0.2, 0.2, 0.0,
+        "0x1.999d37563ee24p-1", ["0x1.c28f5c28f5c29p-3", "0x1.e95fc7c04d580p-8", "0x1.c51eb851eb852p-1"],
+        "0x1.1c2758b592e28p+0", ["0x1.f333333333333p-1", "0x1.a67f5c8ab420ep-8"],
+    ),
+}
 
 
 class TestSource:
@@ -125,6 +158,21 @@ class TestExponent:
                 family, _ = dsbs_exponent(0.1, r1, R2_STUDY, False)
                 general = wak_exponent(src, RatePair(r1, R2_STUDY), cfg, nu=2).value
                 assert family >= general - 2e-2
+
+    def test_values_at_or_below_zero_read_plus_zero(self):
+        # the searched minimum is -2**-55 here: rounding of a zero objective
+        for markov in (False, True):
+            val, _ = dsbs_exponent(0.1, 0.9, 0.2781, markov)
+            assert val.hex() == "0x0.0p+0"
+        pt = dsbs_pair(0.1, 0.9, 0.2781)
+        assert (pt.unconstrained.hex(), pt.constrained.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PAIRS))
+    def test_pinned_pairs(self, name):
+        config, p, r1, r2, unc, arg_u, con, arg_c = PINNED_PAIRS[name]
+        pt = dsbs_pair(p, r1, r2, config)
+        assert (pt.unconstrained.hex(), [v.hex() for v in pt.argmin_unconstrained]) == (unc, arg_u)
+        assert (pt.constrained.hex(), [v.hex() for v in pt.argmin_constrained]) == (con, arg_c)
 
     def test_zero_set_matches_region_membership(self):
         src = dsbs_source(0.1)

@@ -17,6 +17,7 @@ from wakexp.probkit import (
     binary_entropy,
     binary_entropy_inverse,
     binary_kl,
+    check_rate,
     conditional_entropy,
     entropy,
     entropy_rows,
@@ -171,6 +172,63 @@ class TestBinaryFunctions:
             a = binary_entropy_inverse(t)
             assert 0.0 <= a <= 0.5
             assert binary_entropy(a) == pytest.approx(t, abs=1e-10)
+
+
+BAD_RATES = [math.inf, -math.inf, math.nan, -0.1]
+
+
+def _rate_entry_points():
+    """Every public function that takes a rate, as a call of that rate."""
+    import wakexp as w
+    from wakexp.dsbs import dsbs_pair
+
+    src, pmf = w.dsbs_source(0.1), Pmf([0.9, 0.1])
+    aux = AuxJointPmf(np.full((1, 2, 2), 0.25))
+    return {
+        "RatePair.r1": lambda r: w.RatePair(r, 0.1),
+        "RatePair.r2": lambda r: w.RatePair(0.1, r),
+        "wak_objective": lambda r: w.wak_objective(aux, src, r),
+        "wak_exponent": lambda r: w.wak_exponent(src, (r, 0.1)),
+        "region_min_r1": lambda r: w.region_min_r1(src, r),
+        "region_contains": lambda r: w.region_contains(src, (0.1, r)),
+        "region_curve": lambda r: w.region_curve(src, [0.1, r]),
+        "exponent_ne": lambda r: w.exponent_ne(src, r),
+        "exponent_single_direct": lambda r: w.exponent_single_direct(pmf, r),
+        "exponent_single_parametric": lambda r: w.exponent_single_parametric(pmf, r),
+        "oohama_single": lambda r: w.oohama_single(pmf, r),
+        "gap_check": lambda r: w.gap_check(pmf, r),
+        "OohamaEvaluator.bound.r1": lambda r: w.OohamaEvaluator(src).bound(r, 0.1),
+        "OohamaEvaluator.bound.r2": lambda r: w.OohamaEvaluator(src).bound(0.1, r),
+        "oohama_wak_bound": lambda r: w.oohama_wak_bound(src, (r, 0.1)),
+        "dsbs_objective": lambda r: w.dsbs_objective(w.DsbsParams(0.1, 0.2, 0.1, 0.1), r),
+        "dsbs_exponent.r1": lambda r: w.dsbs_exponent(0.1, r, 0.1),
+        "dsbs_exponent.r2": lambda r: w.dsbs_exponent(0.1, 0.1, r),
+        "dsbs_pair": lambda r: dsbs_pair(0.1, 0.1, r),
+        "figure2_sweep": lambda r: w.figure2_sweep(0.1, r, [0.5]),
+        "pa_generic_bound": lambda r: w.pa_generic_bound(0.1, 1.0, 10, r),
+        "pa_bound_from_exponent.r1": lambda r: w.pa_bound_from_exponent(0.1, r1=r, r2=0.1, delta=0.05, n=10),
+        "pa_bound_from_exponent.r2": lambda r: w.pa_bound_from_exponent(0.1, r1=0.1, r2=r, delta=0.05, n=10),
+        "pa_security_bound.r1": lambda r: w.pa_security_bound(src, r, 0.1, 0.05, 10),
+        "pa_security_bound.r2": lambda r: w.pa_security_bound(src, 0.1, r, 0.05, 10),
+        "pa_rate_tradeoff.r1": lambda r: w.pa_rate_tradeoff(src, 0.5, 10, 0.05, [0.1], [r]),
+        "pa_rate_tradeoff.r2": lambda r: w.pa_rate_tradeoff(src, 0.5, 10, 0.05, [r], [0.1]),
+    }
+
+
+class TestRates:
+    def test_check_rate(self):
+        for good in (0.0, 0.5, 7.0):
+            check_rate(good, "r1")
+        for bad in BAD_RATES:
+            with pytest.raises(DomainError, match="r1 must be finite and nonnegative"):
+                check_rate(bad, "r1")
+
+    @pytest.mark.parametrize("name", sorted(_rate_entry_points()))
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_every_public_rate_is_checked(self, name, rate):
+        # each call raises before it solves anything
+        with pytest.raises(DomainError, match="must be finite and nonnegative"):
+            _rate_entry_points()[name](rate)
 
 
 def naive_aux_measures(t):

@@ -13,7 +13,6 @@ from wakexp.probkit import JointPmf2, Pmf
 from wakexp.reductions import OohamaEvaluator, _tilt_coefficients, exponent_single_direct
 from wakexp.simplex_optim import (
     _FEAS_TOL,
-    Box,
     SearchDomain,
     Simplex,
     SolverConfig,
@@ -83,14 +82,7 @@ def _reference_grid_arrays(domain, resolution):
     """Per-block lattice points with denominator ``resolution``, lex ordered."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    out = []
-    for b in domain.blocks:
-        if isinstance(b, Simplex):
-            out.append(_reference_simplex_grid(b.dim, resolution))
-        else:
-            frac = np.arange(resolution + 1, dtype=np.float64) / resolution
-            out.append((b.lower + (b.upper - b.lower) * frac)[:, None])
-    return out
+    return [_reference_simplex_grid(b.dim, resolution) for b in domain.blocks]
 
 
 def _reference_cartesian_rows(arrays):
@@ -120,14 +112,18 @@ class TestSimplexGrid:
         as_tuples = [tuple(row) for row in g]
         assert as_tuples == sorted(as_tuples)
 
+    def test_domain_takes_simplex_blocks_only(self):
+        with pytest.raises(TypeError):
+            SearchDomain([Simplex(2), (0.0, 1.0)])
+
     def test_dimension_one(self):
         g = _reference_simplex_grid(1, 7)
         np.testing.assert_array_equal(g, [[1.0]])
 
     @pytest.mark.parametrize(
         "blocks",
-        [[Simplex(3)], [Simplex(1), Simplex(4)], [Box(0.0, 1.0)] * 3, [Simplex(3), Box(-1.0, 2.0)]],
-        ids=["simplex", "two-simplexes", "boxes", "mixed"],
+        [[Simplex(3)], [Simplex(1), Simplex(4)], [Simplex(2)] * 3, [Simplex(3), Simplex(2)]],
+        ids=["simplex", "two-simplexes", "pairs", "mixed"],
     )
     def test_lattice_rows_counts_the_lattice(self, blocks):
         domain = SearchDomain(blocks)
@@ -137,10 +133,10 @@ class TestSimplexGrid:
 
 PRODUCTS = {
     "two-simplexes": [Simplex(3), Simplex(4)],
-    "simplex-box": [Simplex(4), Box(-1.0, 2.0)],
-    "box-simplex-box": [Box(0.25, 0.75), Simplex(3), Box(-1.0, 2.0)],
-    "boxes": [Box(0.0, 1.0)] * 3,
-    "zero-width-box": [Simplex(2), Box(0.3, 0.3), Simplex(3)],
+    "simplex-pair": [Simplex(4), Simplex(2)],
+    "pair-simplex-pair": [Simplex(2), Simplex(3), Simplex(2)],
+    "pairs": [Simplex(2)] * 3,                  # the binary symmetric family's domain
+    "one-point-block": [Simplex(2), Simplex(1), Simplex(3)],
     "omega-3x2": [Simplex(3), Simplex(2), Simplex(2), Simplex(2)],
 }
 
@@ -181,7 +177,7 @@ class TestLatticeChunks:
             assert np.vstack(chunks).tobytes() == _reference_lattice(domain, res).tobytes()
 
     def test_resolution_below_two_raises(self):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         for res in (1, 0, -3):
             with pytest.raises(ValueError):
                 next(lattice_chunks(dom, res))
@@ -196,7 +192,7 @@ class TestLatticeChunks:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_searches_do_not_depend_on_the_chunks(self, monkeypatch, chunk):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         params = np.random.default_rng(4).random((3, 4))
         params[1] = 0.0
 
@@ -276,9 +272,9 @@ class TestGridSearch:
     def test_interior_target_found_exactly(self):
         target = np.array([0.25, 0.5])
         res = grid_search(
-            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), 4, _pointwise(lambda p: float(((p - target) ** 2).sum()))
+            SearchDomain([Simplex(2), Simplex(2)]), 4, _pointwise(lambda p: float(((p[0::2] - target) ** 2).sum()))
         )
-        np.testing.assert_array_equal(res.argmin, target)
+        np.testing.assert_array_equal(res.argmin, [0.25, 0.75, 0.5, 0.5])
         assert res.value == 0.0
 
     def test_tie_breaks_to_lexicographically_smallest(self):
@@ -317,14 +313,14 @@ class TestGridSearch:
 
     def test_value_matches_objective_at_argmin(self):
         def f(p):
-            return float((p[0] - 0.21) ** 2 + p[1])
+            return float((p[0] - 0.21) ** 2 + p[2])
 
-        res = grid_search(SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), 10, _pointwise(f))
+        res = grid_search(SearchDomain([Simplex(2), Simplex(2)]), 10, _pointwise(f))
         assert res.value == f(res.argmin)
 
     def test_row_bound_splits_calls_without_changing_results(self, monkeypatch):
         # 5,915 lattice rows, one chunk: no call may hold more than _CALL_ROWS
-        dom = SearchDomain([Simplex(4), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(4), Simplex(2)])
         calls = []
 
         def counted(pts):
@@ -343,13 +339,13 @@ class TestGridSearch:
 
 
 class TestMultistart:
-    def test_convex_quadratic_over_box(self):
+    def test_convex_quadratic_over_pairs(self):
         cfg = SolverConfig(starts=5, seed=3, step_tolerance=1e-7)
         target = np.array([0.37, 0.81])
         res = _multistart(
-            SearchDomain([Box(0.0, 1.0), Box(0.0, 1.0)]), cfg, _pointwise(lambda p: float(((p - target) ** 2).sum()))
+            SearchDomain([Simplex(2), Simplex(2)]), cfg, _pointwise(lambda p: float(((p[0::2] - target) ** 2).sum()))
         )
-        np.testing.assert_allclose(res.argmin, target, atol=1e-5)
+        np.testing.assert_allclose(res.argmin[0::2], target, atol=1e-5)
         assert res.converged
 
     def test_seed_changes_do_not_change_convex_solution(self):
@@ -364,10 +360,10 @@ class TestMultistart:
         assert abs(v1 - v2) <= 1e-9
 
     def test_bit_identical_determinism(self):
-        rng_free = SearchDomain([Simplex(3), Box(-1.0, 2.0)])
+        rng_free = SearchDomain([Simplex(3), Simplex(2)])
 
         def f(p):
-            return float(np.cos(3 * p[0]) + (p[3] - 0.3) ** 2 + p[1] * p[2])
+            return float(np.cos(3 * p[0]) + (-1.0 + 3.0 * p[3] - 0.3) ** 2 + p[1] * p[2])
 
         cfg = SolverConfig(starts=8, seed=42)
         a = _multistart(rng_free, cfg, _pointwise(f))
@@ -378,14 +374,14 @@ class TestMultistart:
 
     def test_oracle_dominance_on_random_problems(self):
         rng = np.random.default_rng(5)
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         for trial in range(5):
             q = rng.normal(size=(4, 4))
             q = q @ q.T + 0.5 * np.eye(4)
             center = np.concatenate([rng.dirichlet(np.ones(3)), rng.random(1)])
 
             def f(p):
-                d = p - center
+                d = p[:4] - center
                 return float(d @ q @ d)
 
             oracle = grid_search(dom, 12, _pointwise(f))
@@ -473,12 +469,13 @@ class TestMinimize:
 
 
 class TestBisectMultiplier:
-    """Each solve of ``scalarized(lam)`` ends exactly at x = lam, so a solve's
-    argmin names its multiplier, and ``batch_evaluate`` reads a scripted
-    (value, violation) verdict for it."""
+    """A point (t, 1 - t) stands for x = 4t in [0, 4].  Each solve of
+    ``scalarized(lam)`` ends exactly at x = lam, so a solve's argmin names
+    its multiplier, and ``batch_evaluate`` reads a scripted (value,
+    violation) verdict for it."""
 
     CFG = SolverConfig(max_iterations=300, step_tolerance=1e-9)
-    DOM = SearchDomain([Box(0.0, 4.0)])
+    DOM = SearchDomain([Simplex(2)])
 
     def _run(self, monkeypatch, verdicts, doublings=30, halvings=3):
         lams, spent = [], []
@@ -491,16 +488,20 @@ class TestBisectMultiplier:
 
         def scalarized(lam):
             lams.append(lam)
-            return lambda pts: ((pts[:, 0] - lam) ** 2, 0.0)
+            return lambda pts: ((4.0 * pts[:, 0] - lam) ** 2, 0.0)
 
         def evaluate(pts):
-            value, violation = verdicts[float(pts[0, 0])]
+            value, violation = verdicts[float(4.0 * pts[0, 0])]
             return np.array([value]), np.array([violation])
 
         monkeypatch.setattr(simplex_optim, "minimize", tallied)
-        res = bisect_multiplier(self.DOM, evaluate, scalarized, [np.array([0.0])], self.CFG, doublings, halvings)
+        res = bisect_multiplier(self.DOM, evaluate, scalarized, [np.array([0.0, 1.0])], self.CFG, doublings, halvings)
         assert res.evaluations == sum(spent)
         return res, lams
+
+    @staticmethod
+    def _x(res):
+        return [4.0 * res.argmin[0]]
 
     def test_records_points_within_the_feasibility_tolerance(self, monkeypatch):
         # a violation of _FEAS_TOL / 2 or exactly _FEAS_TOL is feasible, and
@@ -514,21 +515,21 @@ class TestBisectMultiplier:
         }
         res, lams = self._run(monkeypatch, verdicts)
         assert lams == [0.0, 1.0, 0.5, 0.75, 0.625]
-        assert (res.argmin.tolist(), res.value) == ([0.75], 0.125)
+        assert (self._x(res), res.value) == ([0.75], 0.125)
 
     def test_ties_go_to_the_earlier_solve(self, monkeypatch):
         verdicts = {0.0: (1.0, 1.0), 1.0: (0.5, 0.5 * _FEAS_TOL), 0.5: (0.5, 0.0), 0.25: (0.75, 1.0)}
         res, lams = self._run(monkeypatch, verdicts, halvings=2)
         assert lams == [0.0, 1.0, 0.5, 0.25]
-        assert (res.argmin.tolist(), res.value) == ([1.0], 0.5)
+        assert (self._x(res), res.value) == ([1.0], 0.5)
 
     def test_a_feasible_first_solve_ends_the_search(self, monkeypatch):
         res, lams = self._run(monkeypatch, {0.0: (0.3, 0.0)})
         assert lams == [0.0]
-        assert (res.argmin.tolist(), res.value) == ([0.0], 0.3)
+        assert (self._x(res), res.value) == ([0.0], 0.3)
 
     def test_no_feasible_solve_gives_the_infeasible_marker(self, monkeypatch):
-        # the solve at lam = 6 stops at the box bound x = 4
+        # the solve at lam = 6 stops at the bound x = 4
         verdicts = {x: (0.1, 1.0) for x in (0.0, 1.0, 2.0, 4.0)}
         res, lams = self._run(monkeypatch, verdicts, doublings=3, halvings=1)
         assert lams == [0.0, 1.0, 2.0, 4.0, 6.0]
@@ -541,15 +542,15 @@ class TestDomainDiscipline:
 
         def f(p):
             seen.append(p.copy())
-            return float((p[0] - 0.3) ** 2 + (p[3] - 0.9) ** 2)
+            return float((p[0] - 0.3) ** 2 + (0.25 + 0.5 * p[3] - 0.9) ** 2)
 
-        dom = SearchDomain([Simplex(3), Box(0.25, 0.75)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         _multistart(dom, SolverConfig(starts=6, seed=7, max_iterations=300), _pointwise(f))
         assert seen
         for p in seen:
-            assert abs(p[:3].sum() - 1.0) <= 1e-12
-            assert np.all(p[:3] >= 0.0)
-            assert 0.25 <= p[3] <= 0.75
+            for sl in dom.slices():
+                assert abs(p[sl].sum() - 1.0) <= 1e-12
+            assert np.all(p >= 0.0)
 
 
 class TestMaximize1d:
@@ -644,32 +645,20 @@ def _reference_maximize_1d(f, grid):
 def _reference_probe_points(domain, slices, x, step):
     probes = []
     for block, sl in zip(domain.blocks, slices):
-        if isinstance(block, Simplex):
-            seg = x[sl]
-            d = block.dim
-            for j in range(d):
-                avail = seg[j]
-                if avail <= 0.0:
-                    continue
-                delta = min(step, avail)
-                for i in range(d):
-                    if i == j:
-                        continue
-                    y = x.copy()
-                    y[sl.start + j] -= delta
-                    y[sl.start + i] += delta
-                    probes.append(y)
-        else:
-            width = block.upper - block.lower
-            if width <= 0.0:
+        seg = x[sl]
+        d = block.dim
+        for j in range(d):
+            avail = seg[j]
+            if avail <= 0.0:
                 continue
-            v = x[sl.start]
-            for delta in (step * width, -step * width):
-                nv = min(max(v + delta, block.lower), block.upper)
-                if nv != v:
-                    y = x.copy()
-                    y[sl.start] = nv
-                    probes.append(y)
+            delta = min(step, avail)
+            for i in range(d):
+                if i == j:
+                    continue
+                y = x.copy()
+                y[sl.start + j] -= delta
+                y[sl.start + i] += delta
+                probes.append(y)
     return probes
 
 
@@ -719,11 +708,10 @@ def _reference_compass(domain, start, config, batch_evaluate):
         k = int(np.argmin(scores))
         if scores[k] < cur_score - 1e-15:
             x = pts[k].copy()
-            for block, sl in zip(domain.blocks, slices):
-                if isinstance(block, Simplex):
-                    s = x[sl].sum()
-                    if abs(s - 1.0) > 2.5e-13 and s > 0.0:
-                        x[sl] /= s
+            for sl in slices:
+                s = x[sl].sum()
+                if abs(s - 1.0) > 2.5e-13 and s > 0.0:
+                    x[sl] /= s
             cur_score = scores[k]
         else:
             step *= 0.5
@@ -756,23 +744,29 @@ def _assert_same_descents(domain, starts, config, batch_evaluate):
 class TestCompassBatchMatchesReference:
     CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
 
-    def test_mixed_blocks_box_first(self):
-        dom = SearchDomain([Box(-1.0, 2.0), Simplex(3), Box(0.0, 0.5), Simplex(2)])
+    def test_mixed_blocks_pair_first(self):
+        dom = SearchDomain([Simplex(2), Simplex(3), Simplex(2), Simplex(2)])
         rng = np.random.default_rng(3)
         starts = [dom.sample(rng) for _ in range(6)]
-        starts.append(np.array([2.0, 1.0, 0.0, 0.0, 0.5, 0.0, 1.0]))   # on the bounds
+        starts.append(np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]))   # on the vertices
 
         def f(pts):
-            return np.cos(3 * pts[:, 0]) + pts[:, 1] * pts[:, 2] + (pts[:, 4] - 0.3) ** 2 - pts[:, 6] * pts[:, 3]
+            # the pairs stand for -1 + 3 t in [-1, 2] and 0.5 t in [0, 0.5]
+            return (
+                np.cos(3 * (-1.0 + 3.0 * pts[:, 0]))
+                + pts[:, 2] * pts[:, 3]
+                + (0.5 * pts[:, 5] - 0.3) ** 2
+                - pts[:, 8] * pts[:, 4]
+            )
 
         _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
-    def test_zero_mass_coordinates_and_zero_width_box(self):
-        dom = SearchDomain([Simplex(4), Box(0.5, 0.5), Simplex(3)])
+    def test_zero_mass_coordinates_and_a_one_point_block(self):
+        dom = SearchDomain([Simplex(4), Simplex(1), Simplex(3)])
         starts = [
-            np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0]),
-            np.array([0.0, 0.5, 0.5, 0.0, 0.5, 0.2, 0.0, 0.8]),
-            np.array([0.25, 0.25, 0.25, 0.25, 0.5, 1 / 3, 1 / 3, 1 / 3]),
+            np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+            np.array([0.0, 0.5, 0.5, 0.0, 1.0, 0.2, 0.0, 0.8]),
+            np.array([0.25, 0.25, 0.25, 0.25, 1.0, 1 / 3, 1 / 3, 1 / 3]),
         ]
         target = np.array([0.1, 0.2, 0.0, 0.7, 0.5, 0.0, 0.6, 0.4])
 
@@ -782,10 +776,10 @@ class TestCompassBatchMatchesReference:
         _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
     def test_nan_objective_and_penalty_ranked_infeasible_probes(self):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         rng = np.random.default_rng(11)
         starts = [dom.sample(rng) for _ in range(8)]
-        starts.append(np.array([0.05, 0.05, 0.9, 0.9]))                  # infeasible start
+        starts.append(np.array([0.05, 0.05, 0.9, 0.9, 0.1]))             # infeasible start
 
         def evaluate(pts):
             vals = (pts[:, 0] - 0.6) ** 2 + pts[:, 3] * pts[:, 1]
@@ -795,12 +789,12 @@ class TestCompassBatchMatchesReference:
         _assert_same_descents(dom, starts, self.CFG, evaluate)
 
     def test_non_finite_start_and_iteration_cap(self):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         starts = [
-            np.array([0.2, 0.3, 0.5, 0.4]),
-            np.array([np.nan, 0.5, 0.5, 0.1]),
-            np.array([0.2, 0.3, 0.5, np.inf]),
-            np.array([0.6, 0.2, 0.2, 0.9]),
+            np.array([0.2, 0.3, 0.5, 0.4, 0.6]),
+            np.array([np.nan, 0.5, 0.5, 0.1, 0.9]),
+            np.array([0.2, 0.3, 0.5, np.inf, 0.5]),
+            np.array([0.6, 0.2, 0.2, 0.9, 0.1]),
         ]
 
         def f(pts):
@@ -830,13 +824,13 @@ class TestCompassBatchMatchesReference:
 
         _assert_same_descents(dom, starts, self.CFG, _unconstrained(f))
 
-    def test_runs_of_wide_blocks_with_boxes_and_zero_mass(self):
+    def test_runs_of_wide_blocks_with_pairs_and_zero_mass(self):
         # runs of equal simplex blocks of 9 and 10 (pairwise sums) are
-        # renormalized as one array each, a box or a block of another size
-        # ends a run, and empty coordinates give every descent its own
-        # number of probes; the constraint ranks by penalty
-        dom = SearchDomain([Simplex(9), Simplex(9), Box(0.0, 1.0), Simplex(10), Simplex(10),
-                            Simplex(3), Simplex(1), Simplex(9), Box(-1.0, 1.0)])
+        # renormalized as one array each, a block of another size ends a
+        # run, and empty coordinates give every descent its own number of
+        # probes; the constraint ranks by penalty
+        dom = SearchDomain([Simplex(9), Simplex(9), Simplex(2), Simplex(10), Simplex(10),
+                            Simplex(3), Simplex(1), Simplex(9), Simplex(2)])
         rng = np.random.default_rng(13)
         starts = []
         for i in range(7):
@@ -846,19 +840,19 @@ class TestCompassBatchMatchesReference:
                 if sl.stop - sl.start > 1 and s[sl].sum() > 0.0:
                     s[sl] /= s[sl].sum()
             s[:9] *= 1.0 + (1e-9, -3e-10, 1e-13)[i % 3]
-            s[19:29] *= 1.0 - 4e-10 * (i % 2)
+            s[20:30] *= 1.0 - 4e-10 * (i % 2)
             starts.append(s)
         w = rng.normal(size=dom.n_params)
 
         def evaluate(pts):
             vals = (pts * w).sum(axis=1) + 0.5 * (pts[:, 9:18] ** 2).sum(axis=1)
-            return vals, np.maximum(pts[:, 0] + pts[:, 19] - 0.6, 0.0)
+            return vals, np.maximum(pts[:, 0] + pts[:, 20] - 0.6, 0.0)
 
         _assert_same_descents(dom, starts, self.CFG, evaluate)
         _assert_same_descents(dom, starts, self.CFG, lambda pts: (evaluate(pts)[0], 0.0))
 
     def test_batch_is_order_independent(self):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         rng = np.random.default_rng(2)
         starts = [dom.sample(rng) for _ in range(5)]
 
@@ -878,7 +872,7 @@ class TestCompassBatchMatchesReference:
 
     def test_row_bound_splits_calls_without_changing_results(self, monkeypatch):
         # a small row bound splits the starts and each iteration's probes
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         rng = np.random.default_rng(4)
         starts = [dom.sample(rng) for _ in range(11)]
 
@@ -911,7 +905,7 @@ def _tilted_quadratic(pts, rows):
 
 
 class TestPerStartParams:
-    DOM = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+    DOM = SearchDomain([Simplex(3), Simplex(2)])
     CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
 
     def _params(self, n, seed):
@@ -969,7 +963,7 @@ class TestGridSearchBatch:
             _assert_same_result(got, ref)
 
     def test_matches_grid_search_per_row(self):
-        dom = SearchDomain([Simplex(3), Box(0.0, 1.0)])
+        dom = SearchDomain([Simplex(3), Simplex(2)])
         params = np.random.default_rng(3).random((7, 4))
         params[2] = 0.0                           # ties: the first minimum must win
         self._check(dom, 8, params, _tilted_quadratic)
@@ -988,10 +982,10 @@ class TestGridSearchBatch:
 
     def test_strict_improvement_across_chunks(self):
         # 65^3 rows are more than one lattice chunk; level sets tie across chunks
-        dom = SearchDomain([Box(0.0, 1.0)] * 3)
+        dom = SearchDomain([Simplex(2)] * 3)
 
         def f(pts, rows):
-            return np.floor(4.0 * np.abs(pts[:, 2] - rows[:, 0])) + np.floor(2.0 * np.abs(pts[:, 0] - rows[:, 1]))
+            return np.floor(4.0 * np.abs(pts[:, 4] - rows[:, 0])) + np.floor(2.0 * np.abs(pts[:, 0] - rows[:, 1]))
 
         self._check(dom, 64, np.array([[0.5, 0.3], [0.0, 1.0], [0.9, 0.55]]), f)
 

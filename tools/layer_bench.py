@@ -18,9 +18,11 @@ objective, for a lone descent and for 16 descents, split into evaluation
 generation, ranking, bookkeeping).  The descents run a fixed number of
 iterations with a step tolerance too small to stop them.
 
-Last, the lattice oracle on three domains: the copy manifold's Simplex(6)
-at resolution 26 (169,911 rows), Simplex(9) at 12 (125,970 rows) and the
-comparison bound's domain for a 2x3 source at its 10,000-row cap.  For
+Last, the lattice oracle on four domains: the copy manifold's Simplex(6)
+at resolution 26 (169,911 rows), Simplex(9) at 12 (125,970 rows), the
+comparison bound's domain for a 2x3 source at its 10,000-row cap and the
+binary symmetric family's Simplex(2)^3 at its fast-tier resolution 24
+(15,625 rows).  For
 each it prints the min-of-N time to enumerate the lattice with
 ``lattice_chunks`` and the tracemalloc peak of one ``grid_search`` with a
 one-column objective, which is the memory of the enumeration itself.
@@ -139,15 +141,16 @@ def bench_lattices(repeats: int):
         ("Simplex(6)@26", SearchDomain([Simplex(6)]), 26),
         ("Simplex(9)@12", SearchDomain([Simplex(9)]), 12),
         ("omega 2x3", omega, _capped_resolution(omega, 12, _OMEGA_GRID_CAP)),
+        ("Simplex(2)^3@24", SearchDomain([Simplex(2)] * 3), 24),
     ]
-    print("lattice             rows  enumerate ms  grid_search peak MB   (min of N)")
+    print("lattice               rows  enumerate ms  grid_search peak MB   (min of N)")
     for name, domain, res in cases:
         spent = _min_time(lambda: sum(len(c) for c in lattice_chunks(domain, res)), repeats)
         tracemalloc.start()
         grid_search(domain, res, lambda pts: (pts[:, 0], 0.0))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(f"{name:14s}{lattice_rows(domain, res):10d}{spent * 1e3:14.2f}{peak / 1e6:21.2f}")
+        print(f"{name:16s}{lattice_rows(domain, res):10d}{spent * 1e3:14.2f}{peak / 1e6:21.2f}")
 
 
 def main(argv=None):

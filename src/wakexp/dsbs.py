@@ -7,12 +7,14 @@ family (beta, q0, q1) of auxiliary joints gives the upper bound
     s.t. h((1-beta)(1-q0) + beta q1) <= r1
 
 on the exponent; restricting q0 = q1 makes the auxiliary chain Markov.
+The sweep over r1 reports both variants side by side — the unrestricted
+minimum is the interesting one, since it dips strictly below the Markov
+variant in the middle of the rate range.
+
 The search domain is a product of 2-simplices: each parameter t in [0, 1]
 is the first coordinate of the pmf (t, 1 - t), so a search point reads
 (beta, 1 - beta, q0, 1 - q0, q1, 1 - q1) and the objective reads every
-other coordinate.  The sweep over r1 reports both variants side by side — the unrestricted
-minimum is the interesting one, since it dips strictly below the Markov
-variant in the middle of the rate range.
+other coordinate.
 """
 
 from __future__ import annotations

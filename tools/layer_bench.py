@@ -22,10 +22,10 @@ Last, the lattice oracle on four domains: the copy manifold's Simplex(6)
 at resolution 26 (169,911 rows), Simplex(9) at 12 (125,970 rows), the
 comparison bound's domain for a 2x3 source at its 10,000-row cap and the
 binary symmetric family's Simplex(2)^3 at its fast-tier resolution 24
-(15,625 rows).  For
-each it prints the min-of-N time to enumerate the lattice with
-``lattice_chunks`` and the tracemalloc peak of one ``grid_search`` with a
-one-column objective, which is the memory of the enumeration itself.
+(15,625 rows).  For each it prints the min-of-N time to enumerate the
+lattice with ``lattice_chunks`` and the tracemalloc peak of one
+``grid_search`` with a one-column objective, which is the memory of the
+enumeration itself.
 
 The exponent, table and region kernels use the benchmark's ``case13-2x3``
 source at nu = 4 (the acceptance config); ``omega`` uses ``dsbs:0.1``, the

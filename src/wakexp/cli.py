@@ -143,7 +143,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_ne(args) -> int:
     src = _load_source(args.source)
-    value = exponent_ne(src, args.r1, _config_from(args))
+    value = exponent_ne(src, args.r1)
     _emit_json({"r1": args.r1, "value": value}, args.out)
     return EXIT_OK
 

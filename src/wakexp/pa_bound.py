@@ -72,6 +72,7 @@ def pa_bound_from_exponent(exponent: float, *, r1: float, r2: float, delta: floa
     check_rate(r2, "r2")
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
+    check_rate(delta, "delta")
     if not n >= 1:
         raise DomainError("blocklength must be at least 1")
     if math.isnan(exponent):
@@ -113,6 +114,7 @@ def pa_security_bound(
     """
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
+    check_rate(delta, "delta")
     check_rate(r1, "r1")
     check_rate(r2, "r2")
     config = DEFAULT_CONFIG if config is None else config
@@ -155,6 +157,7 @@ def pa_rate_tradeoff(
     """
     if not delta > 0.0:
         raise DomainError("the rate slack delta must be positive")
+    check_rate(delta, "delta")
     if not n >= 1:
         raise DomainError("blocklength must be at least 1")
     r1s = [float(v) for v in r1_grid]

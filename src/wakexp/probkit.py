@@ -366,47 +366,69 @@ def binary_entropy_inverse(target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _entropy_matched_tilts(probs: np.ndarray, r1: float) -> list:
-    """Tilted laws q ~ p^c on each top-m support with H(q) = r1.
+def arimoto_dual(table: np.ndarray, r1: float) -> tuple:
+    """(value, lam, q) for min over tables q of D(q||S) + max(H_q(X|Y) - r1, 0).
 
-    The minimizer of D(q||p) + max(H(q) - r1, 0) lies in this family: on
-    the branch H >= r1 the objective is linear in q and touches the
-    entropy boundary, on the other branch it is the divergence projection;
-    both pick a power tilt of p restricted to the largest atoms.
+    The tilt Q_lam ~ S V^lam, whose conditional is V(.|y) ~
+    S(., y)^(1/(1-lam)), attains the concave dual -log2 sum_y (sum_x
+    S^(1/(1-lam)))^(1-lam) - lam*r1, Arimoto's conditional Renyi entropy
+    times lam, where H_{Q_lam}(X|Y) = r1.  value is the primal objective
+    at q; when r1 >= H(X|Y), lam = 0 and q is ``table`` itself.
     """
-    order = np.argsort(-probs, kind="stable")
-    order = [i for i in order if probs[i] > 0.0]
-    out = []
+    if conditional_entropy(JointPmf2(table)) <= r1:
+        return 0.0, 0.0, table
+    cols = table.sum(axis=0) > 0.0
+    top = table[:, cols].max(axis=0)
+    with np.errstate(divide="ignore"):
+        # 0 on each column's largest atoms, -inf on its null ones
+        shift = np.log(table[:, cols]) - np.log(top)
 
-    def tilt(support, c):
-        # log-space so that deep tilts saturate to a point mass, never 0/0
-        logs = np.log(probs[support])
+    def tilt(lam):
+        # one log-sum-exp per column, shifted so that its largest atoms read 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.exp(np.where(shift == 0.0, 0.0, shift / (1.0 - lam)))
+        q = np.zeros(table.shape)
+        q[:, cols] = w * (top * w.sum(axis=0) ** -lam)
+        return q / q.sum()
+
+    # H_{Q_lam}(X|Y) falls as lam grows: keep the end where it is at most
+    # r1, or lam = 1 if none is, where primal and dual meet
+    lo, lam, mid, q = 0.0, 1.0, 0.5, tilt(1.0)
+    while lo < mid < lam:
+        q_mid = tilt(mid)
+        if conditional_entropy(JointPmf2(q_mid)) <= r1:
+            lam, q = mid, q_mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + lam)
+    # D >= 0, so a negative divergence is rounding
+    return float(max(kl_bits(q, table), 0.0) + max(conditional_entropy(JointPmf2(q)) - r1, 0.0)), lam, q
+
+
+def _entropy_matched_tilt(probs: np.ndarray, r1: float) -> np.ndarray:
+    """The power tilt q ~ p^c, c >= 1, with H(q) = r1, or the uniform law
+    on the largest atoms where r1 is below its entropy: the minimizer of
+    D(q||p) + max(H(q) - r1, 0), found apart from :func:`arimoto_dual`."""
+    support = np.array([i for i in np.argsort(-probs, kind="stable") if probs[i] > 0.0])
+    logs = np.log(probs[support])
+
+    def tilt(c):
+        # log-space so that deep tilts saturate to the largest atoms, never 0/0
         q = np.zeros_like(probs)
         q[support] = np.exp(c * (logs - logs.max()))
         return q / q[support].sum()
 
-    for m in range(1, len(order) + 1):
-        support = np.array(order[:m])
-        if r1 > math.log2(m) + 1e-12 and m > 1:
-            continue
-        if m == 1:
-            out.append(tilt(support, 1.0))
-            continue
-        lo, hi = 0.0, 1.0
-        while entropy_bits(tilt(support, hi)) > r1 and hi < 1e7:
-            hi *= 2.0
-        if entropy_bits(tilt(support, hi)) > r1:
-            # tied top atoms: the entropy floor of this support sits above r1
-            out.append(tilt(support, hi))
-            continue
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if entropy_bits(tilt(support, mid)) > r1:
-                lo = mid
-            else:
-                hi = mid
-        out.append(tilt(support, 0.5 * (lo + hi)))
-    return out
+    lo, hi = 0.0, 1.0
+    while entropy_bits(tilt(hi)) > r1 and hi < 1e7:
+        hi *= 2.0
+    # with tied top atoms whose entropy exceeds r1, lo climbs to hi
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if entropy_bits(tilt(mid)) > r1:
+            lo = mid
+        else:
+            hi = mid
+    return tilt(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Special-case exponents and the comparison lower bound.
 
 Covers the exponent when the side information is not encoded (r2 at least
-log2 |Y|), the single-user exponent in both its divergence-minimization and
-parametric tilted forms, the parametric comparison bound restricted to the
-same single-user network, and the general-network version of that bound.
-The two single-user forms agree (that equivalence is acceptance-tested),
-while the comparison bound is strictly smaller whenever r1 < H(X); the gap
+log2 |Y|) and its |Y| = 1 case, the parametric single-user exponent, both
+the closed form :func:`probkit.arimoto_dual`; the single-user divergence
+minimization; the parametric comparison bound restricted to the same
+single-user network, and the general-network version of that bound.  The
+two single-user forms agree (that equivalence is acceptance-tested), while
+the comparison bound is strictly smaller whenever r1 < H(X); the gap
 report packages that difference.
 """
 
@@ -20,7 +21,8 @@ from .probkit import (
     DomainError,
     JointPmf2,
     Pmf,
-    _entropy_matched_tilts,
+    _entropy_matched_tilt,
+    arimoto_dual,
     check_rate,
     entropy_bits,
     entropy_rows,
@@ -44,7 +46,6 @@ from .simplex_optim import (
 MU_ALPHA_GRID = 41
 
 # small simplex problems: lattice oracle first, local descent after
-NE_DEFAULT = SolverConfig(grid_resolution=60, starts=24, seed=0)
 SINGLE_DEFAULT = SolverConfig(grid_resolution=64, starts=16, seed=0)
 # the comparison bound's inner solve draws no random starts
 OOHAMA_DEFAULT = SolverConfig(grid_resolution=12, max_iterations=600, step_tolerance=1e-5)
@@ -104,35 +105,14 @@ def s_theta(p: Pmf, theta: float) -> float:
 # divergence-minimization forms
 # ---------------------------------------------------------------------------
 
-def exponent_ne(src: JointPmf2, r1: float, config: SolverConfig | None = None) -> float:
+def exponent_ne(src: JointPmf2, r1: float) -> float:
     """Exponent with non-encoded side information.
 
-    Minimum over joints m of D(m || src) + max(H(X|Y under m) - r1, 0);
-    zero exactly when r1 >= H(X|Y).
+    Minimum over joints m of D(m || src) + max(H(X|Y under m) - r1, 0), in
+    closed form (:func:`probkit.arimoto_dual`); zero exactly when r1 >= H(X|Y).
     """
     check_rate(r1, "r1")
-    config = NE_DEFAULT if config is None else config
-    k = src.nx * src.ny
-    flat = src.probs.ravel()
-    with np.errstate(divide="ignore"):
-        log_src = np.log2(flat)
-
-    def batch_evaluate(pts):
-        m = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        h_xy = entropy_rows(m)
-        h_y = entropy_rows(m.reshape(-1, src.nx, src.ny).sum(axis=1))
-        return kl_rows(m, log_src) + np.maximum(h_xy - h_y - r1, 0.0), 0.0
-
-    candidates = [flat.copy()] + list(np.eye(k)[flat > 0.0])
-    px = src.probs.sum(axis=1)
-    for x in range(src.nx):
-        if px[x] > 0.0:
-            row = np.zeros((src.nx, src.ny))
-            row[x] = src.probs[x] / px[x]
-            candidates.append(row.ravel())
-    domain = SearchDomain([Simplex(k)])
-    res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP) if k <= 9 else None
-    return float(minimize(domain, batch_evaluate, config, candidates + random_starts(domain, config), res).value)
+    return arimoto_dual(src.probs, r1)[0]
 
 
 def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None) -> float:
@@ -148,7 +128,7 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
         return kl_rows(q, log_p) + np.maximum(entropy_rows(q) - r1, 0.0), 0.0
 
     candidates = [p.probs.copy(), np.full(k, 1.0 / k)] + list(np.eye(k)[p.probs > 0.0])
-    candidates.extend(_entropy_matched_tilts(p.probs, r1))
+    candidates.append(_entropy_matched_tilt(p.probs, r1))
     domain = SearchDomain([Simplex(k)])
     res = _capped_resolution(domain, config.grid_resolution, _GRID_POINT_CAP)
     return float(minimize(domain, batch_evaluate, config, candidates + random_starts(domain, config), res).value)
@@ -167,17 +147,15 @@ def _parametric_max(p: Pmf, r1: float, thetas, denominator_shift: float):
     return maximize_1d(f, thetas)
 
 
-def exponent_single_parametric(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> float:
+def exponent_single_parametric(p: Pmf, r1: float) -> float:
     """Parametric single-user exponent max_{theta<=0} (-s+theta*r1)/(1-theta).
 
-    Agrees with :func:`exponent_single_direct` up to the grid-floor
-    truncation; for low rates the supremum is approached only as the tilt
-    goes to -infinity.
+    With lam = -theta/(1 - theta) it is the |Y| = 1 case of
+    :func:`probkit.arimoto_dual`, which also reaches a supremum that is
+    approached only as theta goes to -infinity.
     """
     check_rate(r1, "r1")
-    grid = DEFAULT_THETA_GRID if grid is None else grid
-    _, value = _parametric_max(p, r1, grid.abscissae, 1.0)
-    return float(value)
+    return arimoto_dual(p.probs[:, None], r1)[0]
 
 
 def oohama_single(p: Pmf, r1: float, grid=None) -> float:

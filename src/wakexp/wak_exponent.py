@@ -20,9 +20,9 @@ to structured starts, each a table m(x, y) glued to a test channel:
 * m(x, y) W(u|x): U = X, its timeshare, the optimized U = X copy manifold
   and, where U = X does not fit (nu < |X|), the point masses.
 
-Without side information (|Y| = 1) the U = X timeshares of the
-entropy-matched power tilts of P_X join them.  Constant U is infeasible
-when R1 < H(X), and U = Y when R1 < H(X|Y); their descents rank probes by a
+U = Y on the minimizer q of the non-encoded exponent, a lower bound on
+this one, joins them when H_q(Y) <= r2.  Constant U is infeasible when
+R1 < H(X), and U = Y when R1 < H(X|Y); their descents rank probes by a
 penalized score and count only from the first feasible point.  U = X (or
 the point masses) has H(X|U) = 0, so the returned point is always feasible
 and its value an upper bound that the other starts can only improve.
@@ -50,7 +50,7 @@ from .probkit import (
     DomainError,
     JointPmf2,
     Layout,
-    _entropy_matched_tilts,
+    arimoto_dual,
     aux_measures,
     check_rate,
     entropy_bits,
@@ -336,13 +336,10 @@ class _ExponentSearch:
     def fixed_starts(self) -> list:
         """The closed-form starts, in a fixed order: constant U, the point
         masses (only when nu < |X|, where U = X does not fit), U = Y, U = X,
-        the timeshares of U = X and of U = Y, and for sources without side
-        information (|Y| = 1) the U = X timeshare of every entropy-matched
-        power tilt q of P_X, then q under constant U.
-
-        A timeshare of U = X needs nu >= |X| + 1, while constant U fits at
-        nu = 1: there H(X|U) = H(q), so the tilt q that meets r1 gives the
-        single-user exponent D(q||P_X) at every alphabet size."""
+        the timeshares of U = X and of U = Y, and U = Y on the minimizer q
+        of :func:`probkit.arimoto_dual` when H_q(Y) <= r2: its value is then
+        the non-encoded exponent, a lower bound on this one.  Where
+        r1 >= H(X|Y), q is the source, and the start is U = Y again."""
         nx, ny, src = self.nx, self.ny, self.src.probs
         starts = [self.embed(np.ones((1, ny)), "y")]
         if self.nu < nx:
@@ -351,11 +348,10 @@ class _ExponentSearch:
             p_y_given_x = np.divide(src, px[:, None], out=np.zeros_like(src), where=px[:, None] > 0.0)
             starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
         starts += [self.embed(np.eye(ny), "y"), self.embed(np.eye(nx), "x")]
-        tables = [("x", src), ("y", src)]
-        tilts = [q[:, None] for q in _entropy_matched_tilts(src[:, 0], self.r1)] if ny == 1 else []
-        tables += [("x", q) for q in tilts]
-        starts += [self.embed(self.split_channel(on, t), on, t) for on, t in tables]
-        starts += [self.embed(np.ones((1, 1)), "y", q) for q in tilts]
+        starts += [self.embed(self.split_channel(on, src), on, src) for on in ("x", "y")]
+        q = arimoto_dual(src, self.r1)[2]
+        if entropy_bits(q.sum(axis=0)) <= self.r2:
+            starts.append(self.embed(np.eye(ny), "y", q))
         return [s for s in starts if s is not None]
 
     def candidates_copy_manifolds(self, config: SolverConfig):

@@ -42,7 +42,6 @@ from wakexp.wak_exponent import (
 warnings.simplefilter("ignore", UpperBoundWarning)
 
 ACC_CFG = SolverConfig(grid_resolution=12, starts=16, seed=2718)
-NE_CFG = SolverConfig(grid_resolution=12, starts=8, seed=2718)
 
 
 def dsbs(p):
@@ -104,7 +103,7 @@ def test_02_parametric_equivalence(capsys):
     report(
         capsys,
         "02 parametric equivalence",
-        worst <= 5e-3,
+        worst <= 5e-14,
         f"max |direct - parametric| {worst:.2e} in {time.time()-t0:.1f}s",
     )
 
@@ -119,7 +118,7 @@ def test_03_uniform_closed_form(capsys):
     report(
         capsys,
         "03 uniform closed form",
-        worst <= 1e-3,
+        worst <= 1e-12,
         f"max |value - (1 - r1)| {worst:.2e} in {time.time()-t0:.1f}s",
     )
 
@@ -176,11 +175,11 @@ def test_06_non_encoded_reduction(capsys):
     for src in sources:
         r1 = float(rng.uniform(0.0, 1.0))
         b = wak_exponent(src, RatePair(r1, 2.0), ACC_CFG)
-        worst = max(worst, abs(b.value - exponent_ne(src, r1, NE_CFG)))
+        worst = max(worst, abs(b.value - exponent_ne(src, r1)))
     report(
         capsys,
         "06 non-encoded reduction",
-        worst <= 1e-5,
+        worst <= 1e-12,
         f"max |general - non-encoded| {worst:.2e} over 5 sources in {time.time()-t0:.1f}s",
     )
 

@@ -21,7 +21,14 @@ class TestSingleQueries:
         code, out, _ = run_cli(capsys, ["single", "--pmf", "[0.9,0.1]", "--r1", "0"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["direct"] == pytest.approx(payload["parametric"], abs=1e-3)
+        assert payload["direct"] == pytest.approx(payload["parametric"], abs=1e-12)
+
+    def test_ne_reads_no_solver_flags(self, capsys):
+        # the shared parser accepts them, as for gap, and the closed form ignores them
+        argv = ["ne", "--source", "dsbs:0.1", "--r1", "0.3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert run_cli(capsys, argv + FAST + ["--grid-resolution", "3"])[:2] == (0, out)
 
     def test_exponent_breakdown_payload(self, capsys):
         code, out, _ = run_cli(
@@ -216,6 +223,13 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "must be finite and nonnegative" in err
+
+    def test_infinite_delta_is_a_domain_error_naming_delta(self, capsys):
+        argv = ["pa", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3", "--delta", "inf", "--n", "64"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: delta must be finite and nonnegative\n"
 
     @pytest.mark.parametrize("grid", ["0:inf:0.5", "nan:1:0.5", "0:1:inf"])
     def test_non_finite_grid_is_usage_error(self, capsys, grid):

@@ -115,6 +115,9 @@ class TestReportArithmetic:
     def test_nan_delta_and_exponent_rejected(self):
         with pytest.raises(DomainError):
             pa_bound_from_exponent(0.1, r1=0.1, r2=0.1, delta=math.nan, n=10)
+        # an infinite slack once gave a report with hash term 0
+        with pytest.raises(DomainError, match="delta"):
+            pa_bound_from_exponent(0.1, r1=0.1, r2=0.1, delta=math.inf, n=10)
         with pytest.raises(DomainError):
             pa_bound_from_exponent(math.nan, r1=0.1, r2=0.1, delta=0.1, n=10)
 
@@ -157,6 +160,9 @@ class TestSecurityBound:
             pa_security_bound(dsbs(0.1), 0.2, 0.3, -0.01, 100, config=CFG)
         with pytest.raises(DomainError):
             pa_security_bound(dsbs(0.1), 0.2, 0.3, math.nan, 100, config=CFG)
+        # an infinite slack once reached RatePair(r1 + delta, r2) and named r1
+        with pytest.raises(DomainError, match="delta"):
+            pa_security_bound(dsbs(0.1), 0.2, 0.3, math.inf, 100, config=CFG)
 
 
 class TestRateTradeoff:
@@ -182,6 +188,10 @@ class TestRateTradeoff:
             src, 1e-6, 4000, 0.05, [0.2], [0.1, 0.2], config=CFG
         )
         assert cols and cols[0][1] >= 0.1
+
+    def test_infinite_delta_rejected(self):
+        with pytest.raises(DomainError, match="delta"):
+            pa_rate_tradeoff(dsbs(0.1), 1.6, 32, math.inf, [0.2], [0.0], config=CFG)
 
     def test_csv_rows(self):
         rows = tradeoff_csv_rows([(0.2, 0.4, 0.125), (0.6, 0.4, 0.0625)])

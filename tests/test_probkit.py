@@ -13,6 +13,7 @@ from wakexp.probkit import (
     JointPmf2,
     Layout,
     Pmf,
+    arimoto_dual,
     aux_measures,
     binary_entropy,
     binary_entropy_inverse,
@@ -20,9 +21,11 @@ from wakexp.probkit import (
     check_rate,
     conditional_entropy,
     entropy,
+    entropy_bits,
     entropy_rows,
     joint_from_dict,
     joint_to_dict,
+    kl_bits,
     kl_divergence,
     kl_rows,
     lead_sum,
@@ -172,6 +175,77 @@ class TestBinaryFunctions:
             a = binary_entropy_inverse(t)
             assert 0.0 <= a <= 0.5
             assert binary_entropy(a) == pytest.approx(t, abs=1e-10)
+
+
+def roadmap_cases():
+    """(table, r1) of the 16 random cases: shapes 2x2, 2x3, 3x2, 1x3 in turn."""
+    rng = np.random.default_rng(1)
+    for i in range(16):
+        e = rng.exponential(size=((2, 2), (2, 3), (3, 2), (1, 3))[i % 4])
+        r1, _ = rng.uniform(0.0, 1.2, size=2)
+        yield e / e.sum(), float(r1)
+
+
+ZERO_TABLES = {
+    "zero-entry": [[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]],
+    "zero-row": [[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]],
+    "empty-column": [[0.3, 0.0, 0.2], [0.0, 0.0, 0.5]],
+}
+
+
+def dual_value(table, lam, r1):
+    """-log2 sum_y (sum_x S^(1/(1-lam)))^(1-lam) - lam*r1, as a sum of
+    column norms ||S(., y)||_(1/(1-lam)), max_x S(x, y) at lam = 1."""
+    s = table[:, table.sum(axis=0) > 0.0]
+    top = s.max(axis=0)
+    if lam == 1.0:
+        norms = top
+    else:
+        norms = top * ((s / top) ** (1.0 / (1.0 - lam))).sum(axis=0) ** (1.0 - lam)
+    return -math.log2(norms.sum()) - lam * r1
+
+
+def primal_value(table, q, r1):
+    """D(q||S) + max(H_q(X|Y) - r1, 0)."""
+    return kl_bits(q, table) + max(entropy_bits(q) - entropy_bits(q.sum(axis=0)) - r1, 0.0)
+
+
+class TestArimotoDual:
+    def test_duality_certificate(self):
+        cases = list(roadmap_cases())
+        cases += [(np.array(t), r1) for t in ZERO_TABLES.values() for r1 in (0.0, 0.1, 0.3, 0.5, 2.0)]
+        for table, r1 in cases:
+            value, lam, q = arimoto_dual(table, r1)
+            assert 0.0 <= lam <= 1.0
+            # the bisection keeps the end that meets r1, unless none does
+            assert lam == 1.0 or conditional_entropy(JointPmf2(q)) <= r1
+            primal = primal_value(table, q, r1)
+            assert value == pytest.approx(primal, abs=1e-15)
+            assert abs(primal - dual_value(table, lam, r1)) <= 1e-12, (table, r1)
+
+    def test_null_atoms_and_empty_columns_carry_no_mass(self):
+        table = np.array(ZERO_TABLES["empty-column"])
+        for r1 in (0.0, 0.3):
+            value, lam, q = arimoto_dual(table, r1)
+            assert math.isfinite(value) and 0.0 < lam <= 1.0
+            assert np.all(np.isfinite(q)) and abs(q.sum() - 1.0) <= 1e-15
+            assert np.all(q[table == 0.0] == 0.0)
+
+    def test_mass_goes_to_the_largest_atoms_as_lam_reaches_one(self):
+        # no tilt of a uniform column lowers its entropy, so lam = 1
+        assert arimoto_dual(np.full((2, 2), 0.25), 0.5)[:2] == (0.5, 1.0)
+        for r1 in (0.0, 0.25, 0.5, 0.75):
+            assert arimoto_dual(np.array([[0.5], [0.5]]), r1)[:2] == (1.0 - r1, 1.0)
+        # a tie on top of column 0 keeps H(X|Y) above r1 = 0
+        value, lam, q = arimoto_dual(np.array([[0.3, 0.1], [0.3, 0.05], [0.1, 0.15]]), 0.0)
+        assert lam == 1.0
+        assert q == pytest.approx(np.array([[1, 0], [1, 0], [0, 1]]) / 3, abs=1e-15)
+
+    def test_source_itself_when_r1_covers_the_conditional_entropy(self):
+        src = dsbs_joint(0.1)
+        for r1 in (conditional_entropy(src), conditional_entropy(src) + 0.1, 5.0):
+            value, lam, q = arimoto_dual(src.probs, r1)
+            assert (value, lam) == (0.0, 0.0) and q is src.probs
 
 
 BAD_RATES = [math.inf, -math.inf, math.nan, -0.1]

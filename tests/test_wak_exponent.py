@@ -13,7 +13,7 @@ from wakexp.probkit import (
     DomainError,
     JointPmf2,
     Pmf,
-    _entropy_matched_tilts,
+    arimoto_dual,
     aux_measures,
     binary_entropy,
     conditional_entropy,
@@ -177,12 +177,13 @@ class TestExponent:
     def test_matches_non_encoded_form_at_large_r2(self):
         src = dsbs(0.1)
         b = wak_exponent(src, RatePair(0.0, 2.0), CFG)
-        assert b.value == pytest.approx(exponent_ne(src, 0.0), abs=2e-2)
+        assert b.value == pytest.approx(exponent_ne(src, 0.0), abs=1e-12)
 
     def test_uniform_independent_reduction(self):
         src = JointPmf2(np.full((2, 2), 0.25))
         b = wak_exponent(src, RatePair(0.5, 2.0), CFG)
-        assert b.value == pytest.approx(0.5, abs=2e-2)
+        # 1.0e-12 below 0.5: a start counts as feasible up to 1e-12 above r1
+        assert b.value == pytest.approx(0.5, abs=1e-11)
 
     def test_warm_candidates_are_validated(self):
         src = dsbs(0.1)
@@ -496,26 +497,32 @@ def _random_table(rng, nx, ny):
 class TestStructuredStarts:
     @pytest.mark.parametrize("name", sorted(START_SOURCES))
     def test_fixed_starts_match_the_reference_builders(self, name):
+        # U = Y on the non-encoded minimizer q comes last, and only when
+        # H_q(Y) <= r2 and U = Y fits (nu >= |Y|)
         src = JointPmf2(START_SOURCES[name])
+        with_tilt = set()
         for nu in START_NUS:
             for r1 in (0.0, 0.4, 5.0):
-                prob = _ExponentSearch(src, r1, 0.3, nu)
-                # the point masses only where U = X does not fit
-                masses = _reference_point_masses(prob) if nu < src.nx else []
-                want = [_reference_constant_u(prob)] + masses
-                want += [
-                    _reference_copy_y(prob),
-                    _reference_copy_x(prob),
-                    _reference_split(prob, "x"),
-                    _reference_split(prob, "y"),
-                ]
-                if src.ny == 1:
-                    tilts = _entropy_matched_tilts(src.probs[:, 0], r1)
-                    want += [_reference_split(prob, "x", q[:, None]) for q in tilts]
-                    want += [_reference_constant_u(prob, q[:, None]) for q in tilts]
-                want = [w for w in want if w is not None]
-                got = prob.fixed_starts()
-                assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (nu, r1)
+                q = arimoto_dual(src.probs, r1)[2]
+                for r2 in (0.0, 0.3, 5.0):
+                    prob = _ExponentSearch(src, r1, r2, nu)
+                    # the point masses only where U = X does not fit
+                    masses = _reference_point_masses(prob) if nu < src.nx else []
+                    want = [_reference_constant_u(prob)] + masses
+                    want += [
+                        _reference_copy_y(prob),
+                        _reference_copy_x(prob),
+                        _reference_split(prob, "x"),
+                        _reference_split(prob, "y"),
+                    ]
+                    if entropy_bits(q.sum(axis=0)) <= r2:
+                        want.append(_reference_copy_y(prob, q))
+                    want = [w for w in want if w is not None]
+                    with_tilt.add(nu >= src.ny and entropy_bits(q.sum(axis=0)) <= r2)
+                    got = prob.fixed_starts()
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (nu, r1, r2)
+        # without side information H_q(Y) = 0, so the start is always there
+        assert with_tilt == ({True, False} if src.ny > 1 else {True})
 
     @pytest.mark.parametrize("name", sorted(START_SOURCES))
     def test_table_and_channel_embeds_match_the_reference_builders(self, name):
@@ -671,8 +678,8 @@ class TestFusedKernels:
 # ---------------------------------------------------------------------------
 
 def test_single_user_value_at_nu_equal_to_the_alphabet():
-    # the U = X timeshares of the power tilts need nu >= |X| + 1; constant U
-    # with the tilt meeting r1 gives the single-user exponent at nu = |X|
+    # a timeshare of U = X needs nu >= |X| + 1; constant U on the tilt that
+    # meets r1 gives the single-user exponent at every nu
     rng = np.random.default_rng(9)
     cfg = SolverConfig(starts=16, seed=2718)
     worst = 0.0
@@ -697,7 +704,7 @@ PINNED = {
     # the positive values are those of perfbench/reference.json
     "case0-2x2": (
         [[0.15063553039154987, 0.043301720479387865], [0.754622442161684, 0.05144030696737834]],
-        0.5079917387670908, 0.99324311258453, "0x1.ac1b107c4649ap-6", 147_751,
+        0.5079917387670908, 0.99324311258453, "0x1.ab17804f38443p-6", 148_508,
     ),
     "case3-1x3": (
         [[0.4704535532506672, 0.33642007514760724, 0.19312637160172555]],
@@ -740,6 +747,13 @@ def test_pinned_benchmark_cases(name):
     table, r1, r2, value, evaluations = PINNED[name]
     b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
     assert (b.value.hex(), b.evaluations) == (value, evaluations)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_values_lie_above_the_non_encoded_exponent(name):
+    # F(r1, r2) >= NE(r1): encoding the side information never helps
+    table, r1, _, value, _ = PINNED[name]
+    assert exponent_ne(JointPmf2(table), r1) <= float.fromhex(value) + 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

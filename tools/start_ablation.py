@@ -14,8 +14,10 @@ nowhere alone on this corpus.  The families are:
 * ``copy-y``: U = Y;
 * ``copy-x``: U = X;
 * ``x-split`` and ``y-split``: the timeshares of U = X and U = Y;
-* ``power-tilts``: for |Y| = 1, each entropy-matched tilt as an x-split and
-  under constant U.
+* ``copy-y-tilt``: U = Y on the minimizer q of the non-encoded exponent
+  (``probkit.arimoto_dual``), only where H_q(Y) <= r2; where r1 >= H(X|Y),
+  q is the source and the start is ``copy-y`` again, so leaving it out
+  leaves ``copy-y`` in the batch.
 
 The phases are the searched starts:
 
@@ -52,14 +54,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import wakexp  # noqa: E402
-from wakexp.probkit import _entropy_matched_tilts  # noqa: E402
+from wakexp.probkit import arimoto_dual, entropy_bits  # noqa: E402
 
 _exponent = sys.modules["wakexp.wak_exponent"]
 _ExponentSearch = _exponent._ExponentSearch
 _fixed_starts = _ExponentSearch.fixed_starts
 _copy_manifolds = _ExponentSearch.candidates_copy_manifolds
 
-FAMILIES = ("constant-u", "point-masses", "copy-y", "copy-x", "x-split", "y-split", "power-tilts")
+FAMILIES = ("constant-u", "point-masses", "copy-y", "copy-x", "x-split", "y-split", "copy-y-tilt")
 PHASES = ("u=x-manifold", "u=y-manifold", "region-embed")
 SHAPES = ((2, 2), (3, 2), (4, 2), (5, 2), (3, 3))
 NUS = (1, 2, 4, 5)
@@ -91,10 +93,10 @@ def labelled_starts(prob) -> list:
     if prob.nu < nx:
         starts += [("point-masses", prob.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x)) for x in range(nx) if px[x] > 0.0]
     starts += [("copy-y", prob.embed(np.eye(ny), "y")), ("copy-x", prob.embed(np.eye(nx), "x"))]
-    tilts = [q[:, None] for q in _entropy_matched_tilts(src[:, 0], prob.r1)] if ny == 1 else []
-    tables = [("x-split", "x", src), ("y-split", "y", src)] + [("power-tilts", "x", q) for q in tilts]
-    starts += [(fam, prob.embed(prob.split_channel(on, t), on, t)) for fam, on, t in tables]
-    starts += [("power-tilts", prob.embed(np.ones((1, 1)), "y", q)) for q in tilts]
+    starts += [(fam, prob.embed(prob.split_channel(on, src), on, src)) for fam, on in (("x-split", "x"), ("y-split", "y"))]
+    q = arimoto_dual(src, prob.r1)[2]
+    if entropy_bits(q.sum(axis=0)) <= prob.r2:
+        starts.append(("copy-y-tilt", prob.embed(np.eye(ny), "y", q)))
     return [(fam, s) for fam, s in starts if s is not None]
 
 

@@ -39,7 +39,6 @@ from .probkit import (
 from .reductions import (
     GapReport,
     OohamaEvaluator,
-    ThetaGrid,
     exponent_ne,
     exponent_single_direct,
     exponent_single_parametric,
@@ -55,7 +54,6 @@ from .simplex_optim import (
     SolverConfig,
     compass_batch,
     grid_search,
-    maximize_1d,
 )
 from .wak_exponent import (
     ExponentBreakdown,

@@ -21,13 +21,16 @@ from . import dsbs as dsbs_mod
 from . import pa_bound as pa_mod
 from .probkit import DomainError, JointPmf2, Pmf, binary_entropy, check_rate, joint_from_dict
 from .reductions import (
+    OOHAMA_DEFAULT,
+    SINGLE_DEFAULT,
     OohamaEvaluator,
     exponent_ne,
     exponent_single_direct,
     exponent_single_parametric,
     gap_check,
+    oohama_single,
 )
-from .simplex_optim import SolverConfig
+from .simplex_optim import DEFAULT_CONFIG, SolverConfig
 from .wak_exponent import REGION_TOL, RatePair, region_curve, region_min_r1, wak_exponent
 
 EXIT_OK = 0
@@ -68,9 +71,9 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _config_from(args, base: SolverConfig | None = None) -> SolverConfig:
-    """Solver config from flags; unset flags fall back to ``base`` defaults."""
-    base = base if base is not None else SolverConfig()
+def _config_from(args, base: SolverConfig) -> SolverConfig:
+    """Solver config from flags; unset flags fall back to ``base``, the
+    subcommand's library default."""
 
     def pick(name, fallback):
         value = getattr(args, name)
@@ -82,7 +85,6 @@ def _config_from(args, base: SolverConfig | None = None) -> SolverConfig:
         max_iterations=pick("max_iterations", base.max_iterations),
         step_tolerance=pick("step_tolerance", base.step_tolerance),
         seed=pick("seed", base.seed),
-        penalty_weight=pick("penalty_weight", base.penalty_weight),
     )
 
 
@@ -113,7 +115,7 @@ def _cmd_exponent(args) -> int:
     breakdown = wak_exponent(
         src,
         RatePair(args.r1, args.r2),
-        config=_config_from(args),
+        config=_config_from(args, DEFAULT_CONFIG),
         nu=args.nu,
         full_cardinality=args.full_cardinality,
     )
@@ -123,7 +125,7 @@ def _cmd_exponent(args) -> int:
 
 def _cmd_region(args) -> int:
     src = _load_source(args.source)
-    config = _config_from(args)
+    config = _config_from(args, DEFAULT_CONFIG)
     if args.r2_grid is not None:
         curve = region_curve(src, _parse_grid(args.r2_grid), config)
         rows = ["r2,min_r1"] + [f"{dsbs_mod._fmt(a)},{dsbs_mod._fmt(b)}" for a, b in curve.points]
@@ -150,7 +152,7 @@ def _cmd_ne(args) -> int:
 
 def _cmd_single(args) -> int:
     p = _load_pmf(args.pmf)
-    direct = exponent_single_direct(p, args.r1, _config_from(args))
+    direct = exponent_single_direct(p, args.r1, _config_from(args, SINGLE_DEFAULT))
     parametric = exponent_single_parametric(p, args.r1)
     _emit_json({"r1": args.r1, "direct": direct, "parametric": parametric}, args.out)
     return EXIT_OK
@@ -160,13 +162,11 @@ def _cmd_oohama(args) -> int:
     if (args.pmf is None) == (args.source is None):
         raise ValueError("oohama needs exactly one of --pmf or --source")
     if args.pmf is not None:
-        from .reductions import oohama_single
-
         p = _load_pmf(args.pmf)
         _emit_json({"r1": args.r1, "value": oohama_single(p, args.r1)}, args.out)
         return EXIT_OK
     src = _load_source(args.source)
-    evaluator = OohamaEvaluator(src, nu=args.nu, config=_config_from(args))
+    evaluator = OohamaEvaluator(src, nu=args.nu, config=_config_from(args, OOHAMA_DEFAULT))
     value = evaluator.bound(args.r1, args.r2)
     _emit_json({"r1": args.r1, "r2": args.r2, "value": value}, args.out)
     return EXIT_OK
@@ -211,7 +211,7 @@ def _cmd_fig2(args) -> int:
 def _cmd_pa(args) -> int:
     src = _load_source(args.source)
     report = pa_mod.pa_security_bound(
-        src, args.r1, args.r2, args.delta, args.n, config=_config_from(args), nu=args.nu
+        src, args.r1, args.r2, args.delta, args.n, config=_config_from(args, DEFAULT_CONFIG), nu=args.nu
     )
     if report.vacuous:
         print("pa: the bound is vacuous (total >= 1)", file=sys.stderr)
@@ -228,7 +228,7 @@ def _cmd_pa_tradeoff(args) -> int:
         args.delta,
         _parse_grid(args.r2_grid),
         _parse_grid(args.r1_grid),
-        config=_config_from(args),
+        config=_config_from(args, DEFAULT_CONFIG),
         nu=args.nu,
         workers=_workers(),
     )
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iterations", type=int)
     common.add_argument("--step-tolerance", type=float)
     common.add_argument("--seed", type=int)
-    common.add_argument("--penalty-weight", type=float)
     common.add_argument("--out", help="write the output to a file instead of stdout")
 
     parser = argparse.ArgumentParser(

@@ -4,16 +4,17 @@ Covers the exponent when the side information is not encoded (r2 at least
 log2 |Y|) and its |Y| = 1 case, the parametric single-user exponent, both
 the closed form :func:`probkit.arimoto_dual`; the single-user divergence
 minimization; the parametric comparison bound restricted to the same
-single-user network, and the general-network version of that bound.  The
-two single-user forms agree (that equivalence is acceptance-tested), while
-the comparison bound is strictly smaller whenever r1 < H(X); the gap
-report packages that difference.
+single-user network, one golden-section maximum over theta in [-1, 0]; and
+the general-network version of that bound.  The two single-user forms agree
+(that equivalence is acceptance-tested), while the comparison bound is
+strictly smaller whenever r1 < H(X); the gap report packages that
+difference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .simplex_optim import (
     _golden_max,
     compass_batch,
     grid_search_batch,
-    maximize_1d,
     minimize,
     random_starts,
 )
@@ -52,46 +52,16 @@ OOHAMA_DEFAULT = SolverConfig(grid_resolution=12, max_iterations=600, step_toler
 
 _GRID_POINT_CAP = 1_600_000
 _OMEGA_GRID_CAP = 10_000       # lattice rows of the comparison bound's inner solve
-
-
-def _default_theta_values() -> tuple:
-    exps = np.arange(-80, 81) * 0.05
-    return (0.0,) + tuple(-np.power(10.0, exps))
-
-
-@dataclass(frozen=True)
-class ThetaGrid:
-    """Descending nonpositive tilt abscissae, log-spaced down to -1e4.
-
-    Contains 0 and -1 exactly; the floor bounds the truncation error of the
-    parametric supremum by (log2 |X| - r1) / 1e4.
-    """
-
-    abscissae: tuple = field(default_factory=_default_theta_values)
-
-    def __post_init__(self):
-        t = tuple(float(v) for v in self.abscissae)
-        object.__setattr__(self, "abscissae", t)
-        if any(v > 0.0 for v in t):
-            raise DomainError("theta grid must be nonpositive")
-        if any(b >= a for a, b in zip(t, t[1:])):
-            raise DomainError("theta grid must be strictly descending")
-        if 0.0 not in t or -1.0 not in t:
-            raise DomainError("theta grid must contain 0 and -1")
-
-    def restricted_to_unit(self) -> tuple:
-        """The sub-grid inside [-1, 0]."""
-        return tuple(v for v in self.abscissae if v >= -1.0)
-
-
-DEFAULT_THETA_GRID = ThetaGrid()
+# the tight form's argmax theta at lam = 1, where the supremum is reached
+# only as theta -> -inf: the JSON report and the benchmark need a number
+_THETA_AT_LAM_ONE = -1e4
 
 
 def s_theta(p: Pmf, theta: float) -> float:
     """Tilted log-sum log2 sum_x p(x)^(1-theta) for theta <= 0.
 
-    Evaluated in log space so that tilts as deep as the -1e4 grid floor do
-    not underflow; null atoms contribute nothing.
+    Evaluated in log space so that deep tilts do not underflow; null atoms
+    contribute nothing.
     """
     if theta > 0.0:
         raise DomainError("theta must be nonpositive")
@@ -138,15 +108,6 @@ def exponent_single_direct(p: Pmf, r1: float, config: SolverConfig | None = None
 # parametric forms
 # ---------------------------------------------------------------------------
 
-def _parametric_max(p: Pmf, r1: float, thetas, denominator_shift: float):
-    """max over the grid of (-s(theta) + theta*r1) / (shift - theta)."""
-
-    def f(theta):
-        return (-s_theta(p, theta) + theta * r1) / (denominator_shift - theta)
-
-    return maximize_1d(f, thetas)
-
-
 def exponent_single_parametric(p: Pmf, r1: float) -> float:
     """Parametric single-user exponent max_{theta<=0} (-s+theta*r1)/(1-theta).
 
@@ -158,14 +119,20 @@ def exponent_single_parametric(p: Pmf, r1: float) -> float:
     return arimoto_dual(p.probs[:, None], r1)[0]
 
 
-def oohama_single(p: Pmf, r1: float, grid=None) -> float:
+def _oohama_max(p: Pmf, r1: float) -> tuple:
+    """(argmax, value) of (-s(theta) + theta*r1) / (2 - theta) on [-1, 0].
+
+    The numerator is concave and the denominator positive and affine, so the
+    ratio is quasi-concave and one golden-section bracket finds its maximum;
+    both ends are evaluated, so a maximum at theta = -1 is exact.
+    """
+    return _golden_max(lambda t: (-s_theta(p, t) + t * r1) / (2.0 - t), -1.0, 0.0, 80)
+
+
+def oohama_single(p: Pmf, r1: float) -> float:
     """Parametric comparison bound max_{theta in [-1,0]} (-s+theta*r1)/(2-theta)."""
     check_rate(r1, "r1")
-    thetas = DEFAULT_THETA_GRID.restricted_to_unit() if grid is None else tuple(grid)
-    if any(t < -1.0 or t > 0.0 for t in thetas):
-        raise DomainError("the comparison-bound grid must lie in [-1, 0]")
-    _, value = _parametric_max(p, r1, thetas, 2.0)
-    return float(value)
+    return _oohama_max(p, r1)[1]
 
 
 @dataclass(frozen=True)
@@ -186,24 +153,24 @@ class GapReport:
         return asdict(self)
 
 
-def gap_check(p: Pmf, r1: float, grid: ThetaGrid | None = None) -> GapReport:
+def gap_check(p: Pmf, r1: float) -> GapReport:
     """Compare the two single-user parametric forms below entropy rate.
 
     Requires r1 < H(p); the tight form strictly exceeds the comparison
-    bound there.
+    bound there.  The tight form's tilt lam maps to theta = -lam/(1 - lam).
     """
     check_rate(r1, "r1")
     if r1 >= entropy_bits(p.probs):
         raise DomainError("gap_check requires r1 < H(p)")
-    grid = DEFAULT_THETA_GRID if grid is None else grid
-    theta_t, f_t = _parametric_max(p, r1, grid.abscissae, 1.0)
-    theta_o, f_o = _parametric_max(p, r1, grid.restricted_to_unit(), 2.0)
+    f_t, lam, _ = arimoto_dual(p.probs[:, None], r1)
+    theta_t = _THETA_AT_LAM_ONE if lam == 1.0 else -lam / (1.0 - lam)
+    theta_o, f_o = _oohama_max(p, r1)
     return GapReport(
-        f_oohama=float(f_o),
-        f_tight=float(f_t),
-        gap=float(f_t - f_o),
-        argmax_theta_oohama=float(theta_o),
-        argmax_theta_tight=float(theta_t),
+        f_oohama=f_o,
+        f_tight=f_t,
+        gap=f_t - f_o,
+        argmax_theta_oohama=theta_o,
+        argmax_theta_tight=theta_t,
     )
 
 

@@ -21,8 +21,9 @@ multiplier bisection: ``minimize`` solves of a scalarized objective, of
 which ``best_of`` picks the best feasible one.  Hard constraints are
 handled by exact rejection of infeasible incumbents plus a linear penalty
 on constraint violation while probing, so kinky objectives (positive
-parts, entropy caps) do not stall the search.  ``maximize_1d`` and
-``_golden_max`` are the one-dimensional golden-section maximizers.
+parts, entropy caps) do not stall the search.  ``_golden_max`` is the one
+1-d maximizer: a golden-section search on a bracket, with both ends
+evaluated.
 
 All searches are deterministic functions of their inputs and the seed:
 evaluation and reduction happen in index order, so a parallel driver that
@@ -41,6 +42,7 @@ import numpy as np
 _FEAS_TOL = 1e-12          # violation below this counts as feasible
 _DRIFT_TOL = 2.5e-13       # simplex sum drift that triggers exact rescaling
 _CALL_ROWS = 1 << 11       # rows per objective call of grid_search and compass_batch
+_PENALTY_WEIGHT = 64.0     # probe-ranking penalty per unit of constraint violation
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ class SolverConfig:
     max_iterations: int = 5000
     step_tolerance: float = 1e-6
     seed: int = 0
-    penalty_weight: float = 64.0
 
     def __post_init__(self):
         if self.grid_resolution < 2:
@@ -105,8 +106,6 @@ class SolverConfig:
             raise ValueError("starts and max_iterations must be positive")
         if not 0.0 < self.step_tolerance < math.inf:
             raise ValueError("step_tolerance must be positive and finite")
-        if not 0.0 < self.penalty_weight < math.inf:
-            raise ValueError("penalty_weight must be positive and finite")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -402,9 +401,9 @@ def compass_batch(
     """Independent compass descents from every start, advanced in lockstep.
 
     Probes transfer mass between the coordinates of one simplex block, so
-    every evaluated point stays inside the domain exactly.  Probe ranking adds ``penalty_weight`` per unit of
-    constraint violation; only feasible points can become a descent's
-    incumbent.  Each iteration evaluates the probes of all still-running
+    every evaluated point stays inside the domain exactly.  Probe ranking
+    adds ``_PENALTY_WEIGHT`` per unit of constraint violation; only
+    feasible points can become a descent's incumbent.  Each iteration evaluates the probes of all still-running
     descents in batched calls of at most ``_CALL_ROWS`` rows, one call per
     block of as many descents as fill it.  Each descent keeps its own
     point, step, score and incumbent, so ``results[k]`` is the descent from ``starts[k]`` run
@@ -446,7 +445,7 @@ def compass_batch(
         if not np.ndim(violations) and violations == 0.0:
             return vals, violations, vals
         with np.errstate(invalid="ignore"):
-            return vals, violations, np.fmin(vals + config.penalty_weight * violations, math.inf)
+            return vals, violations, np.fmin(vals + _PENALTY_WEIGHT * violations, math.inf)
 
     plan = _probe_plan(domain)
     x = np.stack([starts[k] for k in ids])
@@ -692,27 +691,3 @@ def _golden_max(f, a: float, b: float, iters: int, prefetch=None):
             break
     return float(best_x), float(best_v)
 
-
-def maximize_1d(f, grid):
-    """Exact maximum over a monotone grid, then golden-section refinement.
-
-    The grid winner (leftmost on ties, in ascending orientation) brackets
-    the refinement interval; the grid point is kept unless a probe is
-    strictly better.  Returns ``(argmax, value)``.
-    """
-    xs = np.asarray(list(grid), dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("maximize_1d needs a nonempty grid")
-    if xs.size > 1:
-        diffs = np.diff(xs)
-        if np.all(diffs < 0):
-            xs = xs[::-1]
-        elif not np.all(diffs > 0):
-            raise ValueError("grid must be strictly monotone")
-    vals = np.array([f(x) for x in xs], dtype=np.float64)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a = float(xs[i - 1]) if i > 0 else best_x
-    b = float(xs[i + 1]) if i + 1 < xs.size else best_x
-    x, v = _golden_max(f, a, b, 80)
-    return (x, v) if v > best_v else (best_x, best_v)

@@ -136,7 +136,7 @@ def test_04_strict_gap(capsys):
             min_gap = min(min_gap, gap_check(p, r1).gap)
             count += 1
     anchor = gap_check(Pmf([0.5, 0.5]), 0.5)
-    anchors_ok = abs(anchor.f_oohama - 1 / 6) <= 1e-4 and abs(anchor.f_tight - 0.5) <= 1e-3
+    anchors_ok = abs(anchor.f_oohama - 1 / 6) <= 1e-12 and abs(anchor.f_tight - 0.5) <= 1e-12
     report(
         capsys,
         "04 strict comparison gap",

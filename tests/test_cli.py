@@ -1,11 +1,17 @@
 """Unit tests for the command-line front end."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from wakexp.cli import main
+from wakexp import cli
+from wakexp.cli import build_parser, main
+from wakexp.dsbs import DSBS_FAST_CONFIG
 from wakexp.probkit import binary_entropy
+from wakexp.reductions import OOHAMA_DEFAULT, SINGLE_DEFAULT
+from wakexp.simplex_optim import DEFAULT_CONFIG, SolverConfig
 
 FAST = ["--starts", "4", "--max-iterations", "800", "--seed", "7"]
 
@@ -62,7 +68,9 @@ class TestSingleQueries:
         code, out, _ = run_cli(capsys, ["gap", "--pmf", "[0.5,0.5]", "--r1", "0.5"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["gap"] == pytest.approx(1 / 3, abs=1e-3)
+        assert payload["f_oohama"] == pytest.approx(1 / 6, abs=1e-12)
+        assert payload["f_tight"] == pytest.approx(0.5, abs=1e-12)
+        assert payload["gap"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_oohama_single_form(self, capsys):
         code, out, _ = run_cli(capsys, ["oohama", "--pmf", "[0.5,0.5]", "--r1", "0.5"])
@@ -189,7 +197,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
-    @pytest.mark.parametrize("flag", ["--penalty-weight", "--step-tolerance"])
+    @pytest.mark.parametrize("flag", ["--step-tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_solver_flag_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -271,3 +279,56 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, argv + FAST)
         _, second, _ = run_cli(capsys, argv + FAST)
         assert first == second
+
+
+class _Stop(Exception):
+    """Raised by a stand-in solver once it has seen its config."""
+
+
+# each subcommand that reads solver flags: its argv, the solver it hands the
+# config to, and that solver's library default
+FLAG_DEFAULT_CASES = [
+    (["exponent", "--source", "dsbs:0.1", "--r1", "0.5", "--r2", "0.2"], cli, "wak_exponent", DEFAULT_CONFIG),
+    (["region", "--source", "dsbs:0.1", "--r2", "0.5"], cli, "region_min_r1", DEFAULT_CONFIG),
+    (["single", "--pmf", "[0.9,0.1]", "--r1", "0.2"], cli, "exponent_single_direct", SINGLE_DEFAULT),
+    (["oohama", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3"], cli, "OohamaEvaluator", OOHAMA_DEFAULT),
+    (["dsbs", "--p", "0.1", "--r1", "0.4", "--r2", "0.2"], cli.dsbs_mod, "dsbs_pair", DSBS_FAST_CONFIG),
+    (["fig2", "--p", "0.1", "--r2", "0.2", "--r1-grid", "0:1:0.5"], cli.dsbs_mod, "figure2_sweep", DSBS_FAST_CONFIG),
+    (
+        ["pa", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3", "--delta", "0.05", "--n", "64"],
+        cli.pa_mod, "pa_security_bound", DEFAULT_CONFIG,
+    ),
+    (
+        ["pa-tradeoff", "--source", "dsbs:0.1", "--target", "1.6", "--n", "32", "--delta", "0.05",
+         "--r2-grid", "0.2:0.6:0.4", "--r1-grid", "0:0.4:0.2"],
+        cli.pa_mod, "pa_rate_tradeoff", DEFAULT_CONFIG,
+    ),
+]
+
+
+class TestSolverFlagDefaults:
+    @pytest.mark.parametrize("argv, owner, name, default", FLAG_DEFAULT_CASES, ids=[c[0][0] for c in FLAG_DEFAULT_CASES])
+    def test_unset_flags_give_the_library_default(self, monkeypatch, argv, owner, name, default):
+        seen = []
+
+        def stand_in(*args, **kwargs):
+            seen.extend(a for a in (*args, *kwargs.values()) if isinstance(a, SolverConfig))
+            raise _Stop
+
+        monkeypatch.setattr(owner, name, stand_in)
+        with pytest.raises(_Stop):
+            main(argv)
+        assert seen == [default]
+
+
+class TestReadme:
+    def test_every_documented_command_line_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [line for line in text.replace("\\\n", " ").splitlines() if line.startswith("wakexp ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README documents a command line the parser rejects: {line}")

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from wakexp.probkit import DomainError, JointPmf2, Pmf, conditional_entropy, entropy
 from wakexp.reductions import (
     _OMEGA_GRID_CAP,
-    DEFAULT_THETA_GRID,
     MU_ALPHA_GRID,
     GapReport,
     OohamaEvaluator,
-    ThetaGrid,
     _tilt_coefficients,
     _tilt_key,
     exponent_ne,
@@ -33,6 +31,7 @@ from wakexp.simplex_optim import (
     grid_search,
     random_starts,
 )
+from test_acceptance import _fifty_sources
 from test_simplex_optim import _reference_lattice
 
 
@@ -44,26 +43,6 @@ def dsbs(p):
 def random_pmf(rng, k):
     e = rng.exponential(size=k)
     return Pmf(e / e.sum())
-
-
-class TestThetaGrid:
-    def test_default_grid_shape(self):
-        g = DEFAULT_THETA_GRID.abscissae
-        assert g[0] == 0.0
-        assert -1.0 in g
-        assert min(g) == -1e4
-        assert all(b < a for a, b in zip(g, g[1:]))
-
-    def test_restriction(self):
-        r = DEFAULT_THETA_GRID.restricted_to_unit()
-        assert min(r) == -1.0
-        assert max(r) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ThetaGrid((0.5, 0.0, -1.0))
-        with pytest.raises(DomainError):
-            ThetaGrid((0.0, -0.5))  # no -1
 
 
 class TestSTheta:
@@ -175,16 +154,31 @@ class TestOohamaSingle:
             0.09543472838554697, abs=1e-6
         )
 
-    def test_grid_outside_unit_interval_rejected(self):
-        with pytest.raises(DomainError):
-            oohama_single(Pmf([0.5, 0.5]), 0.1, grid=[-2.0, -1.0, 0.0])
+    def test_uniform_maximum_is_exactly_at_minus_one(self):
+        # s(theta) = theta on the uniform bit, so the ratio theta*(r1 - 1)/(2 - theta)
+        # falls in theta and the bracket's left end is the maximum
+        for r1 in (0.0, 0.25, 0.5, 0.9):
+            rep = gap_check(Pmf([0.5, 0.5]), r1)
+            assert rep.argmax_theta_oohama == -1.0
+            assert rep.f_oohama == pytest.approx((1.0 - r1) / 3.0, abs=1e-15)
+
+    def test_zero_at_and_above_entropy(self):
+        p = Pmf([0.7, 0.2, 0.1])
+        for r1 in (entropy(p), entropy(p) + 0.5, 2.0):
+            assert abs(oohama_single(p, r1)) <= 1e-15
+
+    def test_point_mass_is_zero(self):
+        for p in (Pmf([1.0]), Pmf([0.0, 1.0, 0.0])):
+            for r1 in (0.0, 0.3, 1.0):
+                assert oohama_single(p, r1) == 0.0
 
 
 class TestGapCheck:
     def test_uniform_anchor(self):
         rep = gap_check(Pmf([0.5, 0.5]), 0.5)
-        assert rep.f_oohama == pytest.approx(1 / 6, abs=1e-4)
-        assert rep.f_tight == pytest.approx(0.5, abs=1e-3)
+        assert rep.f_oohama == pytest.approx(1 / 6, abs=1e-12)
+        assert rep.f_tight == pytest.approx(0.5, abs=1e-12)
+        assert rep.argmax_theta_tight == reductions._THETA_AT_LAM_ONE
         assert rep.gap == pytest.approx(rep.f_tight - rep.f_oohama, abs=1e-12)
 
     def test_skewed_anchor(self):
@@ -207,6 +201,22 @@ class TestGapCheck:
     def test_report_consistency_guard(self):
         with pytest.raises(ValueError):
             GapReport(0.1, 0.5, 0.3, -1.0, -2.0)
+
+    def test_both_sides_are_the_public_forms(self):
+        cases = [(Pmf([0.5, 0.5]), 0.5), (Pmf([0.9, 0.1]), 0.0)]
+        for p in _fifty_sources():
+            h = entropy(p)
+            cases += [(p, float(f * h)) for f in np.linspace(0.0, 1.0, 11) if f * h <= h - 0.05]
+        for p, r1 in cases:
+            rep = gap_check(p, r1)
+            assert rep.f_tight == exponent_single_parametric(p, r1)
+            assert rep.f_oohama == oohama_single(p, r1)
+
+    def test_tight_theta_attains_the_tight_value(self):
+        p, r1 = Pmf([0.8, 0.2]), 0.3
+        rep = gap_check(p, r1)
+        theta = rep.argmax_theta_tight
+        assert (-s_theta(p, theta) + theta * r1) / (1.0 - theta) == pytest.approx(rep.f_tight, abs=1e-12)
 
 
 class TestExponentNe:
@@ -262,6 +272,42 @@ class TestExponentNeProperties:
     @given(joint_sources(), RATES)
     def test_zero_exactly_when_r1_covers_the_conditional_entropy(self, src, r1):
         assert (exponent_ne(src, r1) == 0.0) == (r1 >= conditional_entropy(src))
+
+
+@st.composite
+def single_pmfs(draw):
+    """Pmfs on up to 6 letters, some with null atoms."""
+    weights = draw(st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=1, max_size=6))
+    assume(sum(weights) > 0.0)
+    w = np.array(weights)
+    return Pmf(w / w.sum())
+
+
+class TestOohamaSingleProperties:
+    @PROPERTY_SETTINGS
+    @given(single_pmfs(), RATES)
+    def test_at_least_a_fine_scan(self, p, r1):
+        # log2 sum_x p(x)^(1-theta), one row per theta, apart from s_theta
+        thetas = np.linspace(-1.0, 0.0, 2001)
+        logs = np.log2(p.probs[p.probs > 0.0])
+        s = np.log2(np.exp2((1.0 - thetas)[:, None] * logs).sum(axis=1))
+        scan = ((-s + thetas * r1) / (2.0 - thetas)).max()
+        assert oohama_single(p, r1) >= scan - 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(single_pmfs(), RATES)
+    def test_at_most_the_tight_form(self, p, r1):
+        assert oohama_single(p, r1) <= exponent_single_parametric(p, r1) + 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(single_pmfs(), st.floats(0.0, 0.95))
+    def test_gap_report_below_entropy(self, p, fraction):
+        h = entropy(p)
+        assume(h > 1e-3)
+        rep = gap_check(p, fraction * h)
+        assert -1.0 <= rep.argmax_theta_oohama <= 0.0
+        assert rep.argmax_theta_tight <= 0.0
+        assert rep.gap > 0.0
 
 
 class TestOohamaWakBound:
@@ -558,6 +604,45 @@ def _reference_golden_max(f, a, b, iters=24):
         if probe_v > best_v:
             best_x, best_v = probe_x, probe_v
     return float(best_x), float(best_v)
+
+
+class TestGoldenMax:
+    def test_parabola(self):
+        x, v = simplex_optim._golden_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0, 80)
+        assert x == pytest.approx(0.3, abs=1e-6)
+        assert v == pytest.approx(0.0, abs=1e-10)
+
+    def test_constant_ties_break_to_the_left_end(self):
+        assert simplex_optim._golden_max(lambda t: 5.0, 0.0, 1.0, 80) == (0.0, 5.0)
+
+    def test_rational_boundary_maximum(self):
+        # theta * (r1 - 1) / (2 - theta) with r1 = 0.5 decreases in theta
+        x, v = simplex_optim._golden_max(lambda t: t * (0.5 - 1.0) / (2.0 - t), -1.0, 0.0, 80)
+        assert x == -1.0
+        assert v == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_right_end_maximum(self):
+        assert simplex_optim._golden_max(lambda t: t, -1.0, 0.0, 80) == (0.0, 0.0)
+
+    def test_kink(self):
+        x, v = simplex_optim._golden_max(lambda t: -abs(t - 0.6180339), 0.0, 3.0, 80)
+        assert x == pytest.approx(0.6180339, abs=1e-9)
+        assert v <= 0.0
+
+    def test_plateau_keeps_the_first_best(self):
+        # the right end already reaches the plateau; no probe is strictly better
+        assert simplex_optim._golden_max(lambda t: min(t, 0.5), 0.0, 1.0, 80) == (1.0, 0.5)
+
+    def test_stops_once_the_bracket_is_below_relative_tolerance(self):
+        calls = []
+        x, _ = simplex_optim._golden_max(lambda t: calls.append(t) or -((t - 1234.5) ** 2), 1000.0, 2000.0, 200)
+        assert x == pytest.approx(1234.5, abs=1e-6)
+        assert len(calls) < 4 + 200
+
+    def test_degenerate_bracket_calls_f_once(self):
+        calls = []
+        assert simplex_optim._golden_max(lambda t: calls.append(t) or t * t, 0.4, 0.4, 80) == (0.4, 0.4 * 0.4)
+        assert calls == [0.4]
 
 
 class TestGoldenLookahead:

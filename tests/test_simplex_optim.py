@@ -1,5 +1,5 @@
-"""Unit tests for the lattice oracle, the compass multistart solver and the
-golden-section maximizers."""
+"""Unit tests for the lattice oracle and the compass multistart solver; the
+golden-section maximizer's reference test is in ``test_reductions``."""
 
 import math
 import tracemalloc
@@ -13,6 +13,7 @@ from wakexp.probkit import JointPmf2, Pmf
 from wakexp.reductions import OohamaEvaluator, _tilt_coefficients, exponent_single_direct
 from wakexp.simplex_optim import (
     _FEAS_TOL,
+    _PENALTY_WEIGHT,
     SearchDomain,
     Simplex,
     SolverConfig,
@@ -22,7 +23,6 @@ from wakexp.simplex_optim import (
     grid_search,
     grid_search_batch,
     lattice_chunks,
-    maximize_1d,
     random_starts,
 )
 from wakexp.wak_exponent import _ExponentSearch, _RegionSearch
@@ -254,7 +254,7 @@ class TestLatticeMemory:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["penalty_weight", "step_tolerance"])
+    @pytest.mark.parametrize("field", ["step_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_non_positive_and_non_finite(self, field, value):
         with pytest.raises(ValueError):
@@ -553,91 +553,6 @@ class TestDomainDiscipline:
             assert np.all(p >= 0.0)
 
 
-class TestMaximize1d:
-    def test_parabola(self):
-        x, v = maximize_1d(lambda t: -((t - 0.3) ** 2), np.linspace(0, 1, 21))
-        assert x == pytest.approx(0.3, abs=1e-6)
-        assert v == pytest.approx(0.0, abs=1e-10)
-
-    def test_constant_ties_break_to_first_point(self):
-        x, v = maximize_1d(lambda t: 5.0, [0.0, 0.5, 1.0])
-        assert x == 0.0
-        assert v == 5.0
-
-    def test_rational_boundary_maximum(self):
-        # theta * (r1 - 1) / (2 - theta) with r1 = 0.5 decreases in theta
-        f = lambda t: t * (0.5 - 1.0) / (2.0 - t)
-        x, v = maximize_1d(f, np.linspace(-1.0, 0.0, 41))
-        assert x == -1.0
-        assert v == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_descending_grid_accepted(self):
-        x, _ = maximize_1d(lambda t: -(t - 0.25) ** 2, np.linspace(1, 0, 21))
-        assert x == pytest.approx(0.25, abs=1e-6)
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            maximize_1d(lambda t: t, [0.0, 1.0, 0.5])
-
-    CASES = {
-        "parabola": (lambda t: -((t - 0.3) ** 2), np.linspace(0, 1, 21)),
-        "multimodal": (lambda t: math.sin(17.0 * t) + 0.3 * math.cos(41.0 * t), np.linspace(0, 1, 11)),
-        "constant": (lambda t: 5.0, [0.0, 0.5, 1.0]),
-        "left-edge": (lambda t: -t, np.linspace(-1.0, 0.0, 41)),
-        "right-edge": (lambda t: t * (0.5 - 1.0) / (2.0 - t), np.linspace(0.0, -1.0, 41)),
-        "kink": (lambda t: -abs(t - 0.6180339), np.linspace(0.0, 3.0, 7)),
-        "plateau": (lambda t: min(t, 0.5), np.linspace(0.0, 1.0, 5)),    # a probe ties the grid point
-        "wide": (lambda t: -((t - 1234.5) ** 2), np.linspace(1000.0, 2000.0, 9)),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_the_separate_loop(self, case):
-        # the shared golden-section loop also calls f at the bracket ends
-        f, grid = self.CASES[case]
-        ref_calls, calls = [], []
-        want = _reference_maximize_1d(lambda t: ref_calls.append(t) or f(t), grid)
-        got = maximize_1d(lambda t: calls.append(t) or f(t), grid)
-        assert got == want
-        n = len(grid)
-        assert calls[:n] == ref_calls[:n]
-        assert calls[n + 2 :] == ref_calls[n:]
-        assert len(ref_calls) > n + 2
-
-
-def _reference_maximize_1d(f, grid):
-    """The grid scan and golden-section loop of ``maximize_1d`` before the
-    loop was shared with the other golden-section searches."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    xs = np.asarray(list(grid), dtype=np.float64)
-    if xs.size > 1 and np.all(np.diff(xs) < 0):
-        xs = xs[::-1]
-    vals = np.array([f(x) for x in xs], dtype=np.float64)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a = float(xs[i - 1]) if i > 0 else best_x
-    b = float(xs[i + 1]) if i + 1 < xs.size else best_x
-    if a < b:
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(80):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-                probe_x, probe_v = c, fc
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-                probe_x, probe_v = d, fd
-            if probe_v > best_v:
-                best_x, best_v = float(probe_x), float(probe_v)
-            if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
-                break
-    return best_x, best_v
-
-
 # ---------------------------------------------------------------------------
 # lockstep descent against the one-start-at-a-time loop
 # ---------------------------------------------------------------------------
@@ -673,7 +588,7 @@ def _reference_compass(domain, start, config, batch_evaluate):
         violations = np.broadcast_to(np.maximum(np.asarray(raw_viol, dtype=np.float64), 0.0), vals.shape)
         vals = np.where(np.isnan(vals), math.inf, vals)
         with np.errstate(invalid="ignore"):
-            scores = vals + config.penalty_weight * violations
+            scores = vals + _PENALTY_WEIGHT * violations
         scores = np.where(np.isnan(scores), math.inf, scores)
         return vals, violations, scores
 
@@ -742,7 +657,7 @@ def _assert_same_descents(domain, starts, config, batch_evaluate):
 
 
 class TestCompassBatchMatchesReference:
-    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
+    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7)
 
     def test_mixed_blocks_pair_first(self):
         dom = SearchDomain([Simplex(2), Simplex(3), Simplex(2), Simplex(2)])
@@ -906,7 +821,7 @@ def _tilted_quadratic(pts, rows):
 
 class TestPerStartParams:
     DOM = SearchDomain([Simplex(3), Simplex(2)])
-    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7, penalty_weight=8.0)
+    CFG = SolverConfig(max_iterations=400, step_tolerance=1e-7)
 
     def _params(self, n, seed):
         rng = np.random.default_rng(seed)

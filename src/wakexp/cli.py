@@ -179,8 +179,7 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_dsbs(args) -> int:
-    config = _config_from(args, dsbs_mod.DSBS_FAST_CONFIG)
-    pt = dsbs_mod.dsbs_pair(args.p, args.r1, args.r2, config)
+    pt = dsbs_mod.dsbs_pair(args.p, args.r1, args.r2)
     beta_u, q0_u, q1_u = pt.argmin_unconstrained
     beta_c, q_c = pt.argmin_constrained
     payload = {
@@ -200,10 +199,7 @@ def _cmd_fig2(args) -> int:
         print(f"fig2: resolved --r2 auto to {r2!r}", file=sys.stderr)
     else:
         r2 = float(args.r2)
-    config = _config_from(args, dsbs_mod.DSBS_FAST_CONFIG)
-    points = dsbs_mod.figure2_sweep(
-        args.p, r2, _parse_grid(args.r1_grid), config, workers=_workers()
-    )
+    points = dsbs_mod.figure2_sweep(args.p, r2, _parse_grid(args.r1_grid), workers=_workers())
     _emit("\n".join(dsbs_mod.fig2_csv_rows(points)), args.out)
     return EXIT_OK
 

@@ -11,10 +11,16 @@ The sweep over r1 reports both variants side by side — the unrestricted
 minimum is the interesting one, since it dips strictly below the Markov
 variant in the middle of the rate range.
 
-The search domain is a product of 2-simplices: each parameter t in [0, 1]
-is the first coordinate of the pmf (t, 1 - t), so a search point reads
-(beta, 1 - beta, q0, 1 - q0, q1, 1 - q1) and the objective reads every
-other coordinate.
+The minimum is exact in (q0, q1).  For fixed beta the divergence is
+convex in (q0, q1) and the mix (1-beta)(1-q0) + beta q1 is affine, so on
+the side mix >= 1 - h^-1(r1) of the constraint the minimizer lies on the
+KKT path logit q0 = logit p - t, logit q1 = logit p + t, at the smallest
+push t >= 0 that is feasible; the side mix <= h^-1(r1) is the same path
+after the relabeling (beta, q0, q1) -> (1 - beta, q1, q0).  The Markov
+variant pushes its one q up or down from p, and beta -> 1 - beta leaves
+it unchanged, so it searches beta <= 1/2 only.  Feasibility is monotone in
+the push, so one vectorized bisection finds it for a whole beta grid,
+which is refined around its best point.
 """
 
 from __future__ import annotations
@@ -25,19 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .probkit import (
-    DomainError,
-    JointPmf2,
-    binary_entropy,
-    binary_entropy_inverse,
-    binary_kl,
-    check_rate,
-)
-from .simplex_optim import SearchDomain, Simplex, SolverConfig, minimize
+from .probkit import DomainError, JointPmf2, binary_entropy, binary_kl, check_rate
 
-# per-axis lattice denominators: fast tier for sweeps, oracle tier for checks
-DSBS_FAST_CONFIG = SolverConfig(grid_resolution=24, starts=4, max_iterations=800, seed=0)
-DSBS_ORACLE_CONFIG = SolverConfig(grid_resolution=400, starts=8, seed=0)
+_BETA_POINTS = 257
+_BETA_LEVELS = 5  # each level spans the two cells around the last level's best beta
+# exp(-800) underflows, so this push reaches q = 1 and q = 0 exactly, as r1 = 0 needs
+_MAX_PUSH = 800.0
 
 CSV_HEADER = "r1,unconstrained,constrained,beta_u,q0_u,q1_u,beta_c,q_c"
 
@@ -99,97 +98,58 @@ def dsbs_constraint_value(params: DsbsParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation
+# exact inner solve along the KKT path
 # ---------------------------------------------------------------------------
 
-def _xlog2(a: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = a * np.log2(a)
-    return np.where(np.isnan(t), 0.0, t)
+# the helpers below run inside dsbs_exponent's np.errstate, which silences
+# the log of 0 and the exp overflow of a saturated push
+
+def _xlog2(a: np.ndarray, b: float = 1.0) -> np.ndarray:
+    # a log2(a / b), 0 where a = 0, and exactly 0 where a = b
+    return np.where(a > 0.0, a * np.log2(a / b), 0.0)
 
 
 def _h_arr(a: np.ndarray) -> np.ndarray:
     return -(_xlog2(a) + _xlog2(1.0 - a))
 
 
-def _db_arr(q: np.ndarray, p: float) -> np.ndarray:
-    # finite for q in [0, 1] because p is interior
-    return -_h_arr(q) - q * math.log2(p) - (1.0 - q) * math.log2(1.0 - p)
+def _mix_entropy(beta, q0, q1) -> np.ndarray:
+    return _h_arr((1.0 - beta) * (1.0 - q0) + beta * q1)
 
 
-def _evaluate(pts: np.ndarray, p: float, r1: float, r2: float, markov: bool):
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    beta = pts[:, 0]
-    q0 = pts[:, 1]
-    q1 = q0 if markov else pts[:, 2]
-    obj = (
-        (1.0 - beta) * _db_arr(q0, p)
-        + beta * _db_arr(q1, p)
-        + np.maximum(1.0 - _h_arr(beta) - r2, 0.0)
-    )
-    mix = (1.0 - beta) * (1.0 - q0) + beta * q1
-    violation = np.maximum(_h_arr(mix) - r1, 0.0)
-    return obj, violation
+def _push(p: float, t: np.ndarray) -> np.ndarray:
+    """q with logit q = logit p + t; exactly p at t = 0, which the logistic is not."""
+    q = 1.0 / (1.0 + np.exp(-(math.log(p / (1.0 - p)) + t)))
+    return np.where(t == 0.0, p, q)
 
 
-def _zero_candidates(p: float, r1: float, r2: float):
-    """Family points that make the objective exactly zero when feasible."""
-    beta_star = binary_entropy_inverse(min(max(1.0 - r2, 0.0), 1.0))
-    out = [(beta_star, p, p), (1.0 - beta_star, p, p)]
-    q_sat = binary_entropy_inverse(min(r1, 1.0))
-    out.append((0.0, min(max(1.0 - q_sat, 0.0), 1.0), p))
-    out.append((1.0, p, q_sat))
-    return out
+def _smallest_push(p: float, r1: float, beta, s0, s1):
+    """(q0, q1) = (push(s0 u), push(s1 u)) per row at the smallest push u in
+    [0, _MAX_PUSH] with h(mix) <= r1, bisected down to adjacent floats.
 
-
-def _inner_solved_candidates(p, r1, r2, markov, resolution):
-    """Sweep the outer parameters with the inner one solved exactly.
-
-    For fixed (beta, q1) the objective is strictly convex in q0 while the
-    constraint mix is affine in it, so the optimal q0 is p when feasible
-    and otherwise sits where the mix entropy equals r1; both mix roots
-    come from the binary-entropy inverse.  (Tied q0 = q1 works the same
-    way along beta.)  Returns the best feasible (beta, q0, q1) row, or
-    None when no row is feasible.
+    Along each ray the mix moves monotonically away from its value at
+    u = 0, so once the push is feasible it stays so; a row infeasible even
+    at _MAX_PUSH ends there.
     """
-    n = int(min(max(4 * resolution + 1, 201), 1601))
-    a = binary_entropy_inverse(min(r1, 1.0))
-    mix_targets = [a, max(a - 1e-9, 0.0), 1.0 - a, min(1.0 - a + 1e-9, 1.0)]
-    beta = np.linspace(0.0, 1.0, n)
-    rows = []
-    if markov:
-        denom = 1.0 - 2.0 * beta
-        ok = np.abs(denom) > 1e-12
-        for mt in mix_targets:
-            q = np.where(ok, ((1.0 - beta) - mt) / np.where(ok, denom, 1.0), p)
-            rows.append(np.column_stack([beta, q]))
-        rows.append(np.column_stack([beta, np.full(n, p)]))
-        pts = np.vstack(rows)
-        pts = pts[(pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0)]
-    else:
-        bb, qq1 = np.meshgrid(beta, np.linspace(0.0, 1.0, n), indexing="ij")
-        bb, qq1 = bb.ravel(), qq1.ravel()
-        ok = bb < 1.0 - 1e-12
-        for mt in mix_targets:
-            q0 = np.where(ok, 1.0 - (mt - bb * qq1) / np.where(ok, 1.0 - bb, 1.0), p)
-            rows.append(np.column_stack([bb, q0, qq1]))
-        rows.append(np.column_stack([bb, np.full_like(bb, p), qq1]))
-        pts = np.vstack(rows)
-        pts = pts[(pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0)]
-    obj, viol = _evaluate(pts, p, r1, r2, markov)
-    feasible = viol <= 1e-12
-    if not feasible.any():
-        return None
-    return pts[feasible][np.argmin(obj[feasible])]
+
+    def at(u):
+        return _push(p, s0 * u), _push(p, s1 * u)
+
+    def feasible(u):
+        return _mix_entropy(beta, *at(u)) <= r1
+
+    lo = np.zeros_like(beta)
+    hi = np.where(feasible(lo), 0.0, _MAX_PUSH)
+    mid = 0.5 * hi
+    while np.any((lo < mid) & (mid < hi)):
+        ok = feasible(mid)
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+        mid = 0.5 * (lo + hi)
+    return at(hi)
 
 
 def dsbs_exponent(
-    p: float,
-    r1: float,
-    r2: float,
-    markov_constrained: bool = False,
-    config: SolverConfig | None = None,
-    warm_candidates=(),
+    p: float, r1: float, r2: float, markov_constrained: bool = False
 ) -> tuple[float, DsbsParams]:
     """Minimize the family bound at one rate pair.
 
@@ -202,48 +162,42 @@ def dsbs_exponent(
         raise DomainError("crossover probability must be strictly inside (0, 1/2)")
     check_rate(r1, "r1")
     check_rate(r2, "r2")
-    config = DSBS_FAST_CONFIG if config is None else config
-    dims = 2 if markov_constrained else 3
-    domain = SearchDomain([Simplex(2)] * dims)
-
-    def batch_evaluate(pts):
-        return _evaluate(pts[:, 0::2], p, r1, r2, markov_constrained)
-
-    inner = _inner_solved_candidates(p, r1, r2, markov_constrained, config.grid_resolution)
-    zero_pts = [
-        np.asarray(c[:dims], dtype=np.float64) for c in _zero_candidates(p, r1, r2)
-    ]
-    if zero_pts:
-        obj, viol = _evaluate(np.asarray(zero_pts), p, r1, r2, markov_constrained)
-        scored = np.where(viol <= 1e-12, obj, np.inf)
-        zero_pts = [zero_pts[int(np.argmin(scored))]] if np.isfinite(scored).any() else []
-    rows = ([] if inner is None else [inner]) + zero_pts
-    rows.extend(np.asarray(tuple(w)[:dims], dtype=np.float64) for w in warm_candidates)
-    rows.extend(np.random.default_rng(config.seed).random((config.starts, dims)))
-    starts = [np.column_stack([t, 1.0 - t]).ravel() for t in rows]
-    best = minimize(domain, batch_evaluate, config, starts, config.grid_resolution)
-    # h(0) = 0 <= r1 makes (beta, q0) = (0, 1) always feasible, so best exists
-    vec = best.argmin[0::2]
+    # the beta range, and (sign of q0's push, sign of q1's push) of each ray
     if markov_constrained:
-        params = DsbsParams(p, float(vec[0]), float(vec[1]), float(vec[1]))
+        lo, hi, rays = 0.0, 0.5, np.array([(1.0, 1.0), (-1.0, -1.0)])
     else:
-        params = DsbsParams(p, float(vec[0]), float(vec[1]), float(vec[2]))
+        lo, hi, rays = 0.0, 1.0, np.array([(-1.0, 1.0)])
+    s0, s1 = np.repeat(rays, _BETA_POINTS, axis=0).T
+    best_value, best = math.inf, None
+    for _ in range(_BETA_LEVELS):
+        grid = np.linspace(lo, hi, _BETA_POINTS)
+        beta = np.tile(grid, len(rays))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q0, q1 = _smallest_push(p, r1, beta, s0, s1)
+            value = (
+                (1.0 - beta) * (_xlog2(q0, p) + _xlog2(1.0 - q0, 1.0 - p))
+                + beta * (_xlog2(q1, p) + _xlog2(1.0 - q1, 1.0 - p))
+                + np.maximum(1.0 - _h_arr(beta) - r2, 0.0)
+            )
+            value = np.where(_mix_entropy(beta, q0, q1) <= r1, value, np.inf)
+        # at beta = 0 the full push makes the mix 0 or 1, so the first level finds a point
+        k = int(np.argmin(value))
+        if value[k] < best_value:
+            best_value, best = float(value[k]), (float(beta[k]), float(q0[k]), float(q1[k]))
+        j = k % _BETA_POINTS
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _BETA_POINTS - 1)]
     # every term of the objective is nonnegative, so a value <= 0 is rounding
-    return (float(best.value) if best.value > 0.0 else 0.0), params
+    return (best_value if best_value > 0.0 else 0.0), DsbsParams(p, *best)
 
 
-def dsbs_pair(p: float, r1: float, r2: float, config: SolverConfig | None = None) -> DsbsPoint:
-    """Both variants at one rate pair: the Markov solve, then the
-    unrestricted solve warm-started from its argmin."""
-    con_val, con_par = dsbs_exponent(p, r1, r2, markov_constrained=True, config=config)
-    unc_val, unc_par = dsbs_exponent(
-        p,
-        r1,
-        r2,
-        markov_constrained=False,
-        config=config,
-        warm_candidates=[(con_par.beta, con_par.q0, con_par.q1)],
-    )
+def dsbs_pair(p: float, r1: float, r2: float) -> DsbsPoint:
+    """Both variants at one rate pair; the unrestricted one keeps the
+    Markov argmin where that is lower, so the restriction never reads
+    below it."""
+    con_val, con_par = dsbs_exponent(p, r1, r2, markov_constrained=True)
+    unc_val, unc_par = dsbs_exponent(p, r1, r2)
+    if con_val < unc_val:
+        unc_val, unc_par = con_val, con_par
     return DsbsPoint(
         r1=r1,
         unconstrained=unc_val,
@@ -257,19 +211,13 @@ def _sweep_point(args) -> DsbsPoint:
     return dsbs_pair(*args)
 
 
-def figure2_sweep(
-    p: float,
-    r2: float,
-    r1_grid,
-    config: SolverConfig | None = None,
-    workers: int = 1,
-) -> list[DsbsPoint]:
+def figure2_sweep(p: float, r2: float, r1_grid, workers: int = 1) -> list[DsbsPoint]:
     """Both bound variants along an ascending r1 grid.
 
-    The Markov argmin seeds the unrestricted solve at each point, so the
-    restriction dominance holds pointwise by construction; a final pass
-    carries argmins forward in r1 (they stay feasible as the constraint
-    relaxes), which makes both curves non-increasing.
+    :func:`dsbs_pair` makes the restriction dominance hold pointwise by
+    construction; a final pass carries argmins forward in r1 (they stay
+    feasible as the constraint relaxes), which makes both curves
+    non-increasing.
     """
     r1s = [float(v) for v in r1_grid]
     if any(b < a for a, b in zip(r1s, r1s[1:])):
@@ -277,8 +225,7 @@ def figure2_sweep(
     if not all(0.0 <= v <= 1.0 for v in r1s):
         raise DomainError("r1 grid must lie within [0, 1]")
     check_rate(r2, "r2")
-    config = DSBS_FAST_CONFIG if config is None else config
-    raw = parallel_map(_sweep_point, [(p, r1, r2, config) for r1 in r1s], workers=workers)
+    raw = parallel_map(_sweep_point, [(p, r1, r2) for r1 in r1s], workers=workers)
     points: list[DsbsPoint] = []
     for k, pt in enumerate(raw):
         if k > 0:

@@ -392,8 +392,10 @@ def arimoto_dual(table: np.ndarray, r1: float) -> tuple:
         return q / q.sum()
 
     # H_{Q_lam}(X|Y) falls as lam grows: keep the end where it is at most
-    # r1, or lam = 1 if none is, where primal and dual meet
-    lo, lam, mid, q = 0.0, 1.0, 0.5, tilt(1.0)
+    # r1, or lam = 1 if none is below it, where primal and dual meet (a tilt
+    # that underflows to Q_1 before lam = 1 must not stop the bisection short)
+    lo, lam, q = 0.0, 1.0, tilt(1.0)
+    mid = 0.5 if conditional_entropy(JointPmf2(q)) < r1 else lam
     while lo < mid < lam:
         q_mid = tilt(mid)
         if conditional_entropy(JointPmf2(q_mid)) <= r1:

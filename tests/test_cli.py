@@ -8,7 +8,6 @@ import pytest
 
 from wakexp import cli
 from wakexp.cli import build_parser, main
-from wakexp.dsbs import DSBS_FAST_CONFIG
 from wakexp.probkit import binary_entropy
 from wakexp.reductions import OOHAMA_DEFAULT, SINGLE_DEFAULT
 from wakexp.simplex_optim import DEFAULT_CONFIG, SolverConfig
@@ -29,9 +28,18 @@ class TestSingleQueries:
         payload = json.loads(out)
         assert payload["direct"] == pytest.approx(payload["parametric"], abs=1e-12)
 
-    def test_ne_reads_no_solver_flags(self, capsys):
-        # the shared parser accepts them, as for gap, and the closed form ignores them
-        argv = ["ne", "--source", "dsbs:0.1", "--r1", "0.3"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ne", "--source", "dsbs:0.1", "--r1", "0.3"],
+            ["dsbs", "--p", "0.1", "--r1", "0.4", "--r2", "0.2"],
+            ["fig2", "--p", "0.1", "--r2", "0.2", "--r1-grid", "0:1:0.5"],
+        ],
+        ids=["ne", "dsbs", "fig2"],
+    )
+    def test_ne_reads_no_solver_flags(self, capsys, monkeypatch, argv):
+        # the shared parser accepts them, as for gap, and the closed forms ignore them
+        monkeypatch.setenv("WAK_THREADS", "1")
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert run_cli(capsys, argv + FAST + ["--grid-resolution", "3"])[:2] == (0, out)
@@ -292,8 +300,6 @@ FLAG_DEFAULT_CASES = [
     (["region", "--source", "dsbs:0.1", "--r2", "0.5"], cli, "region_min_r1", DEFAULT_CONFIG),
     (["single", "--pmf", "[0.9,0.1]", "--r1", "0.2"], cli, "exponent_single_direct", SINGLE_DEFAULT),
     (["oohama", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3"], cli, "OohamaEvaluator", OOHAMA_DEFAULT),
-    (["dsbs", "--p", "0.1", "--r1", "0.4", "--r2", "0.2"], cli.dsbs_mod, "dsbs_pair", DSBS_FAST_CONFIG),
-    (["fig2", "--p", "0.1", "--r2", "0.2", "--r1-grid", "0:1:0.5"], cli.dsbs_mod, "figure2_sweep", DSBS_FAST_CONFIG),
     (
         ["pa", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3", "--delta", "0.05", "--n", "64"],
         cli.pa_mod, "pa_security_bound", DEFAULT_CONFIG,

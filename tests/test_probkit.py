@@ -241,6 +241,15 @@ class TestArimotoDual:
         assert lam == 1.0
         assert q == pytest.approx(np.array([[1, 0], [1, 0], [0, 1]]) / 3, abs=1e-15)
 
+    def test_lam_is_one_where_the_tilt_underflows_onto_its_limit(self):
+        # from lam ~ 0.997 the tilt of (0.9, 0.1) rounds to exactly (1, 0),
+        # whose entropy 0 meets r1 = 0; lam must still read 1, not that point
+        table = np.array([[0.9], [0.1]])
+        value, lam, q = arimoto_dual(table, 0.0)
+        assert lam == 1.0
+        assert q.tolist() == [[1.0], [0.0]]
+        assert value == pytest.approx(-math.log2(0.9), abs=1e-15)
+
     def test_source_itself_when_r1_covers_the_conditional_entropy(self):
         src = dsbs_joint(0.1)
         for r1 in (conditional_entropy(src), conditional_entropy(src) + 0.1, 5.0):

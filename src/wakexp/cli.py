@@ -92,7 +92,11 @@ def _workers() -> int:
     env = os.environ.get("WAK_THREADS")
     if env is not None:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        # the CPUs this process may run on, not every core of the machine
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _emit(text: str, out: str | None):

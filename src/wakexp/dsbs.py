@@ -20,7 +20,8 @@ after the relabeling (beta, q0, q1) -> (1 - beta, q1, q0).  The Markov
 variant pushes its one q up or down from p, and beta -> 1 - beta leaves
 it unchanged, so it searches beta <= 1/2 only.  Feasibility is monotone in
 the push, so one vectorized bisection finds it for a whole beta grid,
-which is refined around its best point.
+which ``simplex_optim._zoom_max`` refines around its best point; one more
+bisection at the winning beta gives its (q0, q1).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .probkit import DomainError, JointPmf2, binary_entropy, binary_kl, check_rate
+from .simplex_optim import _zoom_max
 
 _BETA_POINTS = 257
 _BETA_LEVELS = 5  # each level spans the two cells around the last level's best beta
@@ -167,11 +169,11 @@ def dsbs_exponent(
         lo, hi, rays = 0.0, 0.5, np.array([(1.0, 1.0), (-1.0, -1.0)])
     else:
         lo, hi, rays = 0.0, 1.0, np.array([(-1.0, 1.0)])
-    s0, s1 = np.repeat(rays, _BETA_POINTS, axis=0).T
-    best_value, best = math.inf, None
-    for _ in range(_BETA_LEVELS):
-        grid = np.linspace(lo, hi, _BETA_POINTS)
+
+    def solve(grid):
+        # the smallest feasible push of each ray at each beta and its value, one row per ray
         beta = np.tile(grid, len(rays))
+        s0, s1 = np.repeat(rays, len(grid), axis=0).T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q0, q1 = _smallest_push(p, r1, beta, s0, s1)
             value = (
@@ -180,14 +182,16 @@ def dsbs_exponent(
                 + np.maximum(1.0 - _h_arr(beta) - r2, 0.0)
             )
             value = np.where(_mix_entropy(beta, q0, q1) <= r1, value, np.inf)
-        # at beta = 0 the full push makes the mix 0 or 1, so the first level finds a point
-        k = int(np.argmin(value))
-        if value[k] < best_value:
-            best_value, best = float(value[k]), (float(beta[k]), float(q0[k]), float(q1[k]))
-        j = k % _BETA_POINTS
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _BETA_POINTS - 1)]
+        return value.reshape(len(rays), -1), q0, q1
+
+    # at beta = 0 the full push makes the mix 0 or 1, so the first level finds a point
+    beta, neg_value = _zoom_max(
+        lambda grid: -solve(grid)[0].min(axis=0), lo, hi, _BETA_POINTS, _BETA_LEVELS
+    )
+    value, q0, q1 = solve(np.array([beta]))
+    k = int(np.argmin(value))
     # every term of the objective is nonnegative, so a value <= 0 is rounding
-    return (best_value if best_value > 0.0 else 0.0), DsbsParams(p, *best)
+    return (-neg_value if neg_value < 0.0 else 0.0), DsbsParams(p, beta, float(q0[k]), float(q1[k]))
 
 
 def dsbs_pair(p: float, r1: float, r2: float) -> DsbsPoint:

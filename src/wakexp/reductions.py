@@ -4,7 +4,7 @@ Covers the exponent when the side information is not encoded (r2 at least
 log2 |Y|) and its |Y| = 1 case, the parametric single-user exponent, both
 the closed form :func:`probkit.arimoto_dual`; the single-user divergence
 minimization; the parametric comparison bound restricted to the same
-single-user network, one golden-section maximum over theta in [-1, 0]; and
+single-user network, one zooming-grid maximum over theta in [-1, 0]; and
 the general-network version of that bound.  The two single-user forms agree
 (that equivalence is acceptance-tested), while the comparison bound is
 strictly smaller whenever r1 < H(X); the gap report packages that
@@ -36,7 +36,7 @@ from .simplex_optim import (
     Simplex,
     SolverConfig,
     _capped_resolution,
-    _golden_max,
+    _zoom_max,
     compass_batch,
     grid_search_batch,
     minimize,
@@ -123,10 +123,10 @@ def _oohama_max(p: Pmf, r1: float) -> tuple:
     """(argmax, value) of (-s(theta) + theta*r1) / (2 - theta) on [-1, 0].
 
     The numerator is concave and the denominator positive and affine, so the
-    ratio is quasi-concave and one golden-section bracket finds its maximum;
-    both ends are evaluated, so a maximum at theta = -1 is exact.
+    ratio is quasi-concave and one zooming grid finds its maximum; both ends
+    are evaluated, so a maximum at theta = -1 is exact.
     """
-    return _golden_max(lambda t: (-s_theta(p, t) + t * r1) / (2.0 - t), -1.0, 0.0, 80)
+    return _zoom_max(lambda ts: [(-s_theta(p, t) + t * r1) / (2.0 - t) for t in ts], -1.0, 0.0, 9, 20)
 
 
 def oohama_single(p: Pmf, r1: float) -> float:
@@ -359,22 +359,21 @@ class OohamaEvaluator:
                     best_val = v
                     best_ij = (i, j)
         i, j = best_ij
+
+        def line(tilts):
+            # one batch of the level's uncached tilts, then cache reads
+            self._solve_tilts(tilts)
+            return [f(mu, alpha) for mu, alpha in tilts]
+
         mu_lo = axis[max(i - 1, 0)]
         mu_hi = axis[min(i + 1, MU_ALPHA_GRID - 1)]
-        # two dozen shrinks already beat the grid spacing by 1e4
-        mu_star, v1 = _golden_max(
-            lambda m: f(m, axis[j]), mu_lo, mu_hi, 24,
-            lambda ms: self._solve_tilts([(m, axis[j]) for m in ms]),
-        )
+        mu_star, v1 = _zoom_max(lambda ms: line([(m, axis[j]) for m in ms]), mu_lo, mu_hi, 15, 6)
         if v1 < best_val:
             mu_star = axis[i]
         best_val = max(best_val, v1)
         a_lo = axis[max(j - 1, 0)]
         a_hi = axis[min(j + 1, MU_ALPHA_GRID - 1)]
-        _, v2 = _golden_max(
-            lambda a: f(mu_star, a), a_lo, a_hi, 24,
-            lambda alphas: self._solve_tilts([(mu_star, a) for a in alphas]),
-        )
+        _, v2 = _zoom_max(lambda alphas: line([(mu_star, a) for a in alphas]), a_lo, a_hi, 15, 6)
         best_val = max(best_val, v2)
         return max(float(best_val), 0.0)
 

@@ -21,9 +21,9 @@ multiplier bisection: ``minimize`` solves of a scalarized objective, of
 which ``best_of`` picks the best feasible one.  Hard constraints are
 handled by exact rejection of infeasible incumbents plus a linear penalty
 on constraint violation while probing, so kinky objectives (positive
-parts, entropy caps) do not stall the search.  ``_golden_max`` is the one
-1-d maximizer: a golden-section search on a bracket, with both ends
-evaluated.
+parts, entropy caps) do not stall the search.  ``_zoom_max`` is the one
+1-d maximizer: a grid on a bracket, both ends included, zoomed around its
+best point, so each level is one batch call.
 
 All searches are deterministic functions of their inputs and the seed:
 evaluation and reduction happen in index order, so a parallel driver that
@@ -622,72 +622,25 @@ def bisect_multiplier(
 # one-dimensional maximization
 # ---------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_LOOKAHEAD = 4      # golden-section shrinks whose probes are prefetched as one batch
+def _zoom_max(f, a: float, b: float, points: int, levels: int):
+    """Maximize ``f`` on ``[a, b]`` by a zooming grid.
 
-
-def _golden_shrink(a: float, b: float, c: float, d: float, left: bool) -> tuple:
-    """One golden-section shrink of ``a < c < d < b``: keep ``[a, d]`` if
-    ``left``, else ``[c, b]``.  Returns the new ``(a, b, c, d)`` and the one
-    new interior point, which is the next probe."""
-    if left:
-        b, d = d, c
-        c = b - _INVPHI * (b - a)
-        return a, b, c, d, c
-    a, c = c, d
-    d = a + _INVPHI * (b - a)
-    return a, b, c, d, d
-
-
-def _golden_probes(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list:
-    """Every probe of the next ``depth`` shrinks, the first going ``left``
-    and each later one either way: 1 + 2 + ... + 2**(depth - 1) abscissae."""
-    a, b, c, d, x = _golden_shrink(a, b, c, d, left)
-    if depth == 1:
-        return [x]
-    return [x] + [p for side in (True, False) for p in _golden_probes(a, b, c, d, side, depth - 1)]
-
-
-def _golden_max(f, a: float, b: float, iters: int, prefetch=None):
-    """Golden-section maximization of ``f`` on ``[a, b]``.
-
-    ``f`` is called at ``a`` and ``b``, at the two interior points, then at
-    the one new probe of each of at most ``iters`` shrinks; the loop stops
-    early once the bracket is below 1e-12 relative.  Returns ``(x, f(x))``
-    for the first strictly best of ``a``, ``b`` and the probes.
-
-    Each shrink keeps one side, chosen by comparing two known values, so
-    once shrink ``t`` has its direction, the probes that shrinks ``t`` to
-    ``t + L - 1`` can make are known (``L = _GOLDEN_LOOKAHEAD``; at most
-    ``2**L - 1`` points).  An optional ``prefetch(xs)`` receives every such
-    set, and first the initial ``[a, b, c, d]``, before ``f`` is called at
-    any of them, so a caller with an expensive ``f`` can evaluate each set
-    as one batch and let ``f`` read the results.  The ``f`` calls and the
-    result do not depend on ``prefetch``.
+    ``f`` maps a 1-d array of abscissae to their values in one call.  Each
+    level evaluates ``points`` evenly spaced abscissae, both ends included,
+    and keeps the two cells around the first strictly best one.  The loop
+    stops after ``levels`` levels, or once the bracket is below 1e-12
+    relative: a bracket of a few ulps at an end point would let a neighbour
+    win by rounding.  Returns ``(x, f(x))`` for the first strictly best
+    point seen.
     """
-    if not a < b:
-        if prefetch is not None:
-            prefetch([a])
-        return a, f(a)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    if prefetch is not None:
-        prefetch([a, b, c, d])
-    best_x, best_v = a, f(a)
-    fb = f(b)
-    if fb > best_v:
-        best_x, best_v = b, fb
-    fc, fd = f(c), f(d)
-    for t in range(iters):
-        left = fc >= fd
-        if prefetch is not None and t % _GOLDEN_LOOKAHEAD == 0:
-            prefetch(_golden_probes(a, b, c, d, left, min(_GOLDEN_LOOKAHEAD, iters - t)))
-        a, b, c, d, x = _golden_shrink(a, b, c, d, left)
-        v = f(x)
-        fc, fd = (v, fc) if left else (fd, v)
-        if v > best_v:
-            best_x, best_v = x, v
+    best_x, best_v = a, -math.inf
+    for _ in range(levels):
+        xs = np.linspace(a, b, points)
+        vs = f(xs)
+        k = int(np.argmax(vs))
+        if vs[k] > best_v:
+            best_x, best_v = xs[k], vs[k]
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, points - 1)]
         if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
             break
     return float(best_x), float(best_v)
-

@@ -273,6 +273,26 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestWorkers:
+    def test_default_counts_only_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("WAK_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._workers() == 1
+
+    def test_default_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("WAK_THREADS", raising=False)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._workers() == 3
+
+    @pytest.mark.parametrize("env, want", [("3", 3), ("1", 1), ("0", 1)])
+    def test_environment_sets_the_count(self, monkeypatch, env, want):
+        monkeypatch.setenv("WAK_THREADS", env)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._workers() == want
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

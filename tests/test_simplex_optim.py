@@ -1,5 +1,5 @@
-"""Unit tests for the lattice oracle and the compass multistart solver; the
-golden-section maximizer's reference test is in ``test_reductions``."""
+"""Unit tests for the lattice oracle, the compass multistart solver and the
+zooming 1-d maximizer."""
 
 import math
 import tracemalloc
@@ -534,6 +534,62 @@ class TestBisectMultiplier:
         res, lams = self._run(monkeypatch, verdicts, doublings=3, halvings=1)
         assert lams == [0.0, 1.0, 2.0, 4.0, 6.0]
         assert res.infeasible and res.evaluations > 0
+
+
+def _zoom(f, a, b, levels=20, points=9):
+    """``_zoom_max`` of a scalar ``f``, recording each batch it is called on."""
+    calls = []
+
+    def batch(xs):
+        calls.append(np.array(xs))
+        return np.array([f(x) for x in xs])
+
+    return simplex_optim._zoom_max(batch, a, b, points, levels), calls
+
+
+class TestZoomMax:
+    def test_parabola(self):
+        (x, v), calls = _zoom(lambda t: -((t - 0.3) ** 2), 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-6)
+        assert v == pytest.approx(0.0, abs=1e-10)
+        # one batch per level, both ends of the bracket included
+        assert np.array_equal(calls[0], np.linspace(0.0, 1.0, 9))
+        assert all(len(c) == 9 and c[0] < x < c[-1] for c in calls)
+
+    def test_constant_ties_break_to_the_left_end(self):
+        assert _zoom(lambda t: 5.0, 0.0, 1.0)[0] == (0.0, 5.0)
+
+    def test_rational_boundary_maximum(self):
+        # theta * (r1 - 1) / (2 - theta) with r1 = 0.5 decreases in theta
+        (x, v), _ = _zoom(lambda t: t * (0.5 - 1.0) / (2.0 - t), -1.0, 0.0)
+        assert x == -1.0
+        assert v == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_right_end_maximum(self):
+        assert _zoom(lambda t: t, -1.0, 0.0)[0] == (0.0, 0.0)
+
+    def test_kink(self):
+        (x, v), _ = _zoom(lambda t: -abs(t - 0.6180339), 0.0, 3.0)
+        assert x == pytest.approx(0.6180339, abs=1e-9)
+        assert v <= 0.0
+
+    def test_plateau_keeps_the_first_best(self):
+        # 0.5 reaches the plateau on the first level; later levels find
+        # plateau points nearer 0.4, none of them strictly better
+        assert _zoom(lambda t: min(t, 0.4), 0.0, 1.0)[0] == (0.5, 0.4)
+
+    def test_stops_once_the_bracket_is_below_relative_tolerance(self):
+        (x, _), calls = _zoom(lambda t: -((t - 1234.5) ** 2), 1000.0, 2000.0, levels=200)
+        assert x == pytest.approx(1234.5, abs=1e-6)
+        assert len(calls) < 25
+        # at an end point the bracket would otherwise shrink to a few ulps
+        (x, _), calls = _zoom(lambda t: -t, -1.0, 0.0, levels=200)
+        assert x == -1.0 and len(calls) < 20
+
+    def test_degenerate_bracket_calls_f_once(self):
+        (x, v), calls = _zoom(lambda t: t * t, 0.4, 0.4)
+        assert (x, v) == (0.4, 0.4 * 0.4)
+        assert len(calls) == 1 and (calls[0] == 0.4).all()
 
 
 class TestDomainDiscipline:

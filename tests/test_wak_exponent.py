@@ -1,7 +1,9 @@
 """Unit tests for the exponent, its decomposition, and the rate region."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -831,3 +833,23 @@ def test_the_lowest_finisher_wins_with_no_tie_window(table, r1, r2):
         b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG, nu=2)
     assert b.value <= 1e-15
 
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_start_ablation_labels_every_fixed_start():
+    # the tool checks this only inside its two-minute corpus run; here on
+    # the first 10 corpus sources at every nu it solves them at
+    tool = _load_tool("start_ablation")
+    solves = tool.corpus()[: 10 * len(tool.NUS)]
+    assert {nu for *_, nu in solves} == set(tool.NUS)
+    for name, table, r1, r2, nu in solves:
+        prob = _ExponentSearch(JointPmf2(table), r1, r2, nu)
+        got = [s.tobytes() for _, s in tool.labelled_starts(prob)]
+        assert got == [s.tobytes() for s in prob.fixed_starts()], (name, nu)

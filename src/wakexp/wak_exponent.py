@@ -27,13 +27,16 @@ penalized score and count only from the first feasible point.  U = X (or
 the point masses) has H(X|U) = 0, so the returned point is always feasible
 and its value an upper bound that the other starts can only improve.
 
-Every search runs through :func:`simplex_optim.minimize`: the rate
-region's lattice and polish, the copy manifolds, and the main batch of
-every distinct start plus the seeded multistart.  The rate region and the
-U = Y copy manifold bisect a multiplier with
-:func:`simplex_optim.bisect_multiplier`, whose solves are ``minimize``
-calls.  The reported point is the first strictly lowest feasible finisher
-of the main batch.
+Each term of the objective is nonnegative, so before any search the
+fixed starts are evaluated in one batch, and the first one that is
+feasible at value 0 is returned as a certified minimizer; such a solve
+counts only those evaluations.  Otherwise every search runs through
+:func:`simplex_optim.minimize`: the rate region's lattice and polish,
+the copy manifolds, and the main batch of every distinct start plus the
+seeded multistart.  The rate region and the U = Y copy manifold bisect a
+multiplier with :func:`simplex_optim.bisect_multiplier`, whose solves are
+``minimize`` calls.  The reported point is the first strictly lowest
+feasible finisher of the main batch.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .simplex_optim import (
     SearchDomain,
     Simplex,
     SolverConfig,
+    _FEAS_TOL,
     _capped_resolution,
     best_of,
     bisect_multiplier,
@@ -516,8 +520,21 @@ def region_min_r1(src: JointPmf2, r2: float, config: SolverConfig = DEFAULT_CONF
 
 
 def region_contains(src: JointPmf2, rates: RatePair, config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Whether the rate pair is (within tolerance) achievable."""
+    """Whether the rate pair is (within tolerance) achievable.
+
+    Exact certificates answer before any search: the constant channel
+    reaches r1 = H(X), U = Y reaches H(X|Y) once r2 >= H(Y), and for
+    U - Y - X, H(X|U) >= max(H(X|Y), H(X) - I(U;Y)), the cut-set bound.
+    Only a pair between them runs the bisection of :func:`region_min_r1`.
+    """
     rates = rates if isinstance(rates, RatePair) else RatePair(*rates)
+    h_x = entropy_bits(src.probs.sum(axis=1))
+    h_y = entropy_bits(src.probs.sum(axis=0))
+    h_x_given_y = entropy_bits(src.probs) - h_y
+    if rates.r1 >= h_x or (rates.r2 >= h_y and rates.r1 >= h_x_given_y):
+        return True
+    if rates.r1 < max(h_x_given_y, h_x - rates.r2) - REGION_TOL:
+        return False
     return rates.r1 >= region_min_r1(src, rates.r2, config) - REGION_TOL
 
 
@@ -598,8 +615,17 @@ def wak_exponent(
             )
     prob = _ExponentSearch(src, rates.r1, rates.r2, nu)
 
-    copies, evaluations = prob.candidates_copy_manifolds(config)
-    starts = prob.fixed_starts() + copies
+    # every term of F is nonnegative, so a feasible fixed start at 0 is a minimizer
+    fixed = prob.fixed_starts()
+    evaluations = len(fixed)
+    vals, violations = prob.evaluate(np.stack(fixed))
+    zero = np.flatnonzero((violations <= _FEAS_TOL) & (vals <= 0.0))
+    if zero.size:
+        return _breakdown(prob, fixed[zero[0]], evaluations, True)
+
+    copies, copy_evaluations = prob.candidates_copy_manifolds(config)
+    evaluations += copy_evaluations
+    starts = fixed + copies
     # the region channel has at most nu rows, so it always embeds
     _, channel, region_evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
     evaluations += region_evaluations
@@ -611,9 +637,14 @@ def wak_exponent(
     # byte-equal starts descend once
     distinct = list({s.tobytes(): s for s in starts}.values())
     best = minimize(prob.domain, prob.evaluate, config, distinct + random_starts(prob.domain, config))
-    evaluations += best.evaluations
     # U = X, or the point masses where it does not fit, is always feasible, so `best` is too
-    tensor = prob.tensors(best.argmin[None, :])[0].reshape(nu, src.nx, src.ny)
+    return _breakdown(prob, best.argmin, evaluations + best.evaluations, best.converged)
+
+
+def _breakdown(prob: _ExponentSearch, point: np.ndarray, evaluations: int, converged: bool) -> ExponentBreakdown:
+    """The breakdown of a feasible domain point, recomputed from its tensor."""
+    src = prob.src
+    tensor = prob.tensors(point[None, :])[0].reshape(prob.nu, src.nx, src.ny)
     total = tensor.sum()
     if abs(total - 1.0) > 1e-13:
         tensor = tensor / total
@@ -622,14 +653,14 @@ def wak_exponent(
     # each term is nonnegative, so a negative one is rounding
     kl = max(kl_bits(m.marginal_xy.probs, src.probs), 0.0)
     cond_mi = max(m.i_u_x_given_y, 0.0)
-    rate2 = max(m.i_u_y - rates.r2, 0.0)
+    rate2 = max(m.i_u_y - prob.r2, 0.0)
     return ExponentBreakdown(
         value=kl + cond_mi + rate2,
         kl_term=kl,
         soft_markov_term=cond_mi,
         rate2_term=rate2,
-        constraint_slack=rates.r1 - m.h_x_given_u,
+        constraint_slack=prob.r1 - m.h_x_given_u,
         argmin=arg,
         evaluations=evaluations,
-        converged=best.converged,
+        converged=converged,
     )

@@ -56,6 +56,16 @@ class TestSingleQueries:
             abs=1e-9,
         )
 
+    def test_certified_zero_keeps_its_positive_rounding(self, capsys):
+        # the timeshare of U = Y certifies this pair at -2.2e-16 in the search
+        # kernel; the breakdown recomputes I(U;X|Y) from the tensor as 4.44e-16
+        code, out, _ = run_cli(
+            capsys,
+            ["exponent", "--source", "dsbs:0.1", "--r1", "0.9", "--r2", "0.9", "--starts", "4", "--seed", "1"],
+        )
+        payload = json.loads(out)
+        assert (code, payload["value"], payload["evaluations"]) == (0, 4.440892098500626e-16, 5)
+
     def test_inline_json_source_round_trip(self, capsys):
         spec = json.dumps({"nx": 2, "ny": 2, "probs": [0.45, 0.05, 0.05, 0.45]})
         code, out, _ = run_cli(capsys, ["ne", "--source", spec, "--r1", "0.2", *FAST])

@@ -1,5 +1,6 @@
 """Unit tests for the exponent, its decomposition, and the rate region."""
 
+import hashlib
 import importlib.util
 import math
 import warnings
@@ -26,6 +27,7 @@ from wakexp.probkit import (
 from wakexp.reductions import exponent_ne, exponent_single_direct
 from wakexp.simplex_optim import _CALL_ROWS, SolverConfig
 from wakexp.wak_exponent import (
+    REGION_TOL,
     RatePair,
     _ExponentSearch,
     _region_argmin,
@@ -47,6 +49,17 @@ CFG = SolverConfig(grid_resolution=12, starts=16, seed=7)
 def dsbs(p):
     d, o = (1 - p) / 2, p / 2
     return JointPmf2([[d, o], [o, d]])
+
+
+def _random_cases():
+    """(name, table, r1, r2) of the 16 random cases: shapes 2x2, 2x3, 3x2, 1x3 in turn."""
+    rng = np.random.default_rng(1)
+    out = []
+    for i in range(16):
+        e = rng.exponential(size=((2, 2), (2, 3), (3, 2), (1, 3))[i % 4])
+        r1, r2 = rng.uniform(0.0, 1.2, size=2)
+        out.append((f"random{i}", e / e.sum(), float(r1), float(r2)))
+    return out
 
 
 def constant_u_aux(table, nu=2):
@@ -356,6 +369,46 @@ class TestRegion:
         assert region_contains(src, RatePair(hx, 0.0), CFG)
         assert region_contains(src, RatePair(hxy, hy), CFG)
         assert not region_contains(src, RatePair(hxy - 0.05, 1.5), CFG)
+
+    def test_region_contains_certified_pairs_run_no_search(self, monkeypatch):
+        # the constant channel, U = Y and the cut-set bound answer alone
+        def no_search(*args, **kwargs):
+            raise AssertionError("a certified pair ran the region search")
+
+        monkeypatch.setattr(importlib.import_module("wakexp.wak_exponent"), "region_min_r1", no_search)
+        src = dsbs(0.1)
+        hxy = conditional_entropy(src)
+        assert region_contains(src, RatePair(1.0, 0.0), CFG)
+        assert region_contains(src, RatePair(hxy + 1e-9, 1.0), CFG)
+        assert not region_contains(src, RatePair(hxy - 0.05, 1.5), CFG)
+        assert not region_contains(src, RatePair(0.6, 0.2), CFG)   # below H(X) - r2
+
+    def test_region_contains_answers_as_the_search_does(self, monkeypatch):
+        # every answer, certified or searched, is the bisection's; pairs
+        # within 1e-9 of its threshold could go either way by rounding.  The
+        # search is deterministic, so a searched pair reuses its value
+        module = importlib.import_module("wakexp.wak_exponent")
+        memo = {}
+
+        def remembered(src, r2, config):
+            key = (src.probs.tobytes(), r2)
+            if key not in memo:
+                memo[key] = region_min_r1(src, r2, config)
+            return memo[key]
+
+        monkeypatch.setattr(module, "region_min_r1", remembered)
+        cfg = SolverConfig(grid_resolution=8, starts=4, seed=7)
+        sources = [dsbs(0.1)] + [JointPmf2(t) for _, t, _, _ in _random_cases()]
+        for src in sources:
+            h_x = entropy_bits(src.probs.sum(axis=1))
+            h_x_given_y = entropy_bits(src.probs) - entropy_bits(src.probs.sum(axis=0))
+            for r2 in (0.0, 0.3, 0.8, 1.6):
+                threshold = remembered(src, r2, cfg) - REGION_TOL
+                edges = [h_x, h_x_given_y, h_x - r2, threshold + REGION_TOL]
+                r1s = list(np.linspace(0.0, 1.6, 9)) + [e + d for e in edges for d in (-2e-6, -5e-7, 0.0, 5e-7)]
+                for r1 in r1s:
+                    if r1 >= 0.0 and abs(r1 - threshold) > 1e-9:
+                        assert region_contains(src, RatePair(r1, r2), cfg) == (r1 >= threshold), (src, r1, r2)
 
     def test_curve_monotone_and_bounded(self):
         src = dsbs(0.1)
@@ -703,18 +756,19 @@ def test_single_user_value_at_nu_equal_to_the_alphabet():
 
 PINNED = {
     # name: (source, r1, r2, value hex, evaluations), at the benchmark's config;
-    # the positive values are those of perfbench/reference.json
+    # the positive values are those of perfbench/reference.json, and a zero
+    # is certified by a fixed start, so its count is the number of those
     "case0-2x2": (
         [[0.15063553039154987, 0.043301720479387865], [0.754622442161684, 0.05144030696737834]],
-        0.5079917387670908, 0.99324311258453, "0x1.ab17804f38443p-6", 148_508,
+        0.5079917387670908, 0.99324311258453, "0x1.ab17804f38443p-6", 148_514,
     ),
     "case3-1x3": (
         [[0.4704535532506672, 0.33642007514760724, 0.19312637160172555]],
-        0.6494722266569211, 0.332269444854445, "0x0.0p+0", 35_188,
+        0.6494722266569211, 0.332269444854445, "0x0.0p+0", 5,
     ),
     "case4-2x2": (
         [[0.013967104012289433, 0.7457383183907793], [0.02088948508151678, 0.2194050925154144]],
-        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 74_375,
+        0.9320197372107575, 0.7356039612636486, "0x0.0p+0", 6,
     ),
     "case6-3x2": (
         [
@@ -722,24 +776,24 @@ PINNED = {
             [0.2802418813809834, 0.12708263504457637],
             [0.06447814616711398, 0.24667194870684236],
         ],
-        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 545_620,
+        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 545_625,
     ),
     "case7-1x3": (
         [[0.8195177007032262, 0.05445439773665263, 0.1260279015601211]],
-        0.22958871126864033, 0.09786314083621525, "0x0.0p+0", 58_871,
+        0.22958871126864033, 0.09786314083621525, "0x0.0p+0", 5,
     ),
     "case11-1x3": (
         [[0.3942462415254647, 0.3359858551643965, 0.2697679033101387]],
-        0.2946627206918131, 0.9222203986755052, "0x0.0p+0", 33_872,
+        0.2946627206918131, 0.9222203986755052, "0x0.0p+0", 5,
     ),
     "case13-2x3": (
         [
             [0.15468281556880634, 0.05616382104346113, 0.2915906716633682],
             [0.3637804108774483, 0.015253752212244545, 0.11852852863467146],
         ],
-        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 669_856,
+        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 669_861,
     ),
-    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 107_822),
+    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 107_827),
 }
 PINNED_CONFIG = SolverConfig(grid_resolution=12, starts=16, seed=2718)
 
@@ -773,8 +827,8 @@ def test_point_masses_win_nowhere_u_equals_x_fits(name):
     assert b.value.hex() == value
 
 
-def test_main_batch_descends_each_distinct_start_once(monkeypatch):
-    # at |X| = 1, constant U, U = X and the timeshare of U = X are one point
+def _record_batches(monkeypatch) -> list:
+    """The start bytes of every later compass_batch call, one list per call."""
     batches = []
     compass = simplex_optim.compass_batch
 
@@ -783,36 +837,103 @@ def test_main_batch_descends_each_distinct_start_once(monkeypatch):
         return compass(domain, starts, config, **kwargs)
 
     monkeypatch.setattr(simplex_optim, "compass_batch", recording)
-    table, r1, r2, value, evaluations = PINNED["case3-1x3"]
-    fixed = [s.tobytes() for s in _ExponentSearch(JointPmf2(table), r1, r2, 4).fixed_starts()]
-    assert len(set(fixed)) < len(fixed)
-    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
+    return batches
+
+
+def test_main_batch_descends_each_distinct_start_once(monkeypatch):
+    # a warm candidate byte-equal to a fixed start joins the main batch
+    # once, so it adds no evaluation to the pinned count
+    batches = _record_batches(monkeypatch)
+    table, r1, r2, value, evaluations = PINNED["dsbs0.1"]
+    src = JointPmf2(table)
+    prob = _ExponentSearch(src, r1, r2, 4)
+    fixed = prob.fixed_starts()
+    twin = AuxJointPmf(prob.tensors(fixed[-1])[0].reshape(4, src.nx, src.ny))
+    assert prob.encode(twin.probs).tobytes() == fixed[-1].tobytes()
+    b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG, warm_candidates=[twin])
     main = batches[-1]
     assert len(set(main)) == len(main)
-    assert set(fixed) <= set(main)
+    assert {s.tobytes() for s in fixed} <= set(main)
     assert (b.value.hex(), b.evaluations) == (value, evaluations)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
     # every grid_search and compass_batch call of the solve, all of them
-    # through simplex_optim.minimize, adds to b.evaluations
-    tally = []
+    # through simplex_optim.minimize, adds to b.evaluations, and so does
+    # every row the exponent objective evaluates outside them: the batch
+    # of fixed starts that may certify a zero
+    tally, inside = [], []
     grid, compass = simplex_optim.grid_search, simplex_optim.compass_batch
+    evaluate = _ExponentSearch.evaluate
 
     def tallied(fn, count):
         def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
+            inside.append(True)
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                inside.pop()
             tally.append(count(out))
             return out
 
         return wrapper
 
+    def outside_rows(self, pts):
+        if not inside:
+            tally.append(len(pts))
+        return evaluate(self, pts)
+
     monkeypatch.setattr(simplex_optim, "grid_search", tallied(grid, lambda r: r.evaluations))
     monkeypatch.setattr(simplex_optim, "compass_batch", tallied(compass, lambda rs: sum(r.evaluations for r in rs)))
+    monkeypatch.setattr(_ExponentSearch, "evaluate", outside_rows)
     table, r1, r2, _, evaluations = PINNED[name]
     b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
     assert sum(tally) == b.evaluations == evaluations
+
+
+# the 8 random zero cases; the PINNED zero cases are random cases 3, 4, 7 and 11
+ZERO_CASES = [_random_cases()[i] for i in (1, 3, 4, 5, 7, 9, 11, 15)]
+
+
+@pytest.mark.parametrize("name, table, r1, r2", ZERO_CASES, ids=[c[0] for c in ZERO_CASES])
+def test_zero_cases_are_certified_before_any_search(monkeypatch, name, table, r1, r2):
+    # F is a sum of nonnegative terms, so a feasible fixed start at 0 is
+    # returned as it is; random case 9 read 2.22e-16 when it was searched
+    def no_search(*args, **kwargs):
+        raise AssertionError("a certified zero ran a search")
+
+    monkeypatch.setattr(simplex_optim, "compass_batch", no_search)
+    monkeypatch.setattr(simplex_optim, "grid_search", no_search)
+    src = JointPmf2(table)
+    b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG)
+    assert b.value == 0.0 and b.constraint_slack >= 0.0 and b.converged
+    prob = _ExponentSearch(src, r1, r2, 4)
+    fixed = prob.fixed_starts()
+    assert b.evaluations == len(fixed)
+    vals, violations = prob.evaluate(np.stack(fixed))
+    first = next(s for s, v, c in zip(fixed, vals, violations) if c <= 1e-12 and v <= 0.0)
+    assert b.argmin.probs.tobytes() == prob.tensors(first)[0].tobytes()
+
+
+POSITIVE_ARGMINS = {
+    # name: sha256 of the argmin's bytes, the same as before the certificate
+    "case0-2x2": "b7e9c9a66dc2f6e9",
+    "case6-3x2": "e4de80b65a381384",
+    "case13-2x3": "fda05da6c4e5ed08",
+    "dsbs0.1": "29579779328fef63",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_ARGMINS))
+def test_positive_cases_still_run_the_main_batch(monkeypatch, name):
+    batches = _record_batches(monkeypatch)
+    table, r1, r2, value, _ = PINNED[name]
+    b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
+    fixed = _ExponentSearch(JointPmf2(table), r1, r2, 4).fixed_starts()
+    assert {s.tobytes() for s in fixed} <= set(batches[-1])
+    assert b.value.hex() == value
+    assert hashlib.sha256(b.argmin.probs.tobytes()).hexdigest()[:16] == POSITIVE_ARGMINS[name]
 
 
 @pytest.mark.parametrize(
@@ -826,12 +947,33 @@ def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
     ],
 )
 def test_the_lowest_finisher_wins_with_no_tie_window(table, r1, r2):
-    # a descent of the main batch reaches 0 on both, and other finishers
-    # end 4.6e-13 to 4.8e-13 above it: the lowest must win
+    # a descent of the main batch reached 0 on both, other finishers ending
+    # 4.6e-13 to 4.8e-13 above it; now a fixed start certifies the 0 first,
+    # and the next test checks the rule where the main batch decides
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UpperBoundWarning)
         b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG, nu=2)
     assert b.value <= 1e-15
+
+
+def test_the_lowest_finisher_wins_in_the_main_batch(monkeypatch):
+    # source s12-4x2 of tools/start_ablation.py: no fixed start reads 0, and
+    # in the main batch start 3 ends at 2.9e-16, before start 6 at -2.2e-16
+    results = []
+    compass = simplex_optim.compass_batch
+
+    def recording(*args, **kwargs):
+        results.append(compass(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simplex_optim, "compass_batch", recording)
+    table = [[0.04896984512565735, 0.0], [0.17750592520197353, 0.019689029052144306],
+             [0.0, 0.6174465946142366], [0.0, 0.13638860600598826]]
+    b = wak_exponent(JointPmf2(table), RatePair(1.1191976418261143, 0.7436585966752961), PINNED_CONFIG)
+    finishers = [r.value for r in results[-1] if not r.infeasible]
+    first_near_zero = next(v for v in finishers if v <= 1e-12)
+    assert 0.0 < first_near_zero < min(finishers) + 1e-15
+    assert b.value == 0.0
 
 
 
@@ -844,7 +986,7 @@ def _load_tool(name):
 
 
 def test_start_ablation_labels_every_fixed_start():
-    # the tool checks this only inside its two-minute corpus run; here on
+    # the tool checks this only inside its ten-minute corpus run; here on
     # the first 10 corpus sources at every nu it solves them at
     tool = _load_tool("start_ablation")
     solves = tool.corpus()[: 10 * len(tool.NUS)]

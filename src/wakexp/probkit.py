@@ -373,20 +373,15 @@ def arimoto_dual(table: np.ndarray, r1: float) -> tuple:
     S(., y)^(1/(1-lam)), attains the concave dual -log2 sum_y (sum_x
     S^(1/(1-lam)))^(1-lam) - lam*r1, Arimoto's conditional Renyi entropy
     times lam, where H_{Q_lam}(X|Y) = r1.  value is the primal objective
-    at q; when r1 >= H(X|Y), lam = 0 and q is ``table`` itself.
+    at q, and :func:`arimoto_floor` the dual at lam; when r1 >= H(X|Y),
+    lam = 0 and q is ``table`` itself.
     """
     if conditional_entropy(JointPmf2(table)) <= r1:
         return 0.0, 0.0, table
-    cols = table.sum(axis=0) > 0.0
-    top = table[:, cols].max(axis=0)
-    with np.errstate(divide="ignore"):
-        # 0 on each column's largest atoms, -inf on its null ones
-        shift = np.log(table[:, cols]) - np.log(top)
+    cols, top, shift = _column_shift(table)
 
     def tilt(lam):
-        # one log-sum-exp per column, shifted so that its largest atoms read 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.exp(np.where(shift == 0.0, 0.0, shift / (1.0 - lam)))
+        w = _tilted(shift, lam)
         q = np.zeros(table.shape)
         q[:, cols] = w * (top * w.sum(axis=0) ** -lam)
         return q / q.sum()
@@ -405,6 +400,39 @@ def arimoto_dual(table: np.ndarray, r1: float) -> tuple:
         mid = 0.5 * (lo + lam)
     # D >= 0, so a negative divergence is rounding
     return float(max(kl_bits(q, table), 0.0) + max(conditional_entropy(JointPmf2(q)) - r1, 0.0)), lam, q
+
+
+def arimoto_floor(table: np.ndarray, r1: float, lam: float) -> float:
+    """The dual objective -log2 sum_y (sum_x S^(1/(1-lam)))^(1-lam) - lam*r1
+    of :func:`arimoto_dual` at one tilt lam in [0, 1].
+
+    By weak duality every lam gives a lower bound on min over tables q of
+    D(q||S) + max(H_q(X|Y) - r1, 0); the one :func:`arimoto_dual` returns
+    gives the largest, to rounding.  Each column's sum is taken around its
+    largest atom, so no tilt overflows, and lam = 1 gives the limit
+    -log2 sum_y max_x S - r1.
+    """
+    if lam == 0.0:
+        return 0.0
+    _, top, shift = _column_shift(table)
+    return float(-np.log2((top * _tilted(shift, lam).sum(axis=0) ** (1.0 - lam)).sum()) - lam * r1)
+
+
+def _column_shift(table: np.ndarray) -> tuple:
+    """(mask, top, shift) of the columns of ``table`` with mass: each one's
+    largest atom, and log S - log top, 0 on its largest atoms and -inf on
+    its null ones."""
+    cols = table.sum(axis=0) > 0.0
+    top = table[:, cols].max(axis=0)
+    with np.errstate(divide="ignore"):
+        return cols, top, np.log(table[:, cols]) - np.log(top)
+
+
+def _tilted(shift: np.ndarray, lam: float) -> np.ndarray:
+    """(S/top)^(1/(1-lam)) from :func:`_column_shift`'s shift; at lam = 1
+    the largest atoms read 1 and the rest 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(np.where(shift == 0.0, 0.0, shift / (1.0 - lam)))
 
 
 def _entropy_matched_tilt(probs: np.ndarray, r1: float) -> np.ndarray:

@@ -27,16 +27,28 @@ penalized score and count only from the first feasible point.  U = X (or
 the point masses) has H(X|U) = 0, so the returned point is always feasible
 and its value an upper bound that the other starts can only improve.
 
-Each term of the objective is nonnegative, so before any search the
-fixed starts are evaluated in one batch, and the first one that is
-feasible at value 0 is returned as a certified minimizer; such a solve
-counts only those evaluations.  Otherwise every search runs through
-:func:`simplex_optim.minimize`: the rate region's lattice and polish,
-the copy manifolds, and the main batch of every distinct start plus the
-seeded multistart.  The rate region and the U = Y copy manifold bisect a
-multiplier with :func:`simplex_optim.bisect_multiplier`, whose solves are
-``minimize`` calls.  The reported point is the first strictly lowest
-feasible finisher of the main batch.
+Each solve first computes a closed-form floor L <= F, the larger of 0,
+the non-encoded exponent NE(r1) and the cut-set bound, the single-user
+exponent of the X-marginal at rate r1 + r2, each an Arimoto dual
+objective, so certified by weak duality.  Its phases then share one stop
+rule: the first feasible point at most L * (1 + STOP_RTOL) is returned.
+
+1. The fixed starts, evaluated in one batch.  A stop here counts only
+   those evaluations and reports converged; at L = 0 it is a feasible
+   start at value 0.
+2. The seeded main batch: one :func:`simplex_optim.compass_batch` from
+   the distinct fixed and warm starts, then the seeded multistart.
+3. Only then the searched starts: the copy manifolds and the rate
+   region's test channel, each search a :func:`simplex_optim.minimize`
+   call (the U = Y manifold and the region bisect a multiplier with
+   :func:`simplex_optim.bisect_multiplier`).  Those not yet descended run
+   in one more ``compass_batch``, and the reported point is the first
+   strictly lowest feasible finisher of all the descents, walked in the
+   order of one main batch: the distinct fixed, copy, region and warm
+   starts, then the multistart.
+
+Every descent runs as if alone, so a solve that reaches phase 3 returns
+what one main batch of every start would.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +67,7 @@ from .probkit import (
     JointPmf2,
     Layout,
     arimoto_dual,
+    arimoto_floor,
     aux_measures,
     check_rate,
     entropy_bits,
@@ -70,12 +84,14 @@ from .simplex_optim import (
     _capped_resolution,
     best_of,
     bisect_multiplier,
+    compass_batch,
     lattice_rows,
     minimize,
     random_starts,
 )
 
 REGION_TOL = 1e-6          # rate-region membership tolerance, bits
+STOP_RTOL = 1e-9           # a feasible point this close to the floor, relative, ends a solve
 
 
 class UpperBoundWarning(UserWarning):
@@ -353,10 +369,34 @@ class _ExponentSearch:
             starts += [self.embed(np.eye(nx)[x : x + 1], "x", p_y_given_x) for x in range(nx) if px[x] > 0.0]
         starts += [self.embed(np.eye(ny), "y"), self.embed(np.eye(nx), "x")]
         starts += [self.embed(self.split_channel(on, src), on, src) for on in ("x", "y")]
-        q = arimoto_dual(src, self.r1)[2]
+        q = self.ne_dual[2]
         if entropy_bits(q.sum(axis=0)) <= self.r2:
             starts.append(self.embed(np.eye(ny), "y", q))
         return [s for s in starts if s is not None]
+
+    @cached_property
+    def ne_dual(self) -> tuple:
+        """:func:`probkit.arimoto_dual` of the source at r1: the
+        non-encoded exponent, its tilt and its minimizer."""
+        return arimoto_dual(self.src.probs, self.r1)
+
+    def floor(self) -> float:
+        """L = max(0, NE(r1), single(S_X, r1 + r2)), a lower bound on F.
+
+        F >= NE(r1), since I(U;X|Y) >= H(X|Y) - H(X|U); and the cut-set
+        bound I(U;X|Y) + I(U;Y) >= I(U;X) >= H(X) - H(X|U) puts the
+        single-user exponent of the X-marginal at rate r1 + r2 below F
+        too.  Each term is the Arimoto dual objective at the tilt
+        :func:`probkit.arimoto_dual` returns, so by weak duality it is a
+        certified lower bound, whatever the bisection's accuracy.
+        """
+        px = self.src.probs.sum(axis=1)[:, None]
+        rate = self.r1 + self.r2
+        return max(
+            0.0,
+            arimoto_floor(self.src.probs, self.r1, self.ne_dual[1]),
+            arimoto_floor(px, rate, arimoto_dual(px, rate)[1]),
+        )
 
     def candidates_copy_manifolds(self, config: SolverConfig):
         """Optimize the deformed table of the two copy embeddings.
@@ -614,31 +654,45 @@ def wak_exponent(
                 stacklevel=2,
             )
     prob = _ExponentSearch(src, rates.r1, rates.r2, nu)
+    # a feasible point at or below `stop` is within STOP_RTOL of F, relative
+    stop = prob.floor() * (1.0 + STOP_RTOL)
 
-    # every term of F is nonnegative, so a feasible fixed start at 0 is a minimizer
+    # 1. the fixed starts, in one batch; at a floor of 0 a certified point reads 0
     fixed = prob.fixed_starts()
-    evaluations = len(fixed)
     vals, violations = prob.evaluate(np.stack(fixed))
-    zero = np.flatnonzero((violations <= _FEAS_TOL) & (vals <= 0.0))
-    if zero.size:
-        return _breakdown(prob, fixed[zero[0]], evaluations, True)
+    hit = np.flatnonzero((violations <= _FEAS_TOL) & (vals <= stop))
+    if hit.size:
+        return _breakdown(prob, fixed[hit[0]], len(fixed), True)
 
-    copies, copy_evaluations = prob.candidates_copy_manifolds(config)
-    evaluations += copy_evaluations
-    starts = fixed + copies
-    # the region channel has at most nu rows, so it always embeds
-    _, channel, region_evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
-    evaluations += region_evaluations
-    starts.append(prob.embed(channel, "y"))
-
+    # 2. the seeded main batch from the fixed and warm starts
     padded = (_padded_channel(w.probs, nu) for w in warm)
-    starts += [prob.encode(t) for t in padded if t is not None]
+    warm_starts = [prob.encode(t) for t in padded if t is not None]
+    seeded = _distinct(fixed + warm_starts)
+    runs = compass_batch(prob.domain, seeded + random_starts(prob.domain, config), config, batch_evaluate=prob.evaluate)
+    hit = next((r for r in runs if not r.infeasible and r.value <= stop), None)
+    if hit is not None:
+        return _breakdown(prob, hit.argmin, len(fixed) + sum(r.evaluations for r in runs), hit.converged)
 
-    # byte-equal starts descend once
-    distinct = list({s.tobytes(): s for s in starts}.values())
-    best = minimize(prob.domain, prob.evaluate, config, distinct + random_starts(prob.domain, config))
+    # 3. the searched starts: the copy manifolds and the region channel,
+    # which has at most nu rows, so it always embeds
+    copies, copy_evaluations = prob.candidates_copy_manifolds(config)
+    _, channel, region_evaluations = _region_argmin(src, rates.r2, config, nu_cap=nu)
+    structured = _distinct(fixed + copies + [prob.embed(channel, "y")] + warm_starts)
+    # every descent runs as if alone, so those not yet descended make a batch
+    # of their own, and the winner is picked in the order of one main batch
+    descents = {s.tobytes(): r for s, r in zip(seeded, runs)}
+    late = [s for s in structured if s.tobytes() not in descents]
+    late_runs = compass_batch(prob.domain, late, config, batch_evaluate=prob.evaluate)
+    descents.update((s.tobytes(), r) for s, r in zip(late, late_runs))
+    best = best_of([descents[s.tobytes()] for s in structured] + runs[len(seeded) :])
     # U = X, or the point masses where it does not fit, is always feasible, so `best` is too
-    return _breakdown(prob, best.argmin, evaluations + best.evaluations, best.converged)
+    evaluations = len(fixed) + copy_evaluations + region_evaluations + best.evaluations
+    return _breakdown(prob, best.argmin, evaluations, best.converged)
+
+
+def _distinct(starts: list) -> list:
+    """``starts`` without the byte-equal repeats, which would descend twice."""
+    return list({s.tobytes(): s for s in starts}.values())
 
 
 def _breakdown(prob: _ExponentSearch, point: np.ndarray, evaluations: int, converged: bool) -> ExponentBreakdown:

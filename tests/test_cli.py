@@ -130,6 +130,18 @@ class TestSingleQueries:
         payload = json.loads(out)
         assert payload["total"] == payload["tail_term"] + payload["hash_term"]
 
+    def test_pa_exponent_stops_at_its_floor(self, capsys):
+        # the benchmark's call solves F at (r1 + delta, r2) = (0.25, 0.3); X is
+        # uniform, so the cut-set floor is 1 - 0.55 = 0.45, which a fixed
+        # start meets within 2.6e-13
+        code, out, _ = run_cli(
+            capsys,
+            ["pa", "--source", "dsbs:0.1", "--r1", "0.2", "--r2", "0.3", "--delta", "0.05", "--n", "64",
+             "--starts", "6", "--max-iterations", "600", "--seed", "7"],
+        )
+        assert code == 0
+        assert json.loads(out)["exponent"] == 0.45000000000025037
+
 
 class TestSweeps:
     def test_fig2_auto_rate_and_row_count(self, capsys, monkeypatch):

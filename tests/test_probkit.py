@@ -14,6 +14,7 @@ from wakexp.probkit import (
     Layout,
     Pmf,
     arimoto_dual,
+    arimoto_floor,
     aux_measures,
     binary_entropy,
     binary_entropy_inverse,
@@ -255,6 +256,56 @@ class TestArimotoDual:
         for r1 in (conditional_entropy(src), conditional_entropy(src) + 0.1, 5.0):
             value, lam, q = arimoto_dual(src.probs, r1)
             assert (value, lam) == (0.0, 0.0) and q is src.probs
+
+
+def floor_tables():
+    """32 random tables of 1 to 4 rows and columns, about a fifth of the
+    atoms null, each at a random rate in [0, 2]."""
+    rng = np.random.default_rng(5)
+    for _ in range(32):
+        t = rng.exponential(size=tuple(rng.integers(1, 5, size=2)))
+        t[rng.random(size=t.shape) < 0.2] = 0.0
+        t.flat[0] += 0.05
+        yield t / t.sum(), float(rng.uniform(0.0, 2.0))
+
+
+class TestArimotoFloor:
+    def test_lam_zero_gives_zero(self):
+        tables = [t for t, _ in floor_tables()] + [np.array(t) for t in ZERO_TABLES.values()]
+        for table in tables:
+            for r1 in (0.0, 0.3, 2.0):
+                assert arimoto_floor(table, r1, 0.0) == 0.0
+
+    def test_lam_one_is_the_limit_on_tied_maxima(self):
+        # column 0 ties 0.3 on top, column 1 tops at 0.15
+        table = np.array([[0.3, 0.1], [0.3, 0.05], [0.1, 0.15]])
+        for r1 in (0.0, 0.2, 0.7):
+            limit = -math.log2(0.3 + 0.15) - r1
+            assert arimoto_floor(table, r1, 1.0) == pytest.approx(limit, abs=1e-15)
+            # a tie of two atoms scales its column's norm by 2^(1 - lam)
+            assert abs(arimoto_floor(table, r1, 1.0 - 2.0**-40) - limit) <= 1e-12
+        empty = np.array(ZERO_TABLES["empty-column"])
+        assert arimoto_floor(empty, 0.1, 1.0) == pytest.approx(-math.log2(0.3 + 0.5) - 0.1, abs=1e-15)
+
+    def test_matches_the_column_norm_reference(self):
+        for table, r1 in floor_tables():
+            for lam in np.linspace(0.0, 1.0, 21):
+                assert arimoto_floor(table, r1, lam) == pytest.approx(dual_value(table, lam, r1), abs=1e-14)
+
+    def test_every_tilt_is_below_the_dual_value(self):
+        # weak duality: the dual objective at any lam bounds the minimum
+        # from below, to rounding
+        for table, r1 in floor_tables():
+            value = arimoto_dual(table, r1)[0]
+            for lam in np.linspace(0.0, 1.0, 21):
+                assert arimoto_floor(table, r1, lam) <= value + 1e-15, (table, r1, lam)
+
+    def test_primal_meets_the_floor_at_the_returned_lam(self):
+        cases = list(floor_tables()) + list(roadmap_cases())
+        for table, r1 in cases:
+            value, lam, q = arimoto_dual(table, r1)
+            floor = arimoto_floor(table, r1, lam)
+            assert -1e-15 <= value - floor <= 1e-12, (table, r1)
 
 
 BAD_RATES = [math.inf, -math.inf, math.nan, -0.1]

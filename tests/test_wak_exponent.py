@@ -17,6 +17,7 @@ from wakexp.probkit import (
     JointPmf2,
     Pmf,
     arimoto_dual,
+    arimoto_floor,
     aux_measures,
     binary_entropy,
     conditional_entropy,
@@ -28,6 +29,7 @@ from wakexp.reductions import exponent_ne, exponent_single_direct
 from wakexp.simplex_optim import _CALL_ROWS, SolverConfig
 from wakexp.wak_exponent import (
     REGION_TOL,
+    STOP_RTOL,
     RatePair,
     _ExponentSearch,
     _region_argmin,
@@ -44,6 +46,8 @@ from wakexp.wak_exponent import (
 )
 
 CFG = SolverConfig(grid_resolution=12, starts=16, seed=7)
+# the module, which the package's wak_exponent function shadows
+_exponent = importlib.import_module("wakexp.wak_exponent")
 
 
 def dsbs(p):
@@ -375,7 +379,7 @@ class TestRegion:
         def no_search(*args, **kwargs):
             raise AssertionError("a certified pair ran the region search")
 
-        monkeypatch.setattr(importlib.import_module("wakexp.wak_exponent"), "region_min_r1", no_search)
+        monkeypatch.setattr(_exponent, "region_min_r1", no_search)
         src = dsbs(0.1)
         hxy = conditional_entropy(src)
         assert region_contains(src, RatePair(1.0, 0.0), CFG)
@@ -756,11 +760,12 @@ def test_single_user_value_at_nu_equal_to_the_alphabet():
 
 PINNED = {
     # name: (source, r1, r2, value hex, evaluations), at the benchmark's config;
-    # the positive values are those of perfbench/reference.json, and a zero
-    # is certified by a fixed start, so its count is the number of those
+    # the positive values are those of perfbench/reference.json.  A fixed
+    # start certifies the zeros and case0-2x2, so their count is the number
+    # of fixed starts, and the seeded batch certifies dsbs0.1
     "case0-2x2": (
         [[0.15063553039154987, 0.043301720479387865], [0.754622442161684, 0.05144030696737834]],
-        0.5079917387670908, 0.99324311258453, "0x1.ab17804f38443p-6", 148_514,
+        0.5079917387670908, 0.99324311258453, "0x1.ab17804f38443p-6", 6,
     ),
     "case3-1x3": (
         [[0.4704535532506672, 0.33642007514760724, 0.19312637160172555]],
@@ -793,7 +798,7 @@ PINNED = {
         ],
         0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 669_861,
     ),
-    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 107_827),
+    "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 64_007),
 }
 PINNED_CONFIG = SolverConfig(grid_resolution=12, starts=16, seed=2718)
 
@@ -827,44 +832,69 @@ def test_point_masses_win_nowhere_u_equals_x_fits(name):
     assert b.value.hex() == value
 
 
+def _patch_compass(monkeypatch, wrap):
+    """Replace compass_batch, in simplex_optim (every ``minimize``) and in
+    wak_exponent (the main batch), by ``wrap`` of the original."""
+    fn = wrap(simplex_optim.compass_batch)
+    monkeypatch.setattr(simplex_optim, "compass_batch", fn)
+    monkeypatch.setattr(_exponent, "compass_batch", fn)
+
+
 def _record_batches(monkeypatch) -> list:
     """The start bytes of every later compass_batch call, one list per call."""
     batches = []
-    compass = simplex_optim.compass_batch
 
-    def recording(domain, starts, config, **kwargs):
-        batches.append([s.tobytes() for s in starts])
-        return compass(domain, starts, config, **kwargs)
+    def recording(compass):
+        def run(domain, starts, config, **kwargs):
+            batches.append([s.tobytes() for s in starts])
+            return compass(domain, starts, config, **kwargs)
 
-    monkeypatch.setattr(simplex_optim, "compass_batch", recording)
+        return run
+
+    _patch_compass(monkeypatch, recording)
     return batches
 
 
-def test_main_batch_descends_each_distinct_start_once(monkeypatch):
-    # a warm candidate byte-equal to a fixed start joins the main batch
-    # once, so it adds no evaluation to the pinned count
+def _no_search(*args, **kwargs):
+    raise AssertionError("a certified solve ran a search")
+
+
+# neither the fixed starts nor the seeded batch reach their floor here
+SEARCHED_ARGMINS = {
+    # name: sha256 of the argmin's bytes, the same as with one main batch
+    "case6-3x2": "e4de80b65a381384",
+    "case13-2x3": "fda05da6c4e5ed08",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED_ARGMINS))
+def test_main_batch_descends_each_distinct_start_once(monkeypatch, name):
+    # a warm candidate byte-equal to a fixed start joins the seeded batch
+    # once, so it adds no evaluation to the pinned count, and the searched
+    # starts' batch leaves out every start the seeded batch descended
     batches = _record_batches(monkeypatch)
-    table, r1, r2, value, evaluations = PINNED["dsbs0.1"]
+    table, r1, r2, value, evaluations = PINNED[name]
     src = JointPmf2(table)
     prob = _ExponentSearch(src, r1, r2, 4)
     fixed = prob.fixed_starts()
     twin = AuxJointPmf(prob.tensors(fixed[-1])[0].reshape(4, src.nx, src.ny))
     assert prob.encode(twin.probs).tobytes() == fixed[-1].tobytes()
     b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG, warm_candidates=[twin])
-    main = batches[-1]
-    assert len(set(main)) == len(main)
-    assert {s.tobytes() for s in fixed} <= set(main)
+    seeded, late = batches[0], batches[-1]
+    assert len(set(seeded)) == len(seeded) and len(set(late)) == len(late)
+    distinct = list(dict.fromkeys(s.tobytes() for s in fixed))
+    assert seeded == distinct + seeded[len(distinct) :]
+    assert len(seeded) == len(distinct) + PINNED_CONFIG.starts
+    assert late and not set(late) & set(seeded)
     assert (b.value.hex(), b.evaluations) == (value, evaluations)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
-    # every grid_search and compass_batch call of the solve, all of them
-    # through simplex_optim.minimize, adds to b.evaluations, and so does
-    # every row the exponent objective evaluates outside them: the batch
-    # of fixed starts that may certify a zero
+    # every grid_search and compass_batch call of the solve adds to
+    # b.evaluations, and so does every row the exponent objective
+    # evaluates outside them: the batch of fixed starts
     tally, inside = [], []
-    grid, compass = simplex_optim.grid_search, simplex_optim.compass_batch
     evaluate = _ExponentSearch.evaluate
 
     def tallied(fn, count):
@@ -884,12 +914,30 @@ def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
             tally.append(len(pts))
         return evaluate(self, pts)
 
-    monkeypatch.setattr(simplex_optim, "grid_search", tallied(grid, lambda r: r.evaluations))
-    monkeypatch.setattr(simplex_optim, "compass_batch", tallied(compass, lambda rs: sum(r.evaluations for r in rs)))
+    monkeypatch.setattr(simplex_optim, "grid_search", tallied(simplex_optim.grid_search, lambda r: r.evaluations))
+    _patch_compass(monkeypatch, lambda compass: tallied(compass, lambda rs: sum(r.evaluations for r in rs)))
     monkeypatch.setattr(_ExponentSearch, "evaluate", outside_rows)
     table, r1, r2, _, evaluations = PINNED[name]
     b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
     assert sum(tally) == b.evaluations == evaluations
+
+
+def _certified_at_a_fixed_start(monkeypatch, table, r1, r2):
+    """The solve, run with every search patched to raise, and its problem;
+    checks that it returns the first fixed start at or below the stop."""
+    monkeypatch.setattr(simplex_optim, "grid_search", _no_search)
+    _patch_compass(monkeypatch, lambda compass: _no_search)
+    src = JointPmf2(table)
+    b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG)
+    prob = _ExponentSearch(src, r1, r2, 4)
+    stop = prob.floor() * (1.0 + STOP_RTOL)
+    fixed = prob.fixed_starts()
+    assert b.evaluations == len(fixed)
+    assert b.value <= stop and b.constraint_slack >= -1e-12 and b.converged
+    vals, violations = prob.evaluate(np.stack(fixed))
+    first = next(s for s, v, c in zip(fixed, vals, violations) if c <= 1e-12 and v <= stop)
+    assert b.argmin.probs.tobytes() == prob.tensors(first)[0].tobytes()
+    return b, prob
 
 
 # the 8 random zero cases; the PINNED zero cases are random cases 3, 4, 7 and 11
@@ -898,42 +946,82 @@ ZERO_CASES = [_random_cases()[i] for i in (1, 3, 4, 5, 7, 9, 11, 15)]
 
 @pytest.mark.parametrize("name, table, r1, r2", ZERO_CASES, ids=[c[0] for c in ZERO_CASES])
 def test_zero_cases_are_certified_before_any_search(monkeypatch, name, table, r1, r2):
-    # F is a sum of nonnegative terms, so a feasible fixed start at 0 is
-    # returned as it is; random case 9 read 2.22e-16 when it was searched
-    def no_search(*args, **kwargs):
-        raise AssertionError("a certified zero ran a search")
+    # F is a sum of nonnegative terms, so at a floor of 0 a feasible fixed
+    # start at 0 is returned as it is; random case 9 read 2.22e-16 when it
+    # was searched
+    b, prob = _certified_at_a_fixed_start(monkeypatch, table, r1, r2)
+    assert prob.floor() == 0.0 and b.value == 0.0 and b.constraint_slack >= 0.0
 
-    monkeypatch.setattr(simplex_optim, "compass_batch", no_search)
-    monkeypatch.setattr(simplex_optim, "grid_search", no_search)
+
+# random case 0 is PINNED case0-2x2
+TIGHT_CASES = [_random_cases()[i] for i in (0, 10)]
+
+
+@pytest.mark.parametrize("name, table, r1, r2", TIGHT_CASES, ids=[c[0] for c in TIGHT_CASES])
+def test_tight_floors_are_certified_at_a_fixed_start(monkeypatch, name, table, r1, r2):
+    # U = Y on the non-encoded minimizer q meets NE(r1), the floor, so the
+    # solve stops there, with the argmin one main batch used to return
+    b, prob = _certified_at_a_fixed_start(monkeypatch, table, r1, r2)
+    ny = prob.ny
+    assert b.argmin.probs.tobytes() == prob.tensors(prob.embed(np.eye(ny), "y", prob.ne_dual[2]))[0].tobytes()
+    assert prob.floor() == arimoto_floor(np.asarray(table), r1, prob.ne_dual[1]) > 0.0
+    if name == "random0":
+        assert hashlib.sha256(b.argmin.probs.tobytes()).hexdigest()[:16] == "b7e9c9a66dc2f6e9"
+
+
+def test_dsbs_is_certified_by_the_seeded_batch(monkeypatch):
+    # the cut-set floor 1 - r1 - r2 = 0.222 of the uniform X is met by a
+    # descent of the seeded batch, so the copy manifolds and the region
+    # search never run; value and argmin are those of one main batch
+    monkeypatch.setattr(_ExponentSearch, "candidates_copy_manifolds", _no_search)
+    monkeypatch.setattr(_exponent, "_region_argmin", _no_search)
+    table, r1, r2, value, evaluations = PINNED["dsbs0.1"]
     src = JointPmf2(table)
     b = wak_exponent(src, RatePair(r1, r2), PINNED_CONFIG)
-    assert b.value == 0.0 and b.constraint_slack >= 0.0 and b.converged
-    prob = _ExponentSearch(src, r1, r2, 4)
-    fixed = prob.fixed_starts()
-    assert b.evaluations == len(fixed)
-    vals, violations = prob.evaluate(np.stack(fixed))
-    first = next(s for s, v, c in zip(fixed, vals, violations) if c <= 1e-12 and v <= 0.0)
-    assert b.argmin.probs.tobytes() == prob.tensors(first)[0].tobytes()
+    assert (b.value.hex(), b.evaluations) == (value, evaluations)
+    floor = _ExponentSearch(src, r1, r2, 4).floor()
+    assert abs(floor - 0.222) <= 1e-15
+    assert floor < b.value <= floor * (1.0 + STOP_RTOL)
+    assert hashlib.sha256(b.argmin.probs.tobytes()).hexdigest()[:16] == "29579779328fef63"
 
 
-POSITIVE_ARGMINS = {
-    # name: sha256 of the argmin's bytes, the same as before the certificate
-    "case0-2x2": "b7e9c9a66dc2f6e9",
-    "case6-3x2": "e4de80b65a381384",
-    "case13-2x3": "fda05da6c4e5ed08",
-    "dsbs0.1": "29579779328fef63",
-}
-
-
-@pytest.mark.parametrize("name", sorted(POSITIVE_ARGMINS))
-def test_positive_cases_still_run_the_main_batch(monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(SEARCHED_ARGMINS))
+def test_searched_cases_still_run_every_phase(monkeypatch, name):
     batches = _record_batches(monkeypatch)
     table, r1, r2, value, _ = PINNED[name]
     b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
     fixed = _ExponentSearch(JointPmf2(table), r1, r2, 4).fixed_starts()
-    assert {s.tobytes() for s in fixed} <= set(batches[-1])
+    assert {s.tobytes() for s in fixed} <= set(batches[0])
+    assert len(batches) > 2
     assert b.value.hex() == value
-    assert hashlib.sha256(b.argmin.probs.tobytes()).hexdigest()[:16] == POSITIVE_ARGMINS[name]
+    assert hashlib.sha256(b.argmin.probs.tobytes()).hexdigest()[:16] == SEARCHED_ARGMINS[name]
+
+
+def _weak_duality_solves(group):
+    """(name, table, r1, r2, nu, config) of the solves of one group."""
+    if group == "pinned":
+        return [(k, t, r1, r2, None, PINNED_CONFIG) for k, (t, r1, r2, _, _) in PINNED.items()]
+    acceptance = SolverConfig(starts=16, seed=2718)
+    if group == "random":
+        return [(f"{k}-nu{nu}", t, r1, r2, nu, acceptance) for k, t, r1, r2 in _random_cases() for nu in (2, 4)]
+    tool = _load_tool("start_ablation")
+    solves = tool.corpus()
+    # every 4th solve: one per source, its nu cycling through tool.NUS
+    n = len(tool.NUS)
+    picked = [solves[i * n + i % n] for i in range(len(solves) // n)]
+    return [(f"{k}-nu{nu}", t, r1, r2, nu, tool.CONFIG) for k, t, r1, r2, nu in picked]
+
+
+@pytest.mark.parametrize("group", ["pinned", "random", "corpus"])
+def test_no_exponent_is_below_its_floor(group):
+    # L <= F by weak duality; the slack covers _FEAS_TOL, by which H(X|U)
+    # may exceed r1 at a feasible argmin, times a tilt of at most 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UpperBoundWarning)
+        for name, table, r1, r2, nu, config in _weak_duality_solves(group):
+            src = JointPmf2(table)
+            b = wak_exponent(src, RatePair(r1, r2), config, nu=nu)
+            assert _ExponentSearch(src, r1, r2, 1).floor() <= b.value + 1e-11, name
 
 
 @pytest.mark.parametrize(
@@ -957,24 +1045,28 @@ def test_the_lowest_finisher_wins_with_no_tie_window(table, r1, r2):
 
 
 def test_the_lowest_finisher_wins_in_the_main_batch(monkeypatch):
-    # source s12-4x2 of tools/start_ablation.py: no fixed start reads 0, and
-    # in the main batch start 3 ends at 2.9e-16, before start 6 at -2.2e-16
+    # source s12-4x2 of tools/start_ablation.py: no fixed start and no
+    # descent of the seeded batch reaches the floor 0, so the searched
+    # starts run too.  Start 3 ends at 2.9e-16, before the region channel's
+    # start at -2.2e-16, and the lowest of all the descents wins
     results = []
-    compass = simplex_optim.compass_batch
 
-    def recording(*args, **kwargs):
-        results.append(compass(*args, **kwargs))
-        return results[-1]
+    def recording(compass):
+        def run(*args, **kwargs):
+            results.append(compass(*args, **kwargs))
+            return results[-1]
 
-    monkeypatch.setattr(simplex_optim, "compass_batch", recording)
+        return run
+
+    _patch_compass(monkeypatch, recording)
     table = [[0.04896984512565735, 0.0], [0.17750592520197353, 0.019689029052144306],
              [0.0, 0.6174465946142366], [0.0, 0.13638860600598826]]
     b = wak_exponent(JointPmf2(table), RatePair(1.1191976418261143, 0.7436585966752961), PINNED_CONFIG)
-    finishers = [r.value for r in results[-1] if not r.infeasible]
+    assert len(results) > 2
+    finishers = [r.value for r in results[0] + results[-1] if not r.infeasible]
     first_near_zero = next(v for v in finishers if v <= 1e-12)
     assert 0.0 < first_near_zero < min(finishers) + 1e-15
     assert b.value == 0.0
-
 
 
 def _load_tool(name):
@@ -995,3 +1087,14 @@ def test_start_ablation_labels_every_fixed_start():
         prob = _ExponentSearch(JointPmf2(table), r1, r2, nu)
         got = [s.tobytes() for _, s in tool.labelled_starts(prob)]
         assert got == [s.tobytes() for s in prob.fixed_starts()], (name, nu)
+
+
+def test_start_ablation_counts_the_phase_that_stopped_each_solve():
+    # corpus source s0-2x2 stops at a fixed start, dsbs0.1 after the seeded
+    # batch, and s1-3x2 at nu = 1 runs the searched starts
+    tool = _load_tool("start_ablation")
+    table, r1, r2, _, evaluations = PINNED["dsbs0.1"]
+    solves = tool.corpus()[:2] + [("dsbs0.1", np.array(table), r1, r2, 4)] + tool.corpus()[4:5]
+    breakdowns, phases = tool.solve_all(solves, None)
+    assert phases == [1, 1, 2, 3]
+    assert [b.evaluations for b in breakdowns[:3]] == [3, 4, evaluations]

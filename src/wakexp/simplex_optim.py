@@ -588,7 +588,7 @@ def bisect_multiplier(
     from 1 until a solve is feasible, then ``halvings`` bisection steps
     follow.  Returns :func:`best_of` over the feasible solves, each with its
     value under ``batch_evaluate``, so ties go to the earlier solve, and
-    with the evaluations of every solve summed.
+    with the evaluations of every solve, its argmin check included, summed.
     """
     solves, starts = [], list(starts)
 
@@ -598,7 +598,8 @@ def bisect_multiplier(
         vals, violations = batch_evaluate(res.argmin[None, :])
         ok = bool(np.max(violations) <= _FEAS_TOL)
         point = res.argmin if ok and vals[0] < math.inf else None
-        solves.append(SearchResult(point, float(vals[0]), res.evaluations, res.converged))
+        # the check of the argmin is one more evaluation
+        solves.append(SearchResult(point, float(vals[0]), res.evaluations + 1, res.converged))
         return ok, [res.argmin]
 
     ok, warm = solve(0.0, [])

@@ -478,7 +478,7 @@ class TestBisectMultiplier:
     DOM = SearchDomain([Simplex(2)])
 
     def _run(self, monkeypatch, verdicts, doublings=30, halvings=3):
-        lams, spent = [], []
+        lams, spent, checked = [], [], []
         solve = simplex_optim.minimize
 
         def tallied(*args, **kwargs):
@@ -491,12 +491,15 @@ class TestBisectMultiplier:
             return lambda pts: ((4.0 * pts[:, 0] - lam) ** 2, 0.0)
 
         def evaluate(pts):
+            checked.append(len(pts))
             value, violation = verdicts[float(4.0 * pts[0, 0])]
             return np.array([value]), np.array([violation])
 
         monkeypatch.setattr(simplex_optim, "minimize", tallied)
         res = bisect_multiplier(self.DOM, evaluate, scalarized, [np.array([0.0, 1.0])], self.CFG, doublings, halvings)
-        assert res.evaluations == sum(spent)
+        # every solve, and the one row that checks its argmin
+        assert checked == [1] * len(spent)
+        assert res.evaluations == sum(spent) + sum(checked)
         return res, lams
 
     @staticmethod

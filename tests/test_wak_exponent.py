@@ -781,7 +781,7 @@ PINNED = {
             [0.2802418813809834, 0.12708263504457637],
             [0.06447814616711398, 0.24667194870684236],
         ],
-        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 545_625,
+        0.9835520629431324, 0.8199442872039086, "0x1.a6c270cd92a73p-3", 545_671,
     ),
     "case7-1x3": (
         [[0.8195177007032262, 0.05445439773665263, 0.1260279015601211]],
@@ -796,7 +796,7 @@ PINNED = {
             [0.15468281556880634, 0.05616382104346113, 0.2915906716633682],
             [0.3637804108774483, 0.015253752212244545, 0.11852852863467146],
         ],
-        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 669_861,
+        0.5054265770747463, 0.12710548404878932, "0x1.80a87f2ff2c8cp-2", 669_908,
     ),
     "dsbs0.1": ([[0.45, 0.05], [0.05, 0.45]], 0.5, 0.278, "0x1.c6a7ef9dd6f01p-3", 64_007),
 }
@@ -892,10 +892,9 @@ def test_main_batch_descends_each_distinct_start_once(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
     # every grid_search and compass_batch call of the solve adds to
-    # b.evaluations, and so does every row the exponent objective
-    # evaluates outside them: the batch of fixed starts
+    # b.evaluations, and so does every row a kernel evaluates outside them:
+    # the batch of fixed starts and the argmin check of each multiplier solve
     tally, inside = [], []
-    evaluate = _ExponentSearch.evaluate
 
     def tallied(fn, count):
         def wrapper(*args, **kwargs):
@@ -909,14 +908,18 @@ def test_evaluations_count_every_lattice_and_descent(monkeypatch, name):
 
         return wrapper
 
-    def outside_rows(self, pts):
-        if not inside:
-            tally.append(len(pts))
-        return evaluate(self, pts)
+    def outside_rows(kernel):
+        def rows(self, pts):
+            if not inside:
+                tally.append(len(pts))
+            return kernel(self, pts)
+
+        return rows
 
     monkeypatch.setattr(simplex_optim, "grid_search", tallied(simplex_optim.grid_search, lambda r: r.evaluations))
     _patch_compass(monkeypatch, lambda compass: tallied(compass, lambda rs: sum(r.evaluations for r in rs)))
-    monkeypatch.setattr(_ExponentSearch, "evaluate", outside_rows)
+    for owner, kernel in ((_ExponentSearch, "evaluate"), (_ExponentSearch, "table_stats"), (_RegionSearch, "stats")):
+        monkeypatch.setattr(owner, kernel, outside_rows(getattr(owner, kernel)))
     table, r1, r2, _, evaluations = PINNED[name]
     b = wak_exponent(JointPmf2(table), RatePair(r1, r2), PINNED_CONFIG)
     assert sum(tally) == b.evaluations == evaluations

@@ -598,7 +598,6 @@ def bisect_multiplier(
         vals, violations = batch_evaluate(res.argmin[None, :])
         ok = bool(np.max(violations) <= _FEAS_TOL)
         point = res.argmin if ok and vals[0] < math.inf else None
-        # the check of the argmin is one more evaluation
         solves.append(SearchResult(point, float(vals[0]), res.evaluations + 1, res.converged))
         return ok, [res.argmin]
 

@@ -32,12 +32,12 @@ from .probkit import (
     y_contract,
 )
 from .simplex_optim import (
+    Lockstep,
     SearchDomain,
     Simplex,
     SolverConfig,
     _capped_resolution,
     _zoom_max,
-    compass_batch,
     grid_search_batch,
     minimize,
     random_starts,
@@ -132,7 +132,7 @@ def _oohama_max(p: Pmf, r1: float) -> tuple:
 def oohama_single(p: Pmf, r1: float) -> float:
     """Parametric comparison bound max_{theta in [-1,0]} (-s+theta*r1)/(2-theta)."""
     check_rate(r1, "r1")
-    return _oohama_max(p, r1)[1]
+    return _oohama_max(p, r1)[1] + 0.0      # the theta = 0 end reads -0.0 on a point mass
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,7 @@ class OohamaEvaluator:
         self.cond_x_given_y = cond
         self.domain = SearchDomain([Simplex(src.ny)] + [Simplex(nu)] * src.ny)
         self._omega_cache: dict = {}
+        self._unfinished: dict = {}     # key -> the tilt its dropped solve ran at
 
     def _row_terms(self, pts: np.ndarray) -> tuple:
         """The tilt-free terms of the tilted log-sum, feature-major: one row
@@ -290,40 +291,12 @@ class OohamaEvaluator:
     def _solve_tilts(self, tilts) -> None:
         """Cache the inner minimum of every uncached ``(mu, alpha)``.
 
-        All of them share one lattice pass and one lockstep descent, and
-        each tilt's value is what a solve of that tilt alone gives: the
-        best of its lattice minimum and of the descents from the two fixed
-        candidates and the lattice argmin.
+        All of them share one lattice pass and one lockstep, run to the end,
+        and each tilt's value is what a solve of that tilt alone gives.
         """
-        todo = {}
-        for mu, alpha in tilts:
-            key = _tilt_key(mu, alpha)
-            if key not in self._omega_cache:
-                todo.setdefault(key, (mu, alpha))
-        if not todo:
-            return
-        coefs = _tilt_coefficients(list(todo.values()))
-        ny, nu = self.src.ny, self.nu
-        fixed = [np.concatenate([self.py, np.full(ny * nu, 1.0 / nu)])]
-        if nu >= 2:
-            rows = np.zeros((ny, nu))
-            rows[np.arange(ny), np.arange(ny) % nu] = 1.0
-            fixed.append(np.concatenate([self.py, rows.ravel()]))
-        res = _capped_resolution(self.domain, self.config.grid_resolution, _OMEGA_GRID_CAP)
-        lattice = grid_search_batch(self.domain, res, coefs, self._lattice_sweep)
-        starts, owner = [], []
-        for t, g in enumerate(lattice):
-            own = fixed if g.infeasible else fixed + [g.argmin]
-            starts += own
-            owner += [t] * len(own)
-        runs = compass_batch(
-            self.domain, starts, self.config, batch_evaluate=self._omega_evaluate, params=coefs[owner]
-        )
-        per_tilt = [[g] for g in lattice]
-        for t, r in zip(owner, runs):
-            per_tilt[t].append(r)
-        for key, tilt_runs in zip(todo, per_tilt):
-            self._omega_cache[key] = float(min(r.value for r in tilt_runs if not r.infeasible))
+        solves = _TiltSolves(self)
+        solves.add(tilts)
+        solves.run()
 
     def omega(self, mu: float, alpha: float) -> float:
         """Inner minimum of the tilted log-sum at one (mu, alpha) in [0, 1]²."""
@@ -338,7 +311,7 @@ class OohamaEvaluator:
         """sup over tilts of the normalized comparison exponent.
 
         The sup includes the (0, 0) corner, whose value is exactly zero, so
-        the result is clamped to be nonnegative.
+        the result is clamped to be nonnegative, and a zero reads +0.0.
         """
         check_rate(r1, "r1")
         check_rate(r2, "r2")
@@ -360,10 +333,21 @@ class OohamaEvaluator:
                     best_ij = (i, j)
         i, j = best_ij
 
+        # each level of a line steps the lockstep of its uncached tilts only
+        # until its first maximum is a stopped tilt, read from the values so
+        # far, which only fall: see _zoom_max
+        solves = _TiltSolves(self)
+
         def line(tilts):
-            # one batch of the level's uncached tilts, then cache reads
-            self._solve_tilts(tilts)
-            return [f(mu, alpha) for mu, alpha in tilts]
+            solves.read(tilts)
+            rate = np.array([alpha * ((1.0 - mu) * r1 + mu * r2) for mu, alpha in tilts])
+            scale = np.array([2.0 + alpha * (1.0 - mu) for mu, alpha in tilts])
+            while True:
+                vs = (solves.omegas() - rate) / scale
+                k = int(np.argmax(vs))
+                if not solves.live[k]:
+                    return vs
+                solves.step()
 
         mu_lo = axis[max(i - 1, 0)]
         mu_hi = axis[min(i + 1, MU_ALPHA_GRID - 1)]
@@ -374,8 +358,117 @@ class OohamaEvaluator:
         a_lo = axis[max(j - 1, 0)]
         a_hi = axis[min(j + 1, MU_ALPHA_GRID - 1)]
         _, v2 = _zoom_max(lambda alphas: line([(mu_star, a) for a in alphas]), a_lo, a_hi, 15, 6)
+        solves.read([])         # drop the descents still running
         best_val = max(best_val, v2)
-        return max(float(best_val), 0.0)
+        return max(float(best_val), 0.0) + 0.0
+
+
+class _TiltSolves:
+    """The inner solves of tilts that are not cached yet, in one lockstep.
+
+    A tilt joins with its lattice minimum and the descents from its starts:
+    the two fixed candidates and the lattice argmin.  Its omega so far,
+    min(lattice, descents), only falls while the descents run.  Once they
+    have all stopped, it is what a solve of that tilt alone gives, and it
+    moves to the evaluator's cache; nothing else is cached.  A tilt whose
+    descents are dropped before that is remembered in the evaluator's
+    ``_unfinished``, so a later solve of its key runs at the same tilt.
+
+    ``read`` makes a level's tilts the ones read: ``omegas`` gives their
+    values so far, exact where ``live`` is False, and ``step`` advances the
+    lockstep by one iteration.
+    """
+
+    def __init__(self, ev: OohamaEvaluator):
+        self.ev = ev
+        self.lockstep = Lockstep(ev.domain, ev.config, batch_evaluate=ev._omega_evaluate, per_start_params=True)
+        ny, nu = ev.src.ny, ev.nu
+        self.fixed = [np.concatenate([ev.py, np.full(ny * nu, 1.0 / nu)])]
+        if nu >= 2:
+            rows = np.zeros((ny, nu))
+            rows[np.arange(ny), np.arange(ny) % nu] = 1.0
+            self.fixed.append(np.concatenate([ev.py, rows.ravel()]))
+        self.pending = {}       # key -> (tilt, lattice value, descent ids)
+        self.owner = []         # the key of each descent
+        self.read([])           # nothing is read yet
+
+    def add(self, tilts) -> None:
+        """Start the solve of every tilt of ``tilts`` that is neither cached
+        nor pending: one lattice pass, then its descents join the lockstep."""
+        todo = {}
+        for mu, alpha in tilts:
+            key = _tilt_key(mu, alpha)
+            if key not in self.ev._omega_cache and key not in self.pending:
+                todo.setdefault(key, self.ev._unfinished.pop(key, (mu, alpha)))
+        if not todo:
+            return
+        coefs = _tilt_coefficients(list(todo.values()))
+        res = _capped_resolution(self.ev.domain, self.ev.config.grid_resolution, _OMEGA_GRID_CAP)
+        lattice = grid_search_batch(self.ev.domain, res, coefs, self.ev._lattice_sweep)
+        starts, counts = [], []
+        for g in lattice:
+            own = self.fixed if g.infeasible else self.fixed + [g.argmin]
+            starts += own
+            counts.append(len(own))
+        owner = np.repeat(np.arange(len(lattice)), counts)
+        ids = np.split(self.lockstep.add(starts, coefs[owner]), np.cumsum(counts)[:-1])
+        keys = list(todo)
+        for key, g, tilt_ids in zip(keys, lattice, ids):
+            self.pending[key] = (todo[key], g.value, tilt_ids)
+        self.owner += [keys[t] for t in owner]
+        self._settle(keys)
+
+    def read(self, tilts) -> None:
+        """Drop the descents of the pending tilts that ``tilts`` does not
+        hold, start the solves of its uncached ones, and read them."""
+        keys = [_tilt_key(mu, alpha) for mu, alpha in tilts]
+        for key in [key for key in self.pending if key not in keys]:
+            tilt, _, ids = self.pending.pop(key)
+            self.ev._unfinished[key] = tilt
+            self.lockstep.drop(ids)
+        self.add(tilts)
+        cache = self.ev._omega_cache
+        self.keys = keys
+        self.live = np.array([key not in cache for key in keys], dtype=bool)
+        self.known = np.array([cache.get(key, math.inf) for key in keys])
+        width = max([len(self.pending[key][2]) for key in keys if key in self.pending], default=1)
+        self.ids = np.zeros((len(keys), width), dtype=np.intp)
+        for row, key in enumerate(keys):
+            if key in self.pending:
+                _, self.known[row], ids = self.pending[key]
+                self.ids[row] = ids[np.arange(width) % len(ids)]
+
+    def omegas(self) -> np.ndarray:
+        """Each read tilt's omega so far: exact once its descents have all
+        stopped, an upper bound on its final value before."""
+        out = self.known.copy()
+        if self.live.any():
+            live = self.live
+            out[live] = np.minimum(out[live], self.lockstep.best[self.ids[live]].min(axis=1))
+        return out
+
+    def step(self) -> None:
+        """One iteration of every running descent."""
+        stopped = self.lockstep.step()
+        if len(stopped):
+            self._settle({self.owner[i] for i in stopped})
+
+    def run(self) -> None:
+        """Step until every pending tilt is cached."""
+        while self.lockstep.blocks:
+            self.step()
+
+    def _settle(self, keys) -> None:
+        """Cache each pending tilt of ``keys`` whose descents have all stopped."""
+        for key in keys:
+            _, lattice, ids = self.pending[key]
+            if self.lockstep.running[ids].any():
+                continue
+            del self.pending[key]
+            value = self.ev._omega_cache[key] = float(min([lattice, *self.lockstep.best[ids]]))
+            for row, read in enumerate(self.keys):
+                if read == key:
+                    self.known[row], self.live[row] = value, False
 
 
 def oohama_wak_bound(

@@ -9,14 +9,16 @@ its violation is at most ``_FEAS_TOL``.  An unconstrained objective returns
 chunks of bounded size, and is the ground-truth oracle for small problems;
 ``grid_search_batch`` does so for many objectives that differ by a parameter
 row, in one pass.
-``compass_batch`` runs independent compass (coordinate mass-transfer)
-descents from many starts in lockstep; the best of them over seeded
-``random_starts`` is the multistart that handles the larger
-parametrizations.  ``grid_search`` and ``compass_batch`` hand
-``batch_evaluate`` at most ``_CALL_ROWS`` rows per call, so the kernels
-behind them need not split a batch.  ``minimize`` is the one driver that
-chains them: the lattice, then one ``compass_batch`` from its argmin and
-the caller's starts, then ``best_of``.  ``bisect_multiplier`` is the one
+``Lockstep`` is the one descent driver: independent compass (coordinate
+mass-transfer) descents advanced in lockstep, as a set that can grow, be
+stepped and be read between iterations.  ``compass_batch`` runs one to the
+end from many starts; the best of them over seeded ``random_starts`` is
+the multistart that handles the larger parametrizations.
+``grid_search`` and ``Lockstep`` hand ``batch_evaluate`` at most
+``_CALL_ROWS`` rows per call, so the kernels behind them need not split a
+batch.  ``minimize`` is the one lattice-then-descend driver: the lattice,
+then one ``compass_batch`` from its argmin and the caller's starts, then
+``best_of``.  ``bisect_multiplier`` is the one
 multiplier bisection: ``minimize`` solves of a scalarized objective, of
 which ``best_of`` picks the best feasible one.  Hard constraints are
 handled by exact rejection of infeasible incumbents plus a linear penalty
@@ -41,7 +43,7 @@ import numpy as np
 
 _FEAS_TOL = 1e-12          # violation below this counts as feasible
 _DRIFT_TOL = 2.5e-13       # simplex sum drift that triggers exact rescaling
-_CALL_ROWS = 1 << 11       # rows per objective call of grid_search and compass_batch
+_CALL_ROWS = 1 << 11       # rows per objective call of grid_search and Lockstep
 _PENALTY_WEIGHT = 64.0     # probe-ranking penalty per unit of constraint violation
 
 
@@ -390,51 +392,151 @@ def _renormalize_simplexes(plan, pts):
             blocks[fix] /= s[fix][:, None]
 
 
-def compass_batch(
-    domain: SearchDomain,
-    starts,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    batch_evaluate,
-    params=None,
-) -> list[SearchResult]:
-    """Independent compass descents from every start, advanced in lockstep.
+class Lockstep:
+    """Independent compass descents advanced in lockstep, as one set that
+    can grow between iterations.
+
+    ``add`` joins one descent from each of its starts, ``step`` advances
+    every running descent by one iteration, and ``run`` steps until every
+    descent has stopped.  Between iterations, ``best[k]`` is descent ``k``'s
+    incumbent value (+inf until it has a feasible one) and ``running[k]``
+    whether it still runs; ``drop`` stops descents whose results are no
+    longer wanted, and ``result`` reads a descent's outcome.
 
     Probes transfer mass between the coordinates of one simplex block, so
     every evaluated point stays inside the domain exactly.  Probe ranking
     adds ``_PENALTY_WEIGHT`` per unit of constraint violation; only
-    feasible points can become a descent's incumbent.  Each iteration evaluates the probes of all still-running
-    descents in batched calls of at most ``_CALL_ROWS`` rows, one call per
-    block of as many descents as fill it.  Each descent keeps its own
-    point, step, score and incumbent, so ``results[k]`` is the descent from ``starts[k]`` run
-    alone, provided the objective evaluates each row independently of the
-    rest of its batch.
+    feasible points can become a descent's incumbent.  Each iteration
+    evaluates the probes of all running descents in batched calls of at
+    most ``_CALL_ROWS`` rows, one call per block of as many descents as fill
+    it.  Each descent keeps its own point, step, score, incumbent and
+    iteration count.  It converges once its step falls below
+    ``config.step_tolerance`` or it has no move left, and it stops
+    unconverged after ``config.max_iterations`` iterations counted from
+    when it joined.  So a descent's result depends neither on the other
+    descents nor on when it joined, provided the objective evaluates each
+    row independently of the rest of its batch.
 
-    With ``params``, one row per start, each descent has its own
-    objective: ``batch_evaluate`` is handed ``(points, rows)``, where
-    ``rows[i]`` is the ``params`` row of the descent that owns
-    ``points[i]``.  A start with a non-finite coordinate yields the
-    infeasible marker after zero evaluations.
+    With ``per_start_params``, each descent has its own objective: every
+    ``add`` passes one ``params`` row per start, and ``batch_evaluate`` is
+    handed ``(points, rows)``, where ``rows[i]`` is the row of the descent
+    that owns ``points[i]``.
     """
-    starts = [np.asarray(s, dtype=np.float64) for s in starts]
-    if params is not None:
-        params = np.asarray(params)
-        if len(params) != len(starts):
-            raise ValueError("compass_batch needs one params row per start")
-    results = [SearchResult(None, math.inf, 0, False)] * len(starts)
-    ids = np.array([k for k, s in enumerate(starts) if np.all(np.isfinite(s))], dtype=np.intp)
-    if not ids.size:
-        return results
 
-    def score_of(pts, owners):
+    def __init__(self, domain: SearchDomain, config: SolverConfig = DEFAULT_CONFIG, *,
+                 batch_evaluate, per_start_params: bool = False):
+        self.config = config
+        self.batch_evaluate = batch_evaluate
+        self.per_start_params = per_start_params
+        self.params = None
+        self.plan = _probe_plan(domain)
+        # the descents advance in blocks whose probes fill at most one
+        # objective call, which bounds the probe arrays too; a block shrinks
+        # as its descents stop, and the blocks are repacked once that frees one
+        self.per_block = max(1, _CALL_ROWS // max(1, len(self.plan.take)))
+        self.blocks = []            # (x, step, score, ids, iterations) of each block
+        self.evaluations = np.zeros(0, dtype=np.int64)
+        self.converged = np.zeros(0, dtype=bool)
+        self.running = np.zeros(0, dtype=bool)
+        self.best = np.zeros(0)
+        self.best_pt = np.zeros((0, domain.n_params))
+
+    def add(self, starts, params=None) -> np.ndarray:
+        """Join one descent from each start; returns their ids, which number
+        the descents in the order they joined.
+
+        A start with a non-finite coordinate joins stopped, as the
+        infeasible marker after zero evaluations.
+        """
+        starts = [np.asarray(s, dtype=np.float64) for s in starts]
+        if self.per_start_params:
+            if params is None or len(params) != len(starts):
+                raise ValueError("compass descents need one params row per start")
+            params = np.asarray(params)
+            self.params = params if self.params is None else np.concatenate([self.params, params])
+        elif params is not None:
+            raise ValueError("params rows need per_start_params")
+        first, n = len(self.best), len(starts)
+        self.evaluations = np.concatenate([self.evaluations, np.zeros(n, dtype=np.int64)])
+        self.converged = np.concatenate([self.converged, np.zeros(n, dtype=bool)])
+        self.running = np.concatenate([self.running, np.zeros(n, dtype=bool)])
+        self.best = np.concatenate([self.best, np.full(n, math.inf)])
+        self.best_pt = np.concatenate([self.best_pt, np.zeros((n, self.best_pt.shape[1]))])
+        ids = np.arange(first, first + n)
+        live = ids[[bool(np.all(np.isfinite(s))) for s in starts]]
+        if len(live):
+            x = np.stack([starts[k - first] for k in live])
+            vals, violations, score = self._score(x, live)
+            self.evaluations[live] = 1
+            self.running[live] = True
+            found = (violations <= _FEAS_TOL) & (vals < math.inf)
+            self.best[live[found]] = vals[found]
+            self.best_pt[live[found]] = x[found]
+            zero = np.zeros(len(live), dtype=np.int64)
+            self.blocks += self._blocks_of((x, np.full(len(live), 0.25), score, live, zero))
+            self._repack()
+        return ids
+
+    def step(self) -> np.ndarray:
+        """Advance every running descent by one iteration; returns the ids
+        of the descents that stopped in it."""
+        stopped = []
+        advanced = [self._advance(*state, stopped) for state in self.blocks]
+        self.blocks = [state for state in advanced if len(state[3])]
+        self._repack()
+        if not stopped:
+            return np.zeros(0, dtype=np.intp)
+        ids = np.concatenate(stopped)
+        self.running[ids] = False
+        return ids
+
+    def run(self) -> None:
+        """Step until every descent has stopped."""
+        while self.blocks:
+            self.step()
+
+    def drop(self, ids) -> None:
+        """Stop the descents ``ids`` where they are, unconverged."""
+        gone = np.zeros(len(self.best), dtype=bool)
+        gone[ids] = True
+        self.running[ids] = False
+        blocks = []
+        for state in self.blocks:
+            keep = ~gone[state[3]]
+            if keep.all():
+                blocks.append(state)
+            elif keep.any():
+                blocks.append(tuple(a[keep] for a in state))
+        self.blocks = blocks
+        self._repack()
+
+    def result(self, k) -> SearchResult:
+        """Descent ``k``'s incumbent, evaluations and convergence so far."""
+        found = self.best[k] < math.inf
+        return SearchResult(
+            self.best_pt[k].copy() if found else None,
+            float(self.best[k]),
+            int(self.evaluations[k]),
+            bool(self.converged[k]),
+        )
+
+    def _blocks_of(self, state):
+        return [tuple(a[lo : lo + self.per_block] for a in state) for lo in range(0, len(state[3]), self.per_block)]
+
+    def _repack(self):
+        running = sum(len(state[3]) for state in self.blocks)
+        if len(self.blocks) > -(-running // self.per_block):
+            self.blocks = self._blocks_of([np.concatenate(a) for a in zip(*self.blocks)])
+
+    def _score(self, pts, owners):
         """Values (NaN as inf), violations and penalized scores of ``pts``,
         from objective calls of at most ``_CALL_ROWS`` rows each; an
         unconstrained objective's scores are its values."""
         calls = []
         for lo in range(0, len(pts), _CALL_ROWS):
             rows = slice(lo, lo + _CALL_ROWS)
-            args = (pts[rows],) if params is None else (pts[rows], params[owners[rows]])
-            calls.append(batch_evaluate(*args))
+            args = (pts[rows],) if self.params is None else (pts[rows], self.params[owners[rows]])
+            calls.append(self.batch_evaluate(*args))
         if len(calls) == 1:
             vals, violations = calls[0]
         else:
@@ -447,39 +549,29 @@ def compass_batch(
         with np.errstate(invalid="ignore"):
             return vals, violations, np.fmin(vals + _PENALTY_WEIGHT * violations, math.inf)
 
-    plan = _probe_plan(domain)
-    x = np.stack([starts[k] for k in ids])
-    vals, violations, cur_score = score_of(x, ids)
-    evaluations = np.zeros(len(starts), dtype=np.int64)
-    evaluations[ids] = 1
-    converged = np.zeros(len(starts), dtype=bool)
-    best_val = np.full(len(starts), math.inf)
-    best_pt = np.zeros((len(starts), x.shape[1]))
-    first = (violations <= _FEAS_TOL) & (vals < math.inf)
-    best_val[ids[first]] = vals[first]
-    best_pt[ids[first]] = x[first]
-    step = np.full(len(ids), 0.25)
-
-    def advance(x, step, cur_score, own):
-        """One iteration of the descents ``own``; returns the state of
-        those still running."""
+    def _advance(self, x, step, cur_score, own, iterations, stopped):
+        """One iteration of the block of descents ``own``; returns the state
+        of those still running and appends the ids of the others to
+        ``stopped``."""
+        plan = self.plan
         valid, taken, given = _candidate_moves(plan, x, step)
         counts = valid.sum(axis=1)
-        done = (step < config.step_tolerance) | (counts == 0)
+        done = (step < self.config.step_tolerance) | (counts == 0)
         if done.any():
-            converged[own[done]] = True
+            self.converged[own[done]] = True
+            stopped.append(own[done])
             keep = ~done
-            own, x, step, cur_score = own[keep], x[keep], step[keep], cur_score[keep]
+            x, step, cur_score, own, iterations = x[keep], step[keep], cur_score[keep], own[keep], iterations[keep]
             if not len(own):
-                return x, step, cur_score, own
+                return x, step, cur_score, own, iterations
             valid, taken, given, counts = valid[keep], taken[keep], given[keep], counts[keep]
-        evaluations[own] += counts
+        self.evaluations[own] += counts
         cols = np.nonzero(valid)[1]
         probes = np.repeat(x, counts, axis=0)
         at = np.arange(len(cols))
         probes[at, plan.take[cols]] = taken[valid]
         probes[at, plan.give[cols]] = given[valid]
-        vals, violations, scores = score_of(probes, None if params is None else np.repeat(own, counts))
+        vals, violations, scores = self._score(probes, None if self.params is None else np.repeat(own, counts))
 
         if scores is vals:                      # unconstrained: one ranking serves both
             feasible_vals = vals
@@ -488,10 +580,10 @@ def compass_batch(
             feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
             j, k = _segment_argmin([feasible_vals, scores], counts)
         best = feasible_vals[j]
-        better = best < best_val[own]
+        better = best < self.best[own]
         if better.any():
-            best_val[own[better]] = best[better]
-            best_pt[own[better]] = probes[j[better]]
+            self.best[own[better]] = best[better]
+            self.best_pt[own[better]] = probes[j[better]]
 
         accept = scores[k] < cur_score - 1e-15
         if accept.any():
@@ -501,39 +593,39 @@ def compass_batch(
             new = probes[picked]
             _renormalize_simplexes(plan, new)
             x[moved] = new
-        return x, np.where(accept, step, 0.5 * step), cur_score, own
+        step = np.where(accept, step, 0.5 * step)
+        iterations = iterations + 1
+        capped = iterations >= self.config.max_iterations
+        if capped.any():
+            stopped.append(own[capped])
+            keep = ~capped
+            return x[keep], step[keep], cur_score[keep], own[keep], iterations[keep]
+        return x, step, cur_score, own, iterations
 
-    # the descents advance in blocks whose probes fill at most one
-    # objective call, which bounds the probe arrays too; a block shrinks as
-    # its descents stop, and the blocks are repacked once that frees one
-    per_block = max(1, _CALL_ROWS // max(1, len(plan.take)))
 
-    def blocks_of(state):
-        return [tuple(a[lo : lo + per_block] for a in state) for lo in range(0, len(state[3]), per_block)]
+def compass_batch(
+    domain: SearchDomain,
+    starts,
+    config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    batch_evaluate,
+    params=None,
+) -> list[SearchResult]:
+    """Independent compass descents from every start, run to the end as one
+    :class:`Lockstep`.
 
-    blocks = blocks_of((x, step, cur_score, ids))
-    for _ in range(config.max_iterations):
-        if not len(plan.take):
-            converged[ids] = True
-            break
-        blocks = [state for state in (advance(*s) for s in blocks) if len(state[3])]
-        running = sum(len(state[3]) for state in blocks)
-        if not running:
-            break
-        if len(blocks) > -(-running // per_block):
-            blocks = blocks_of([np.concatenate(a) for a in zip(*blocks)])
-
-    for k in range(len(starts)):
-        if not evaluations[k]:
-            continue
-        found = best_val[k] < math.inf
-        results[k] = SearchResult(
-            best_pt[k].copy() if found else None,
-            float(best_val[k]),
-            int(evaluations[k]),
-            bool(converged[k]),
-        )
-    return results
+    ``results[k]`` is the descent from ``starts[k]`` run alone, provided the
+    objective evaluates each row independently of the rest of its batch.
+    With ``params``, one row per start, each descent has its own objective:
+    ``batch_evaluate`` is handed ``(points, rows)``, where ``rows[i]`` is
+    the ``params`` row of the descent that owns ``points[i]``.  A start
+    with a non-finite coordinate yields the infeasible marker after zero
+    evaluations.
+    """
+    lockstep = Lockstep(domain, config, batch_evaluate=batch_evaluate, per_start_params=params is not None)
+    ids = lockstep.add(starts, params)
+    lockstep.run()
+    return [lockstep.result(k) for k in ids]
 
 
 def random_starts(domain: SearchDomain, config: SolverConfig) -> list:
@@ -627,7 +719,11 @@ def _zoom_max(f, a: float, b: float, points: int, levels: int):
 
     ``f`` maps a 1-d array of abscissae to their values in one call.  Each
     level evaluates ``points`` evenly spaced abscissae, both ends included,
-    and keeps the two cells around the first strictly best one.  The loop
+    and keeps the two cells around the first strictly best one.  ``f`` may
+    return an upper bound on the value of any point except the first
+    maximum of what it returns, which must be exact: every other point's
+    value is then below it before it or at most it after it, so exact
+    values would pick the same point and zoom the same way.  The loop
     stops after ``levels`` levels, or once the bracket is below 1e-12
     relative: a bracket of a few ulps at an end point would let a neighbour
     win by rounding.  Returns ``(x, f(x))`` for the first strictly best

@@ -95,6 +95,20 @@ class TestSingleQueries:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1 / 6, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oohama", "--pmf", "[1.0,0.0]", "--r1", "0"],
+            ["oohama", "--source", '{"nx":2,"ny":2,"probs":[1,0,0,0]}', "--r1", "0", "--r2", "0"],
+        ],
+        ids=["single", "general"],
+    )
+    def test_oohama_prints_no_negative_zero_on_a_point_mass(self, capsys, argv):
+        # both forms once passed on the -0.0 of a zero tilt
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert '"value": 0.0' in out and "-0.0" not in out
+
     def test_region_query(self, capsys):
         code, out, _ = run_cli(
             capsys,

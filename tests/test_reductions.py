@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wakexp.probkit import DomainError, JointPmf2, Pmf, conditional_entropy, entropy
+from wakexp.probkit import DomainError, JointPmf2, Pmf, conditional_entropy, entropy, entropy_bits
 from wakexp.reductions import (
     _OMEGA_GRID_CAP,
     MU_ALPHA_GRID,
@@ -26,9 +26,12 @@ from wakexp.reductions import (
 )
 from wakexp import reductions
 from wakexp.simplex_optim import (
+    SolverConfig,
     _capped_resolution,
+    _zoom_max,
     compass_batch,
     grid_search,
+    grid_search_batch,
     random_starts,
 )
 from test_acceptance import _fifty_sources
@@ -584,27 +587,153 @@ class TestZoomRefinement:
         ev = OohamaEvaluator(dsbs(0.1))
         ev.bound(0.3, 0.7)
         before = set(ev._omega_cache)
-        solve, omega = ev._solve_tilts, ev.omega
-        batches, read = [], set()
+        add, read = reductions._TiltSolves.add, reductions._TiltSolves.read
+        batches, seen = [], set()
 
-        def counting_solve(tilts):
-            new = {_tilt_key(mu, alpha) for mu, alpha in tilts} - set(ev._omega_cache)
+        def counting_add(solves, tilts):
+            new = {_tilt_key(mu, alpha) for mu, alpha in tilts} - set(ev._omega_cache) - set(solves.pending)
             if new:
                 batches.append(new)
-            solve(tilts)
+            add(solves, tilts)
 
-        def reading_omega(mu, alpha):
-            read.add(_tilt_key(mu, alpha))
-            return omega(mu, alpha)
+        def counting_read(solves, tilts):
+            seen.update(_tilt_key(mu, alpha) for mu, alpha in tilts)
+            read(solves, tilts)
 
-        monkeypatch.setattr(ev, "_solve_tilts", counting_solve)
-        monkeypatch.setattr(ev, "omega", reading_omega)
+        monkeypatch.setattr(reductions._TiltSolves, "add", counting_add)
+        monkeypatch.setattr(reductions._TiltSolves, "read", counting_read)
         ev.bound(0.026956300413916945, 0.4360506751232537)
-        # the grid is cached, so six levels on each of the two lines
+        # the grid is cached, so at most six levels on each of the two lines
         assert 0 < len(batches) <= 12
         solved = set().union(*batches)
-        assert solved == set(ev._omega_cache) - before
-        assert solved <= read
+        assert solved <= seen
+        # each solved tilt either stopped and was cached, or was dropped
+        # unfinished; nothing else reaches the cache
+        assert set(ev._omega_cache) - before <= solved <= set(ev._omega_cache) | set(ev._unfinished)
+
+
+    def test_a_dropped_tilt_is_solved_later_at_the_tilt_it_first_ran_at(self):
+        # two tilts of one cache key give different omegas; the key keeps
+        # the first one read, as if its dropped descents had run on
+        first, later = (0.3, 0.6), (0.30000000000009996, 0.6)
+        assert _tilt_key(*first) == _tilt_key(*later)
+        want = OohamaEvaluator(dsbs(0.1)).omega(*first)
+        assert want != OohamaEvaluator(dsbs(0.1)).omega(*later)
+        ev = OohamaEvaluator(dsbs(0.1))
+        solves = reductions._TiltSolves(ev)
+        solves.read([first])
+        solves.step()
+        solves.read([])
+        assert ev._unfinished == {_tilt_key(*first): first} and not ev._omega_cache
+        assert ev.omega(*later).hex() == want.hex()
+        assert not ev._unfinished
+
+
+def _solve_to_the_end(ev, tilts):
+    """Cache every uncached tilt: one lattice pass, then one
+    ``compass_batch`` of the descents of every tilt, run to the end."""
+    todo = {}
+    for mu, alpha in tilts:
+        key = _tilt_key(mu, alpha)
+        if key not in ev._omega_cache:
+            todo.setdefault(key, (mu, alpha))
+    if not todo:
+        return
+    coefs = _tilt_coefficients(list(todo.values()))
+    ny, nu = ev.src.ny, ev.nu
+    fixed = [np.concatenate([ev.py, np.full(ny * nu, 1.0 / nu)])]
+    if nu >= 2:
+        rows = np.zeros((ny, nu))
+        rows[np.arange(ny), np.arange(ny) % nu] = 1.0
+        fixed.append(np.concatenate([ev.py, rows.ravel()]))
+    res = _capped_resolution(ev.domain, ev.config.grid_resolution, reductions._OMEGA_GRID_CAP)
+    lattice = grid_search_batch(ev.domain, res, coefs, ev._lattice_sweep)
+    starts, owner = [], []
+    for t, g in enumerate(lattice):
+        own = fixed if g.infeasible else fixed + [g.argmin]
+        starts += own
+        owner += [t] * len(own)
+    runs = compass_batch(ev.domain, starts, ev.config, batch_evaluate=ev._omega_evaluate, params=coefs[owner])
+    per_tilt = [[g] for g in lattice]
+    for t, r in zip(owner, runs):
+        per_tilt[t].append(r)
+    for key, tilt_runs in zip(todo, per_tilt):
+        ev._omega_cache[key] = float(min(r.value for r in tilt_runs if not r.infeasible))
+
+
+def _full_solve_bound(ev, r1, r2):
+    """The comparison bound with every tilt of every zoom level solved to
+    the end by ``_solve_to_the_end`` before ``_zoom_max`` reads the level."""
+
+    def f(mu, alpha):
+        omega = ev._omega_cache[_tilt_key(mu, alpha)]
+        return (omega - alpha * ((1.0 - mu) * r1 + mu * r2)) / (2.0 + alpha * (1.0 - mu))
+
+    axis = np.linspace(0.0, 1.0, reductions.MU_ALPHA_GRID)
+    _solve_to_the_end(ev, [(mu, alpha) for mu in axis for alpha in axis])
+    best_val, i, j = -math.inf, 0, 0
+    for a, mu in enumerate(axis):
+        for b, alpha in enumerate(axis):
+            v = f(mu, alpha)
+            if v > best_val:
+                best_val, i, j = v, a, b
+
+    def line(tilts):
+        _solve_to_the_end(ev, tilts)
+        return [f(mu, alpha) for mu, alpha in tilts]
+
+    last = len(axis) - 1
+    mu_star, v1 = _zoom_max(lambda ms: line([(m, axis[j]) for m in ms]), axis[max(i - 1, 0)], axis[min(i + 1, last)], 15, 6)
+    if v1 < best_val:
+        mu_star = axis[i]
+    best_val = max(best_val, v1)
+    _, v2 = _zoom_max(lambda alphas: line([(mu_star, a) for a in alphas]), axis[max(j - 1, 0)], axis[min(j + 1, last)], 15, 6)
+    return max(float(max(best_val, v2)), 0.0) + 0.0
+
+
+class TestCertifiedLevels:
+    """Each zoom level stops once its first maximum is a stopped tilt; the
+    bounds and the cache must be those of solving every level to the end."""
+
+    # coarse grids and a short inner solve keep the test fast; the cap of
+    # 40 iterations stops many of the line descents unconverged
+    CONFIG = SolverConfig(grid_resolution=6, max_iterations=40, step_tolerance=1e-5)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+    @pytest.mark.parametrize("full_nu", [False, True], ids=["nu1", "nuY"])
+    def test_bounds_and_cache_match_a_full_solve(self, monkeypatch, shape, full_nu):
+        monkeypatch.setattr(reductions, "MU_ALPHA_GRID", 9)
+        monkeypatch.setattr(reductions, "_OMEGA_GRID_CAP", 1_500)
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        probs = rng.exponential(size=shape)
+        src = JointPmf2(probs / probs.sum())
+        nu = src.ny if full_nu else 1
+        hx, hy = entropy_bits(src.probs.sum(axis=1)), entropy_bits(src.probs.sum(axis=0))
+        pairs = [(hx * rng.random(), hy * rng.random()) for _ in range(6)] + [(0.0, 0.0), (hx, 0.0)]
+        tilts = {}
+        key = reductions._tilt_key
+
+        def recording_key(mu, alpha):
+            k = key(mu, alpha)
+            tilts.setdefault(k, (mu, alpha))
+            return k
+
+        monkeypatch.setattr(reductions, "_tilt_key", recording_key)
+        ev = OohamaEvaluator(src, nu=nu, config=self.CONFIG)
+        full = OohamaEvaluator(src, nu=nu, config=self.CONFIG)
+        for r1, r2 in pairs:
+            want = _full_solve_bound(full, r1, r2)
+            assert ev.bound(r1, r2).hex() == want.hex(), (r1, r2)
+        # every cached omega is the exact value of its tilt solved alone
+        assert set(ev._omega_cache) <= set(full._omega_cache)
+        assert len(ev._omega_cache) > reductions.MU_ALPHA_GRID ** 2
+        fresh = OohamaEvaluator(src, nu=nu, config=self.CONFIG)
+        fresh._solve_tilts([tilts[k] for k in ev._omega_cache])
+        for k, v in ev._omega_cache.items():
+            assert v.hex() == fresh._omega_cache[k].hex() == full._omega_cache[k].hex(), k
+        for k in list(ev._omega_cache)[-3:]:
+            alone = OohamaEvaluator(src, nu=nu, config=self.CONFIG).omega(*tilts[k])
+            assert alone.hex() == ev._omega_cache[k].hex(), k
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from wakexp.reductions import OohamaEvaluator, _tilt_coefficients, exponent_sing
 from wakexp.simplex_optim import (
     _FEAS_TOL,
     _PENALTY_WEIGHT,
+    Lockstep,
     SearchDomain,
     Simplex,
     SolverConfig,
@@ -918,6 +919,58 @@ class TestPerStartParams:
         starts, params = self._params(3, 1)
         with pytest.raises(ValueError):
             compass_batch(self.DOM, starts, self.CFG, batch_evaluate=_unconstrained(_tilted_quadratic), params=params[:2])
+
+
+class TestResumableLockstep:
+    DOM = SearchDomain([Simplex(3), Simplex(2)])
+
+    @staticmethod
+    def _evaluate(pts, rows):
+        return _tilted_quadratic(pts, rows), np.maximum(pts[:, 0] - rows[:, 0], 0.0)
+
+    def test_descents_that_join_and_leave_mid_run_match_lone_runs(self):
+        # a cap of 30 iterations stops some descents unconverged; each
+        # descent's cap counts from when it joined
+        cfg = SolverConfig(max_iterations=30, step_tolerance=1e-4)
+        rng = np.random.default_rng(21)
+        starts = [self.DOM.sample(rng) for _ in range(14)]
+        params = rng.random((14, 4))
+        lock = Lockstep(self.DOM, cfg, batch_evaluate=self._evaluate, per_start_params=True)
+        ids = list(lock.add(starts[:4], params[:4]))
+        for _ in range(5):
+            lock.step()
+        ids += list(lock.add(starts[4:9], params[4:9]))
+        seen, dropped = lock.best.copy(), []
+        for n in range(50):
+            if n == 7:
+                dropped = [ids[5], ids[7], ids[2]]
+                frozen = lock.evaluations[dropped].copy()
+                lock.drop(dropped)
+            if n == 12:
+                ids += list(lock.add(starts[9:], params[9:]))
+                seen = np.concatenate([seen, lock.best[len(seen):]])
+            stopped = lock.step()
+            assert not lock.running[stopped].any()
+            assert (lock.best <= seen).all()          # a descent's best value only falls
+            seen = lock.best.copy()
+        assert not lock.blocks and not lock.running.any()
+        assert ids == list(range(14))
+        assert np.array_equal(lock.evaluations[dropped], frozen)
+        kept = [k for k in ids if k not in dropped]
+        results = [lock.result(k) for k in kept]
+        for k, got in zip(kept, results):
+            alone = compass_batch(self.DOM, [starts[k]], cfg, batch_evaluate=self._evaluate, params=params[k : k + 1])
+            _assert_same_result(got, alone[0])
+        converged = [r.converged for r in results]
+        assert any(converged) and not all(converged)
+
+    def test_params_rows_follow_the_mode(self):
+        with_params = Lockstep(self.DOM, batch_evaluate=self._evaluate, per_start_params=True)
+        with pytest.raises(ValueError):
+            with_params.add([self.DOM.sample(np.random.default_rng(0))])
+        without = Lockstep(self.DOM, batch_evaluate=_unconstrained(lambda pts: pts[:, 0]))
+        with pytest.raises(ValueError):
+            without.add([self.DOM.sample(np.random.default_rng(0))], params=[[0.0, 0.0, 0.0, 0.0]])
 
 
 class TestGridSearchBatch:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer timings of the batched objective kernels, the compass step and the lattice oracle.
+"""Layer timings: batched kernels, the compass step, the lattice oracle, the comparison bound.
 
     python3 tools/layer_bench.py [--repeats N] [--iterations N]
 
@@ -18,7 +18,7 @@ objective, for a lone descent and for 16 descents, split into evaluation
 generation, ranking, bookkeeping).  The descents run a fixed number of
 iterations with a step tolerance too small to stop them.
 
-Last, the lattice oracle on three domains: the copy manifold's Simplex(6)
+Then the lattice oracle on three domains: the copy manifold's Simplex(6)
 at resolution 26 (169,911 rows), Simplex(9) at 12 (125,970 rows) and the
 comparison bound's domain for a 2x3 source at its 10,000-row cap.  For each it prints the min-of-N time to enumerate the
 lattice with ``lattice_chunks`` and the tracemalloc peak of one
@@ -27,14 +27,22 @@ enumeration itself.
 
 The exponent, table and region kernels use the benchmark's ``case13-2x3``
 source at nu = 4 (the acceptance config); ``omega`` uses ``dsbs:0.1``, the
-source of the comparison workload.  Timings are wall-clock and noisy on a
-shared machine: compare two commits by running this alternately, not by
-reading one run.
+source of the comparison workload.
+
+Last, the comparison bound: one fresh ``OohamaEvaluator(dsbs:0.1)`` runs
+the five rate pairs of ``perfbench/reference.json`` in order (a cold bound,
+then four warm ones), and each prints its wall time and the lockstep
+iterations it advanced (``Lockstep.step`` calls, the same on every
+machine).  The file is only read.
+
+Timings are wall-clock and noisy on a shared machine: compare two commits
+by running this alternately, not by reading one run.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 import tracemalloc
@@ -47,6 +55,7 @@ import numpy as np  # noqa: E402
 import wakexp  # noqa: E402
 from wakexp.reductions import _OMEGA_GRID_CAP, OohamaEvaluator, _tilt_coefficients  # noqa: E402
 from wakexp.simplex_optim import (  # noqa: E402
+    Lockstep,
     SearchDomain,
     Simplex,
     SolverConfig,
@@ -150,6 +159,33 @@ def bench_lattices(repeats: int):
         print(f"{name:16s}{lattice_rows(domain, res):10d}{spent * 1e3:14.2f}{peak / 1e6:21.2f}")
 
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def bench_comparison():
+    comparison = json.loads(REFERENCE.read_text())["comparison"]
+    evaluator = OohamaEvaluator(wakexp.JointPmf2(comparison["source"]["probs"]))
+    steps = [0]
+    step = Lockstep.step
+
+    def counted(self):
+        steps[0] += 1
+        return step(self)
+
+    print(f"comparison bound on {comparison['source']['name']}, one evaluator, reference pairs in order")
+    print("pair        r1        r2     value        s  iterations")
+    Lockstep.step = counted
+    try:
+        for k, pair in enumerate(comparison["pairs"]):
+            steps[0] = 0
+            t = time.perf_counter()
+            value = evaluator.bound(pair["r1"], pair["r2"])
+            spent = time.perf_counter() - t
+            print(f"{k:4d}{pair['r1']:10.4f}{pair['r2']:10.4f}{value:10.6f}{spent:9.3f}{steps[0]:12d}")
+    finally:
+        Lockstep.step = step
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=20, help="timed runs per cell (default 20)")
@@ -160,6 +196,8 @@ def main(argv=None):
     bench_compass(max(3, args.repeats // 4), args.iterations)
     print()
     bench_lattices(max(3, args.repeats // 4))
+    print()
+    bench_comparison()
 
 
 if __name__ == "__main__":

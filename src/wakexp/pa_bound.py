@@ -117,6 +117,8 @@ def pa_security_bound(
     check_rate(delta, "delta")
     check_rate(r1, "r1")
     check_rate(r2, "r2")
+    if not n >= 1:
+        raise DomainError("blocklength must be at least 1")
     config = DEFAULT_CONFIG if config is None else config
     breakdown = wak_exponent(src, RatePair(r1 + delta, r2), config, nu=nu)
     return pa_bound_from_exponent(breakdown.value, r1=r1, r2=r2, delta=delta, n=n)

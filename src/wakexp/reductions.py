@@ -288,23 +288,13 @@ class OohamaEvaluator:
         exponents = np.empty_like(terms[-1])
         return lambda coef: self._tilted(terms, coef, exponents)
 
-    def _solve_tilts(self, tilts) -> None:
-        """Cache the inner minimum of every uncached ``(mu, alpha)``.
-
-        All of them share one lattice pass and one lockstep, run to the end,
-        and each tilt's value is what a solve of that tilt alone gives.
-        """
-        solves = _TiltSolves(self)
-        solves.add(tilts)
-        solves.run()
-
     def omega(self, mu: float, alpha: float) -> float:
         """Inner minimum of the tilted log-sum at one (mu, alpha) in [0, 1]²."""
         if not (0.0 <= mu <= 1.0 and 0.0 <= alpha <= 1.0):
             raise DomainError("tilts must be finite and lie in [0, 1]")
         key = _tilt_key(mu, alpha)
         if key not in self._omega_cache:
-            self._solve_tilts([(mu, alpha)])
+            _TiltSolves(self).values([(mu, alpha)], 0.0, 0.0)
         return self._omega_cache[key]
 
     def bound(self, r1: float, r2: float) -> float:
@@ -316,48 +306,28 @@ class OohamaEvaluator:
         check_rate(r1, "r1")
         check_rate(r2, "r2")
 
-        def f(mu, alpha):
-            return (self.omega(mu, alpha) - alpha * ((1.0 - mu) * r1 + mu * r2)) / (
-                2.0 + alpha * (1.0 - mu)
-            )
-
+        # every later bound reads the whole grid, so it is solved to the end;
+        # each level of a line steps only until its first maximum is a
+        # stopped tilt, read from the values so far, which only fall: see _zoom_max
         axis = np.linspace(0.0, 1.0, MU_ALPHA_GRID)
-        self._solve_tilts([(mu, alpha) for mu in axis for alpha in axis])
-        best_val = -math.inf
-        best_ij = (0, 0)
-        for i, mu in enumerate(axis):
-            for j, alpha in enumerate(axis):
-                v = f(mu, alpha)
-                if v > best_val:
-                    best_val = v
-                    best_ij = (i, j)
-        i, j = best_ij
-
-        # each level of a line steps the lockstep of its uncached tilts only
-        # until its first maximum is a stopped tilt, read from the values so
-        # far, which only fall: see _zoom_max
+        grid = [(mu, alpha) for mu in axis for alpha in axis]
         solves = _TiltSolves(self)
-
-        def line(tilts):
-            solves.read(tilts)
-            rate = np.array([alpha * ((1.0 - mu) * r1 + mu * r2) for mu, alpha in tilts])
-            scale = np.array([2.0 + alpha * (1.0 - mu) for mu, alpha in tilts])
-            while True:
-                vs = (solves.omegas() - rate) / scale
-                k = int(np.argmax(vs))
-                if not solves.live[k]:
-                    return vs
-                solves.step()
+        solves.add(grid)
+        solves.run()
+        vs = solves.values(grid, r1, r2)
+        k = int(np.argmax(vs))
+        i, j = divmod(k, MU_ALPHA_GRID)
+        best_val = vs[k]
 
         mu_lo = axis[max(i - 1, 0)]
         mu_hi = axis[min(i + 1, MU_ALPHA_GRID - 1)]
-        mu_star, v1 = _zoom_max(lambda ms: line([(m, axis[j]) for m in ms]), mu_lo, mu_hi, 15, 6)
+        mu_star, v1 = _zoom_max(lambda ms: solves.values([(m, axis[j]) for m in ms], r1, r2), mu_lo, mu_hi, 15, 6)
         if v1 < best_val:
             mu_star = axis[i]
         best_val = max(best_val, v1)
         a_lo = axis[max(j - 1, 0)]
         a_hi = axis[min(j + 1, MU_ALPHA_GRID - 1)]
-        _, v2 = _zoom_max(lambda alphas: line([(mu_star, a) for a in alphas]), a_lo, a_hi, 15, 6)
+        _, v2 = _zoom_max(lambda alphas: solves.values([(mu_star, a) for a in alphas], r1, r2), a_lo, a_hi, 15, 6)
         solves.read([])         # drop the descents still running
         best_val = max(best_val, v2)
         return max(float(best_val), 0.0) + 0.0
@@ -366,29 +336,29 @@ class OohamaEvaluator:
 class _TiltSolves:
     """The inner solves of tilts that are not cached yet, in one lockstep.
 
-    A tilt joins with its lattice minimum and the descents from its starts:
-    the two fixed candidates and the lattice argmin.  Its omega so far,
-    min(lattice, descents), only falls while the descents run.  Once they
-    have all stopped, it is what a solve of that tilt alone gives, and it
-    moves to the evaluator's cache; nothing else is cached.  A tilt whose
-    descents are dropped before that is remembered in the evaluator's
-    ``_unfinished``, so a later solve of its key runs at the same tilt.
+    A tilt joins with the descents from its starts: the two fixed
+    candidates and the argmin of its lattice pass.  Its omega so far, the
+    minimum of its descents, only falls while they run; the lattice argmin
+    descent starts at the lattice minimum.  Once they have all stopped, it
+    is what a solve of that tilt alone gives, and it moves to the
+    evaluator's cache; nothing else is cached.  A tilt whose descents are
+    dropped before that is remembered in the evaluator's ``_unfinished``,
+    so a later solve of its key runs at the same tilt.
 
-    ``read`` makes a level's tilts the ones read: ``omegas`` gives their
-    values so far, exact where ``live`` is False, and ``step`` advances the
-    lockstep by one iteration.
+    ``values`` is the one way to read tilts: it ``read``s them, then
+    ``step``s the lockstep until their first maximum is exact.
     """
 
     def __init__(self, ev: OohamaEvaluator):
         self.ev = ev
-        self.lockstep = Lockstep(ev.domain, ev.config, batch_evaluate=ev._omega_evaluate, per_start_params=True)
+        self.lockstep = Lockstep(ev.domain, ev.config, batch_evaluate=ev._omega_evaluate)
         ny, nu = ev.src.ny, ev.nu
         self.fixed = [np.concatenate([ev.py, np.full(ny * nu, 1.0 / nu)])]
         if nu >= 2:
             rows = np.zeros((ny, nu))
             rows[np.arange(ny), np.arange(ny) % nu] = 1.0
             self.fixed.append(np.concatenate([ev.py, rows.ravel()]))
-        self.pending = {}       # key -> (tilt, lattice value, descent ids)
+        self.pending = {}       # key -> (tilt, descent ids)
         self.owner = []         # the key of each descent
         self.read([])           # nothing is read yet
 
@@ -413,8 +383,8 @@ class _TiltSolves:
         owner = np.repeat(np.arange(len(lattice)), counts)
         ids = np.split(self.lockstep.add(starts, coefs[owner]), np.cumsum(counts)[:-1])
         keys = list(todo)
-        for key, g, tilt_ids in zip(keys, lattice, ids):
-            self.pending[key] = (todo[key], g.value, tilt_ids)
+        for key, tilt_ids in zip(keys, ids):
+            self.pending[key] = (todo[key], tilt_ids)
         self.owner += [keys[t] for t in owner]
         self._settle(keys)
 
@@ -423,7 +393,7 @@ class _TiltSolves:
         hold, start the solves of its uncached ones, and read them."""
         keys = [_tilt_key(mu, alpha) for mu, alpha in tilts]
         for key in [key for key in self.pending if key not in keys]:
-            tilt, _, ids = self.pending.pop(key)
+            tilt, ids = self.pending.pop(key)
             self.ev._unfinished[key] = tilt
             self.lockstep.drop(ids)
         self.add(tilts)
@@ -431,21 +401,32 @@ class _TiltSolves:
         self.keys = keys
         self.live = np.array([key not in cache for key in keys], dtype=bool)
         self.known = np.array([cache.get(key, math.inf) for key in keys])
-        width = max([len(self.pending[key][2]) for key in keys if key in self.pending], default=1)
+        width = max([len(self.pending[key][1]) for key in keys if key in self.pending], default=1)
         self.ids = np.zeros((len(keys), width), dtype=np.intp)
         for row, key in enumerate(keys):
             if key in self.pending:
-                _, self.known[row], ids = self.pending[key]
+                ids = self.pending[key][1]
                 self.ids[row] = ids[np.arange(width) % len(ids)]
 
-    def omegas(self) -> np.ndarray:
-        """Each read tilt's omega so far: exact once its descents have all
-        stopped, an upper bound on its final value before."""
-        out = self.known.copy()
-        if self.live.any():
-            live = self.live
-            out[live] = np.minimum(out[live], self.lockstep.best[self.ids[live]].min(axis=1))
-        return out
+    def values(self, tilts, r1: float, r2: float) -> np.ndarray:
+        """The normalized comparison exponent at each of ``tilts``.
+
+        Reads ``tilts``, then steps until their first maximum is a tilt
+        whose descents have all stopped.  Each value comes from its tilt's
+        omega so far, which only falls, and the exponent rises with omega:
+        the first maximum is exact and every other value an upper bound,
+        as :func:`_zoom_max` allows.
+        """
+        self.read(tilts)
+        rate = np.array([alpha * ((1.0 - mu) * r1 + mu * r2) for mu, alpha in tilts])
+        scale = np.array([2.0 + alpha * (1.0 - mu) for mu, alpha in tilts])
+        while True:
+            omegas = self.known.copy()
+            omegas[self.live] = self.lockstep.best[self.ids[self.live]].min(axis=1)
+            vs = (omegas - rate) / scale
+            if not self.live[np.argmax(vs)]:
+                return vs
+            self.step()
 
     def step(self) -> None:
         """One iteration of every running descent."""
@@ -454,18 +435,18 @@ class _TiltSolves:
             self._settle({self.owner[i] for i in stopped})
 
     def run(self) -> None:
-        """Step until every pending tilt is cached."""
-        while self.lockstep.blocks:
-            self.step()
+        """Run every pending tilt's descents to the end, and cache it."""
+        self.lockstep.run()
+        self._settle(list(self.pending))
 
     def _settle(self, keys) -> None:
         """Cache each pending tilt of ``keys`` whose descents have all stopped."""
         for key in keys:
-            _, lattice, ids = self.pending[key]
+            ids = self.pending[key][1]
             if self.lockstep.running[ids].any():
                 continue
             del self.pending[key]
-            value = self.ev._omega_cache[key] = float(min([lattice, *self.lockstep.best[ids]]))
+            value = self.ev._omega_cache[key] = float(self.lockstep.best[ids].min())
             for row, read in enumerate(self.keys):
                 if read == key:
                     self.known[row], self.live[row] = value, False

@@ -406,35 +406,33 @@ class Lockstep:
     Probes transfer mass between the coordinates of one simplex block, so
     every evaluated point stays inside the domain exactly.  Probe ranking
     adds ``_PENALTY_WEIGHT`` per unit of constraint violation; only
-    feasible points can become a descent's incumbent.  Each iteration
-    evaluates the probes of all running descents in batched calls of at
-    most ``_CALL_ROWS`` rows, one call per block of as many descents as fill
-    it.  Each descent keeps its own point, step, score, incumbent and
-    iteration count.  It converges once its step falls below
+    feasible points can become a descent's incumbent.  The running
+    descents are the rows of flat arrays, and each iteration advances them
+    in slices of as many descents as fill one objective call of at most
+    ``_CALL_ROWS`` rows.  Each descent keeps its own point, step, score,
+    incumbent and iteration count.  It converges once its step falls below
     ``config.step_tolerance`` or it has no move left, and it stops
     unconverged after ``config.max_iterations`` iterations counted from
     when it joined.  So a descent's result depends neither on the other
     descents nor on when it joined, provided the objective evaluates each
     row independently of the rest of its batch.
 
-    With ``per_start_params``, each descent has its own objective: every
-    ``add`` passes one ``params`` row per start, and ``batch_evaluate`` is
-    handed ``(points, rows)``, where ``rows[i]`` is the row of the descent
-    that owns ``points[i]``.
+    When the first ``add`` passes ``params``, each descent has its own
+    objective: every ``add`` must pass one ``params`` row per start, and
+    ``batch_evaluate`` is handed ``(points, rows)``, where ``rows[i]`` is
+    the row of the descent that owns ``points[i]``.
     """
 
-    def __init__(self, domain: SearchDomain, config: SolverConfig = DEFAULT_CONFIG, *,
-                 batch_evaluate, per_start_params: bool = False):
+    def __init__(self, domain: SearchDomain, config: SolverConfig = DEFAULT_CONFIG, *, batch_evaluate):
         self.config = config
         self.batch_evaluate = batch_evaluate
-        self.per_start_params = per_start_params
         self.params = None
         self.plan = _probe_plan(domain)
-        # the descents advance in blocks whose probes fill at most one
-        # objective call, which bounds the probe arrays too; a block shrinks
-        # as its descents stop, and the blocks are repacked once that frees one
-        self.per_block = max(1, _CALL_ROWS // max(1, len(self.plan.take)))
-        self.blocks = []            # (x, step, score, ids, iterations) of each block
+        # a slice's probes fill at most one objective call, which bounds the probe arrays too
+        self.per_slice = max(1, _CALL_ROWS // max(1, len(self.plan.take)))
+        # (x, step, score, ids, iterations), one row per running descent
+        empty = np.zeros(0, dtype=np.int64)
+        self.rows = (np.zeros((0, domain.n_params)), np.zeros(0), np.zeros(0), empty, empty)
         self.evaluations = np.zeros(0, dtype=np.int64)
         self.converged = np.zeros(0, dtype=bool)
         self.running = np.zeros(0, dtype=bool)
@@ -449,13 +447,14 @@ class Lockstep:
         infeasible marker after zero evaluations.
         """
         starts = [np.asarray(s, dtype=np.float64) for s in starts]
-        if self.per_start_params:
-            if params is None or len(params) != len(starts):
-                raise ValueError("compass descents need one params row per start")
+        if params is not None:
             params = np.asarray(params)
+            if len(params) != len(starts):
+                raise ValueError("compass descents need one params row per start")
+        if (self.params is not None or len(self.best)) and (params is None) != (self.params is None):
+            raise ValueError("every add passes params rows, or none does")
+        if params is not None:
             self.params = params if self.params is None else np.concatenate([self.params, params])
-        elif params is not None:
-            raise ValueError("params rows need per_start_params")
         first, n = len(self.best), len(starts)
         self.evaluations = np.concatenate([self.evaluations, np.zeros(n, dtype=np.int64)])
         self.converged = np.concatenate([self.converged, np.zeros(n, dtype=bool)])
@@ -472,27 +471,26 @@ class Lockstep:
             found = (violations <= _FEAS_TOL) & (vals < math.inf)
             self.best[live[found]] = vals[found]
             self.best_pt[live[found]] = x[found]
-            zero = np.zeros(len(live), dtype=np.int64)
-            self.blocks += self._blocks_of((x, np.full(len(live), 0.25), score, live, zero))
-            self._repack()
+            joined = (x, np.full(len(live), 0.25), score, live, np.zeros(len(live), dtype=np.int64))
+            self.rows = tuple(np.concatenate(pair) for pair in zip(self.rows, joined))
         return ids
 
     def step(self) -> np.ndarray:
         """Advance every running descent by one iteration; returns the ids
         of the descents that stopped in it."""
-        stopped = []
-        advanced = [self._advance(*state, stopped) for state in self.blocks]
-        self.blocks = [state for state in advanced if len(state[3])]
-        self._repack()
-        if not stopped:
-            return np.zeros(0, dtype=np.intp)
-        ids = np.concatenate(stopped)
-        self.running[ids] = False
+        stopped = np.zeros(len(self.rows[3]), dtype=bool)
+        for lo in range(0, len(stopped), self.per_slice):
+            part = slice(lo, lo + self.per_slice)
+            stopped[part] = self._advance(*(a[part] for a in self.rows))
+        ids = self.rows[3][stopped]
+        if len(ids):
+            self.running[ids] = False
+            self.rows = tuple(a[~stopped] for a in self.rows)
         return ids
 
     def run(self) -> None:
         """Step until every descent has stopped."""
-        while self.blocks:
+        while len(self.rows[3]):
             self.step()
 
     def drop(self, ids) -> None:
@@ -500,15 +498,8 @@ class Lockstep:
         gone = np.zeros(len(self.best), dtype=bool)
         gone[ids] = True
         self.running[ids] = False
-        blocks = []
-        for state in self.blocks:
-            keep = ~gone[state[3]]
-            if keep.all():
-                blocks.append(state)
-            elif keep.any():
-                blocks.append(tuple(a[keep] for a in state))
-        self.blocks = blocks
-        self._repack()
+        keep = ~gone[self.rows[3]]
+        self.rows = tuple(a[keep] for a in self.rows)
 
     def result(self, k) -> SearchResult:
         """Descent ``k``'s incumbent, evaluations and convergence so far."""
@@ -519,14 +510,6 @@ class Lockstep:
             int(self.evaluations[k]),
             bool(self.converged[k]),
         )
-
-    def _blocks_of(self, state):
-        return [tuple(a[lo : lo + self.per_block] for a in state) for lo in range(0, len(state[3]), self.per_block)]
-
-    def _repack(self):
-        running = sum(len(state[3]) for state in self.blocks)
-        if len(self.blocks) > -(-running // self.per_block):
-            self.blocks = self._blocks_of([np.concatenate(a) for a in zip(*self.blocks)])
 
     def _score(self, pts, owners):
         """Values (NaN as inf), violations and penalized scores of ``pts``,
@@ -549,29 +532,28 @@ class Lockstep:
         with np.errstate(invalid="ignore"):
             return vals, violations, np.fmin(vals + _PENALTY_WEIGHT * violations, math.inf)
 
-    def _advance(self, x, step, cur_score, own, iterations, stopped):
-        """One iteration of the block of descents ``own``; returns the state
-        of those still running and appends the ids of the others to
-        ``stopped``."""
+    def _advance(self, x, step, cur_score, own, iterations) -> np.ndarray:
+        """One iteration of the descents ``own``, whose rows of state are
+        updated in place; returns which of them stopped in it."""
         plan = self.plan
         valid, taken, given = _candidate_moves(plan, x, step)
         counts = valid.sum(axis=1)
-        done = (step < self.config.step_tolerance) | (counts == 0)
-        if done.any():
-            self.converged[own[done]] = True
-            stopped.append(own[done])
-            keep = ~done
-            x, step, cur_score, own, iterations = x[keep], step[keep], cur_score[keep], own[keep], iterations[keep]
-            if not len(own):
-                return x, step, cur_score, own, iterations
-            valid, taken, given, counts = valid[keep], taken[keep], given[keep], counts[keep]
-        self.evaluations[own] += counts
+        stopped = (step < self.config.step_tolerance) | (counts == 0)
+        rows = slice(None)                      # the rows that probe: a view until one stops
+        if stopped.any():
+            self.converged[own[stopped]] = True
+            rows = np.flatnonzero(~stopped)
+            if not len(rows):
+                return stopped
+            valid, taken, given, counts = valid[rows], taken[rows], given[rows], counts[rows]
+        live = own[rows]
+        self.evaluations[live] += counts
         cols = np.nonzero(valid)[1]
-        probes = np.repeat(x, counts, axis=0)
+        probes = np.repeat(x[rows], counts, axis=0)
         at = np.arange(len(cols))
         probes[at, plan.take[cols]] = taken[valid]
         probes[at, plan.give[cols]] = given[valid]
-        vals, violations, scores = self._score(probes, None if self.params is None else np.repeat(own, counts))
+        vals, violations, scores = self._score(probes, None if self.params is None else np.repeat(live, counts))
 
         if scores is vals:                      # unconstrained: one ranking serves both
             feasible_vals = vals
@@ -580,27 +562,24 @@ class Lockstep:
             feasible_vals = np.where(violations <= _FEAS_TOL, vals, math.inf)
             j, k = _segment_argmin([feasible_vals, scores], counts)
         best = feasible_vals[j]
-        better = best < self.best[own]
+        better = best < self.best[live]
         if better.any():
-            self.best[own[better]] = best[better]
-            self.best_pt[own[better]] = probes[j[better]]
+            self.best[live[better]] = best[better]
+            self.best_pt[live[better]] = probes[j[better]]
 
-        accept = scores[k] < cur_score - 1e-15
+        accept = scores[k] < cur_score[rows] - 1e-15
         if accept.any():
             moved = np.flatnonzero(accept)
             picked = k[moved]
-            cur_score[moved] = scores[picked]
             new = probes[picked]
             _renormalize_simplexes(plan, new)
+            if not isinstance(rows, slice):
+                moved = rows[moved]
+            cur_score[moved] = scores[picked]
             x[moved] = new
-        step = np.where(accept, step, 0.5 * step)
-        iterations = iterations + 1
-        capped = iterations >= self.config.max_iterations
-        if capped.any():
-            stopped.append(own[capped])
-            keep = ~capped
-            return x[keep], step[keep], cur_score[keep], own[keep], iterations[keep]
-        return x, step, cur_score, own, iterations
+        step[rows] = np.where(accept, step[rows], 0.5 * step[rows])
+        iterations[rows] += 1
+        return stopped | (iterations >= self.config.max_iterations)
 
 
 def compass_batch(
@@ -622,7 +601,7 @@ def compass_batch(
     with a non-finite coordinate yields the infeasible marker after zero
     evaluations.
     """
-    lockstep = Lockstep(domain, config, batch_evaluate=batch_evaluate, per_start_params=params is not None)
+    lockstep = Lockstep(domain, config, batch_evaluate=batch_evaluate)
     ids = lockstep.add(starts, params)
     lockstep.run()
     return [lockstep.result(k) for k in ids]

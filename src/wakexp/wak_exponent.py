@@ -662,7 +662,7 @@ def wak_exponent(
     vals, violations = prob.evaluate(np.stack(fixed))
     hit = np.flatnonzero((violations <= _FEAS_TOL) & (vals <= stop))
     if hit.size:
-        return _breakdown(prob, fixed[hit[0]], len(fixed), True)
+        return _breakdown(prob, fixed[hit[0]], vals[hit[0]], len(fixed), True)
 
     # 2. the seeded main batch from the fixed and warm starts
     padded = (_padded_channel(w.probs, nu) for w in warm)
@@ -671,7 +671,7 @@ def wak_exponent(
     runs = compass_batch(prob.domain, seeded + random_starts(prob.domain, config), config, batch_evaluate=prob.evaluate)
     hit = next((r for r in runs if not r.infeasible and r.value <= stop), None)
     if hit is not None:
-        return _breakdown(prob, hit.argmin, len(fixed) + sum(r.evaluations for r in runs), hit.converged)
+        return _breakdown(prob, hit.argmin, hit.value, len(fixed) + sum(r.evaluations for r in runs), hit.converged)
 
     # 3. the searched starts: the copy manifolds and the region channel,
     # which has at most nu rows, so it always embeds
@@ -687,7 +687,7 @@ def wak_exponent(
     best = best_of([descents[s.tobytes()] for s in structured] + runs[len(seeded) :])
     # U = X, or the point masses where it does not fit, is always feasible, so `best` is too
     evaluations = len(fixed) + copy_evaluations + region_evaluations + best.evaluations
-    return _breakdown(prob, best.argmin, evaluations, best.converged)
+    return _breakdown(prob, best.argmin, best.value, evaluations, best.converged)
 
 
 def _distinct(starts: list) -> list:
@@ -695,8 +695,15 @@ def _distinct(starts: list) -> list:
     return list({s.tobytes(): s for s in starts}.values())
 
 
-def _breakdown(prob: _ExponentSearch, point: np.ndarray, evaluations: int, converged: bool) -> ExponentBreakdown:
-    """The breakdown of a feasible domain point, recomputed from its tensor."""
+def _breakdown(
+    prob: _ExponentSearch, point: np.ndarray, value: float, evaluations: int, converged: bool
+) -> ExponentBreakdown:
+    """The breakdown of a feasible domain point, recomputed from its tensor.
+
+    ``value`` is the point's value in the search kernel.  At or below 0 it
+    certifies F = 0, since every term is nonnegative, so the value and the
+    three terms read +0.0 whatever the recomputation rounds to.
+    """
     src = prob.src
     tensor = prob.tensors(point[None, :])[0].reshape(prob.nu, src.nx, src.ny)
     total = tensor.sum()
@@ -708,6 +715,8 @@ def _breakdown(prob: _ExponentSearch, point: np.ndarray, evaluations: int, conve
     kl = max(kl_bits(m.marginal_xy.probs, src.probs), 0.0)
     cond_mi = max(m.i_u_x_given_y, 0.0)
     rate2 = max(m.i_u_y - prob.r2, 0.0)
+    if value <= 0.0:
+        kl = cond_mi = rate2 = 0.0
     return ExponentBreakdown(
         value=kl + cond_mi + rate2,
         kl_term=kl,

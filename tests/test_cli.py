@@ -1,6 +1,7 @@
 """Unit tests for the command-line front end."""
 
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -56,15 +57,18 @@ class TestSingleQueries:
             abs=1e-9,
         )
 
-    def test_certified_zero_keeps_its_positive_rounding(self, capsys):
+    def test_certified_zero_reads_zero(self, capsys):
         # the timeshare of U = Y certifies this pair at -2.2e-16 in the search
-        # kernel; the breakdown recomputes I(U;X|Y) from the tensor as 4.44e-16
+        # kernel; the tensor recomputes I(U;X|Y) as 4.44e-16, but a kernel
+        # value at or below 0 certifies F = 0, so every term reads 0.0
         code, out, _ = run_cli(
             capsys,
             ["exponent", "--source", "dsbs:0.1", "--r1", "0.9", "--r2", "0.9", "--starts", "4", "--seed", "1"],
         )
         payload = json.loads(out)
-        assert (code, payload["value"], payload["evaluations"]) == (0, 4.440892098500626e-16, 5)
+        assert (code, payload["value"], payload["evaluations"]) == (0, 0.0, 5)
+        assert payload["kl_term"] == payload["soft_markov_term"] == payload["rate2_term"] == 0.0
+        assert math.copysign(1.0, payload["value"]) == 1.0
 
     def test_inline_json_source_round_trip(self, capsys):
         spec = json.dumps({"nx": 2, "ny": 2, "probs": [0.45, 0.05, 0.05, 0.45]})

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wakexp import pa_bound
 from wakexp.pa_bound import (
     CSV_HEADER,
     PaBoundReport,
@@ -163,6 +164,15 @@ class TestSecurityBound:
         # an infinite slack once reached RatePair(r1 + delta, r2) and named r1
         with pytest.raises(DomainError, match="delta"):
             pa_security_bound(dsbs(0.1), 0.2, 0.3, math.inf, 100, config=CFG)
+
+    @pytest.mark.parametrize("n", [0, -3, math.nan])
+    def test_blocklength_is_checked_before_the_solve(self, monkeypatch, n):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the exponent was solved before n was checked")
+
+        monkeypatch.setattr(pa_bound, "wak_exponent", unreachable)
+        with pytest.raises(DomainError, match="blocklength"):
+            pa_security_bound(dsbs(0.1), 0.2, 0.3, 0.05, n, config=CFG)
 
 
 class TestRateTradeoff:

@@ -26,6 +26,7 @@ from wakexp.reductions import (
 )
 from wakexp import reductions
 from wakexp.simplex_optim import (
+    Lockstep,
     SolverConfig,
     _capped_resolution,
     _zoom_max,
@@ -442,6 +443,14 @@ def _reference_omega(ev, mu, alpha):
     return float(min(r.value for r in runs if not r.infeasible))
 
 
+def _solve_all(ev, tilts):
+    """Cache every uncached tilt of ``tilts``: one lattice pass and one
+    lockstep, run to the end."""
+    solves = reductions._TiltSolves(ev)
+    solves.add(tilts)
+    solves.run()
+
+
 _AXIS = np.linspace(0.0, 1.0, MU_ALPHA_GRID)
 _TILTS = [(mu, alpha) for mu in _AXIS[::8] for alpha in _AXIS[::8]] + [
     (0.4123, 0.777),
@@ -462,7 +471,7 @@ class TestBatchedInnerSolve:
     def test_batch_matches_per_tilt_reference(self, case):
         src, nu = self.CASES[case]
         ev = OohamaEvaluator(src, nu=nu)
-        ev._solve_tilts(_TILTS)
+        _solve_all(ev, _TILTS)
         assert len(ev._omega_cache) == len(_TILTS)
         for mu, alpha in _TILTS:
             got = ev._omega_cache[_tilt_key(mu, alpha)]
@@ -472,12 +481,12 @@ class TestBatchedInnerSolve:
     def test_single_tilt_omega_is_the_batch_of_one(self):
         src, _ = self.CASES["dsbs"]
         batch = OohamaEvaluator(src)
-        batch._solve_tilts(_TILTS)
+        _solve_all(batch, _TILTS)
         for mu, alpha in _TILTS[::5]:
             alone = OohamaEvaluator(src).omega(mu, alpha)
             assert alone.hex() == batch.omega(mu, alpha).hex()
 
-    def test_comparison_pairs_keep_their_recorded_values(self):
+    def test_comparison_pairs_keep_their_recorded_values(self, monkeypatch):
         # the five rate pairs of the comparison benchmark on dsbs:0.1, the
         # bounds of the zooming refinement, and those recorded tilt by tilt
         # under golden section, which a bound may exceed by at most 1e-6
@@ -488,9 +497,22 @@ class TestBatchedInnerSolve:
             (0.33340071980445596, 0.6915632531904445, 0.03729547844044811, 0.037295501838920234),
             (0.1734610958455215, 0.8359783837121457, 0.05578343370206855, 0.0557834335495673),
         ]
+        # each bound's lockstep iterations pin how it steps: the cold grid
+        # runs to the end, and each level stops at its first exact maximum
+        steps, step = [], Lockstep.step
+
+        def counted(lockstep):
+            steps[-1] += 1
+            return step(lockstep)
+
+        monkeypatch.setattr(Lockstep, "step", counted)
         ev = OohamaEvaluator(dsbs(0.1))
-        got = [ev.bound(r1, r2) for r1, r2, _, _ in pairs]
+        got = []
+        for r1, r2, _, _ in pairs:
+            steps.append(0)
+            got.append(ev.bound(r1, r2))
         assert got == [v for _, _, v, _ in pairs]
+        assert steps == [660, 997, 150, 1464, 3794]
         for v, (_, _, _, golden) in zip(got, pairs):
             assert v <= golden + 1e-6
 
@@ -562,7 +584,7 @@ class TestBatchedInnerSolve:
         src, nu = self.CASES[case]
         ev = OohamaEvaluator(src, nu=nu)
         grid = [(mu, alpha) for mu in _AXIS for alpha in _AXIS]
-        ev._solve_tilts(grid)
+        _solve_all(ev, grid)
         edge = [t for t in grid if (_tilt_coefficients([t]) == 0.0).any()]
         assert len(edge) == 4 * (MU_ALPHA_GRID - 1)
         lattice = _reference_lattice(ev.domain, ev.config.grid_resolution)
@@ -728,7 +750,7 @@ class TestCertifiedLevels:
         assert set(ev._omega_cache) <= set(full._omega_cache)
         assert len(ev._omega_cache) > reductions.MU_ALPHA_GRID ** 2
         fresh = OohamaEvaluator(src, nu=nu, config=self.CONFIG)
-        fresh._solve_tilts([tilts[k] for k in ev._omega_cache])
+        _solve_all(fresh, [tilts[k] for k in ev._omega_cache])
         for k, v in ev._omega_cache.items():
             assert v.hex() == fresh._omega_cache[k].hex() == full._omega_cache[k].hex(), k
         for k in list(ev._omega_cache)[-3:]:

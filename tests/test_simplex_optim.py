@@ -928,14 +928,24 @@ class TestResumableLockstep:
     def _evaluate(pts, rows):
         return _tilted_quadratic(pts, rows), np.maximum(pts[:, 0] - rows[:, 0], 0.0)
 
-    def test_descents_that_join_and_leave_mid_run_match_lone_runs(self):
+    @pytest.mark.parametrize("call_rows", [simplex_optim._CALL_ROWS, 20], ids=["default", "small"])
+    def test_descents_that_join_and_leave_mid_run_match_lone_runs(self, monkeypatch, call_rows):
         # a cap of 30 iterations stops some descents unconverged; each
-        # descent's cap counts from when it joined
+        # descent's cap counts from when it joined.  With 20 rows per call
+        # a slice holds two descents, so descents join, stop and are
+        # dropped across several slices
+        monkeypatch.setattr(simplex_optim, "_CALL_ROWS", call_rows)
         cfg = SolverConfig(max_iterations=30, step_tolerance=1e-4)
         rng = np.random.default_rng(21)
         starts = [self.DOM.sample(rng) for _ in range(14)]
         params = rng.random((14, 4))
-        lock = Lockstep(self.DOM, cfg, batch_evaluate=self._evaluate, per_start_params=True)
+        calls = []
+
+        def evaluate(pts, rows):
+            calls.append(len(pts))
+            return self._evaluate(pts, rows)
+
+        lock = Lockstep(self.DOM, cfg, batch_evaluate=evaluate)
         ids = list(lock.add(starts[:4], params[:4]))
         for _ in range(5):
             lock.step()
@@ -953,8 +963,10 @@ class TestResumableLockstep:
             assert not lock.running[stopped].any()
             assert (lock.best <= seen).all()          # a descent's best value only falls
             seen = lock.best.copy()
-        assert not lock.blocks and not lock.running.any()
+        assert not len(lock.rows[3]) and not lock.running.any()
+        assert len(lock.step()) == 0                  # stepping an empty set is a no-op
         assert ids == list(range(14))
+        assert max(calls) <= call_rows
         assert np.array_equal(lock.evaluations[dropped], frozen)
         kept = [k for k in ids if k not in dropped]
         results = [lock.result(k) for k in kept]
@@ -965,12 +977,21 @@ class TestResumableLockstep:
         assert any(converged) and not all(converged)
 
     def test_params_rows_follow_the_mode(self):
-        with_params = Lockstep(self.DOM, batch_evaluate=self._evaluate, per_start_params=True)
+        # the first add sets the mode; a later add that disagrees, or passes
+        # a params row count other than its number of starts, raises
+        start = [self.DOM.sample(np.random.default_rng(0))]
+        with_params = Lockstep(self.DOM, batch_evaluate=self._evaluate)
+        with_params.add(start, params=[[0.5, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            with_params.add([self.DOM.sample(np.random.default_rng(0))])
+            with_params.add(start)
+        with pytest.raises(ValueError):
+            with_params.add(start * 2, params=[[0.5, 0.0, 0.0, 0.0]])
         without = Lockstep(self.DOM, batch_evaluate=_unconstrained(lambda pts: pts[:, 0]))
+        without.add(start)
         with pytest.raises(ValueError):
-            without.add([self.DOM.sample(np.random.default_rng(0))], params=[[0.0, 0.0, 0.0, 0.0]])
+            without.add(start, params=[[0.0, 0.0, 0.0, 0.0]])
+        # a refused add joins nothing
+        assert len(with_params.best) == len(without.best) == 1
 
 
 class TestGridSearchBatch:

@@ -31,9 +31,10 @@ source of the comparison workload.
 
 Last, the comparison bound: one fresh ``OohamaEvaluator(dsbs:0.1)`` runs
 the five rate pairs of ``perfbench/reference.json`` in order (a cold bound,
-then four warm ones), and each prints its wall time and the lockstep
-iterations it advanced (``Lockstep.step`` calls, the same on every
-machine).  The file is only read.
+then four warm ones), and each prints its wall time, the lockstep
+iterations it advanced (``Lockstep.step`` calls), and the objective calls
+and kernel rows of its descents (``OohamaEvaluator._omega_evaluate``);
+the three counts are the same on every machine.  The file is only read.
 
 Timings are wall-clock and noisy on a shared machine: compare two commits
 by running this alternately, not by reading one run.
@@ -165,25 +166,33 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 def bench_comparison():
     comparison = json.loads(REFERENCE.read_text())["comparison"]
     evaluator = OohamaEvaluator(wakexp.JointPmf2(comparison["source"]["probs"]))
-    steps = [0]
-    step = Lockstep.step
+    counts = {"steps": 0, "calls": 0, "rows": 0}
+    step, evaluate = Lockstep.step, OohamaEvaluator._omega_evaluate
 
-    def counted(self):
-        steps[0] += 1
+    def counted_step(self):
+        counts["steps"] += 1
         return step(self)
 
+    def counted_evaluate(self, pts, coefs):
+        counts["calls"] += 1
+        counts["rows"] += len(pts)
+        return evaluate(self, pts, coefs)
+
     print(f"comparison bound on {comparison['source']['name']}, one evaluator, reference pairs in order")
-    print("pair        r1        r2     value        s  iterations")
-    Lockstep.step = counted
+    print("pair        r1        r2     value        s  iterations     calls      rows")
+    Lockstep.step, OohamaEvaluator._omega_evaluate = counted_step, counted_evaluate
     try:
         for k, pair in enumerate(comparison["pairs"]):
-            steps[0] = 0
+            counts.update(steps=0, calls=0, rows=0)
             t = time.perf_counter()
             value = evaluator.bound(pair["r1"], pair["r2"])
             spent = time.perf_counter() - t
-            print(f"{k:4d}{pair['r1']:10.4f}{pair['r2']:10.4f}{value:10.6f}{spent:9.3f}{steps[0]:12d}")
+            print(
+                f"{k:4d}{pair['r1']:10.4f}{pair['r2']:10.4f}{value:10.6f}{spent:9.3f}"
+                f"{counts['steps']:12d}{counts['calls']:10d}{counts['rows']:10d}"
+            )
     finally:
-        Lockstep.step = step
+        Lockstep.step, OohamaEvaluator._omega_evaluate = step, evaluate
 
 
 def main(argv=None):
